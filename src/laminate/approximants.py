@@ -107,6 +107,8 @@ def separation_depth(
     marked words standing for distinct transversal points separate at the
     radius where their windows first disagree.
     """
+    if max_k < 0:
+        raise ValueError(f"max_k must be nonnegative, got {max_k}")
     for word, mark in ((x_word, x_mark), (y_word, y_mark)):
         if mark - max_k < 0 or mark + max_k + 1 > len(word):
             raise ValueError(

@@ -307,6 +307,43 @@ def compose(g: CellularMap, f: CellularMap) -> CellularMap:
     return CellularMap(f.domain, g.codomain, vmap, emap)
 
 
+@dataclass(frozen=True)
+class GermMap:
+    """Derivative of a cellular map: its vertex map and half-edge image map.
+
+    The flattening test and germ images read only the first and last step
+    of each image path, so germ maps carry all they need, and they compose
+    by the chain rule D(g after f) = Dg after Df without expanding paths.
+    """
+
+    domain: BranchedGraph
+    codomain: BranchedGraph
+    vertex_map: Mapping
+    half_edge_map: Mapping
+
+
+def germ_map(f: CellularMap) -> GermMap:
+    """The germ map of a (validated) cellular map."""
+    hmap = {}
+    for e, path in f.edge_map.items():
+        hmap[(e, SRC)] = _outward(path[0])
+        hmap[(e, DST)] = _inward(path[-1])
+    return GermMap(f.domain, f.codomain, f.vertex_map, hmap)
+
+
+def compose_germs(g: GermMap, f: GermMap) -> GermMap:
+    """g after f, by the chain rule."""
+    if g.domain is not f.codomain and g.domain != f.codomain:
+        raise ValueError("compose_germs: domain of g must be the codomain of f")
+    gv, gh = g.vertex_map, g.half_edge_map
+    return GermMap(
+        f.domain,
+        g.codomain,
+        {v: gv[w] for v, w in f.vertex_map.items()},
+        {h: gh[x] for h, x in f.half_edge_map.items()},
+    )
+
+
 def germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
     """Image germ, with the image half-edges sorted back into their sides."""
     g, h = f.domain, f.codomain
@@ -336,26 +373,34 @@ class FlatteningWitness:
     images: tuple[HalfEdge, HalfEdge]
 
 
-def flattening_witness(f: CellularMap) -> Optional[FlatteningWitness]:
-    """None when f is flattening, else a concrete failure.
+def germ_flattening_witness(d: GermMap) -> Optional[FlatteningWitness]:
+    """None when the germ map is flattening, else a concrete failure.
 
     Flattening means: at every domain vertex, all of side A's half-edges
     share one image direction, and likewise side B -- the star's image is
-    then a single smooth germ.
+    then a single smooth germ.  The witness pairs, at the first failing
+    side in sorted order, its first half-edge with the first one whose
+    image differs.
     """
-    g = f.domain
+    g, hmap = d.domain, d.half_edge_map
     for v in sorted(g.vertices, key=repr):
         for side_label in ("A", "B"):
-            seen: dict = {}
-            for h_edge in sorted(g.side(v, side_label), key=_he_key):
-                img = half_edge_image(f, h_edge)
-                for other, other_img in seen.items():
-                    if other_img != img:
-                        return FlatteningWitness(
-                            v, side_label, (other, h_edge), (other_img, img)
-                        )
-                seen[h_edge] = img
+            side = g.side(v, side_label)
+            if len({hmap[h] for h in side}) <= 1:
+                continue
+            first, *rest = sorted(side, key=_he_key)
+            for h_edge in rest:
+                if hmap[h_edge] != hmap[first]:
+                    return FlatteningWitness(
+                        v, side_label, (first, h_edge), (hmap[first], hmap[h_edge])
+                    )
     return None
+
+
+def flattening_witness(f: CellularMap) -> Optional[FlatteningWitness]:
+    """None when f is flattening, else a concrete failure (see
+    :func:`germ_flattening_witness`)."""
+    return germ_flattening_witness(germ_map(f))
 
 
 def is_flattening(f: CellularMap) -> bool:

@@ -91,6 +91,8 @@ def witness_half(h) -> str | None:
 
 
 def cmd_approximants(args, report: RunReport) -> int:
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
     oracle = formats.load_oracle(args.input)
     complexes = [build_approximant(oracle, k) for k in range(args.k + 1)]
     counts = [
@@ -131,8 +133,8 @@ def cmd_separation(args, report: RunReport) -> int:
 
 def cmd_deck_group(args, report: RunReport) -> int:
     tower = formats.load_tower(args.tower)
-    reg = tower.verify_regular(args.level)
     group = tower.composite_covering(args.level, 1).deck_group(tower.base_point(1))
+    reg = group.regularity()
     print(
         f"level {args.level}: degree {reg.degree}, deck order {reg.deck_order}, "
         f"regular: {reg.regular}"

@@ -371,13 +371,7 @@ class GraphCovering:
         return DeckGroup(self, tuple(elements), fiber, t0, tuple(orbit))
 
     def is_regular(self, base_vi: int = 0) -> "RegularityReport":
-        group = self.deck_group(base_vi)
-        return RegularityReport(
-            regular=len(group.elements) == len(group.fiber),
-            degree=len(group.fiber),
-            deck_order=len(group.elements),
-            orbit=group.orbit,
-        )
+        return self.deck_group(base_vi).regularity()
 
 
 @dataclass(frozen=True)
@@ -415,6 +409,14 @@ class DeckGroup:
     def is_free_and_transitive(self) -> bool:
         images = sorted(int(d.vperm[self.basepoint]) for d in self.elements)
         return images == sorted(int(u) for u in self.fiber)
+
+    def regularity(self) -> RegularityReport:
+        return RegularityReport(
+            regular=len(self.elements) == len(self.fiber),
+            degree=len(self.fiber),
+            deck_order=len(self.elements),
+            orbit=self.orbit,
+        )
 
 
 def compose_coverings(coverings: Sequence[GraphCovering], k: int, k0: int) -> GraphCovering:
@@ -469,6 +471,10 @@ class CoveringTower:
         """Largest level index (levels are 1-based)."""
         return len(self.coverings) + 1
 
+    def _check_level(self, k: int):
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"level {k} is outside the tower's levels 1..{self.depth}")
+
     def graph(self, k: int) -> Graph:
         if k == 1:
             return self.base
@@ -479,7 +485,12 @@ class CoveringTower:
         return self.coverings[k - 2]
 
     def composite_map(self, k: int, k0: int) -> GraphMap:
+        """The composite covering map from level k down to level k0 <= k."""
         if (k, k0) not in self._composites:
+            self._check_level(k)
+            self._check_level(k0)
+            if k < k0:
+                raise ValueError(f"composite needs k >= k0, got {k} < {k0}")
             if k == k0:
                 g = self.graph(k)
                 self._composites[(k, k0)] = GraphMap(
@@ -499,6 +510,7 @@ class CoveringTower:
 
     def base_point(self, k: int) -> int:
         """Vertex index of the thread point x_k, lifting x_{k-1}."""
+        self._check_level(k)
         while len(self._thread) < k:
             j = len(self._thread) + 1
             below = self._thread[-1]

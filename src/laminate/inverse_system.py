@@ -18,18 +18,19 @@ from typing import Callable, Optional, Sequence, Union
 from .branched_graph import (
     BranchedGraph,
     CellularMap,
+    GermMap,
     SmoothGerm,
-    Star,
     _inward,
     _outward,
     _step_end,
     compose,
-    flattening_witness,
+    compose_germs,
+    germ_flattening_witness,
     germ_image,
+    germ_map,
     germs_at,
     half_edge_image,
     identity_map,
-    is_flattening,
     star,
 )
 
@@ -309,40 +310,68 @@ def not_lamination_certificate(system: InverseSystem) -> Optional[DoubleSectionW
 def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVerdict:
     """Bounded search for a telescoping with all bonds flattening.
 
-    Greedy and canonical: from each start level take, repeatedly, the least
-    level whose composite down to the current one flattens.  A chain that
-    reaches the window edge is a certified flattening telescoping of the
-    inspected window; otherwise the result is inconclusive, except that
-    stationary systems are additionally probed for an invariant double
-    section, which settles non-lamination outright.
+    Exhaustive over the window and canonical.  Working down from the
+    window edge, level j *reaches* the edge when the composite from some
+    reaching level k > j down to j flattens, and the *greedy* chain from j
+    takes, repeatedly, the least level whose composite down to the current
+    one flattens.  The chain starts at the least level whose greedy chain
+    reaches the edge or, when there is none, at the least reaching level,
+    and takes, repeatedly, the least reaching level whose composite down to
+    the current one flattens (from a greedy start this is the greedy
+    chain).  A chain found this way is a certified flattening telescoping
+    of the inspected window.  When no level reaches the edge the result is
+    inconclusive, except that stationary systems are additionally probed
+    for an invariant double section, which settles non-lamination outright.
+
+    Flattening reads only germs, so the search composes the bonds' germ
+    maps by the chain rule instead of their edge paths.  For a stationary
+    system the composite k -> k0 depends only on the gap k - k0, and so is
+    built and tested once per gap.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     if system.max_depth is not None:
         window = min(window, system.max_depth)
-    composites: dict[tuple[int, int], CellularMap] = {}
+    stationary = system.stationary_flag
+    bond_germs: dict[int, GermMap] = {}
+    # columns[k][i] is the germ map from level k down to level k - 1 - i;
+    # a stationary system has the single column 0, indexed by gap - 1
+    columns: dict[int, list[GermMap]] = {}
+    flat_memo: dict = {}
 
-    def comp(k, k0):
-        if (k, k0) not in composites:
-            composites[(k, k0)] = system.composite(k, k0)
-        return composites[(k, k0)]
+    def bond_germ(j):
+        if j not in bond_germs:
+            bond_germs[j] = germ_map(system.bond(j))
+        return bond_germs[j]
 
-    for start in range(window):
-        chain = [start]
-        current = start
+    def flat(k, k0):
+        key = k - k0 if stationary else (k, k0)
+        if key not in flat_memo:
+            column = columns.setdefault(0 if stationary else k, [])
+            while len(column) < k - k0:
+                below = bond_germ(0 if stationary else k - 1 - len(column))
+                column.append(compose_germs(below, column[-1]) if column else below)
+            flat_memo[key] = germ_flattening_witness(column[k - k0 - 1]) is None
+        return flat_memo[key]
+
+    reach = [False] * window + [True]
+    greedy = [False] * window + [True]
+    for j in range(window - 1, -1, -1):
+        flattening = (k for k in range(j + 1, window + 1) if flat(k, j))
+        least = next(flattening, None)
+        if least is not None:
+            greedy[j] = greedy[least]
+            reach[j] = reach[least] or any(reach[k] for k in flattening)
+    current = greedy.index(True) if any(greedy[:window]) else reach.index(True)
+    if current < window:
+        chain = [current]
         while current < window:
-            nxt = None
-            for k in range(current + 1, window + 1):
-                if is_flattening(comp(k, current)):
-                    nxt = k
-                    break
-            if nxt is None:
-                break
-            chain.append(nxt)
-            current = nxt
-        if current == window:
-            return Flattening(tuple(chain))
-    if system.stationary_flag:
+            current = next(
+                k for k in range(current + 1, window + 1) if reach[k] and flat(k, current)
+            )
+            chain.append(current)
+        return Flattening(tuple(chain))
+    if stationary:
         witness = not_lamination_certificate(system)
         if witness is not None:
             return NotLamination(witness)

@@ -242,3 +242,68 @@ def test_inconclusive_exit_code(files, tmp_path):
     )
     code = main(["check-flatten", "--system", str(system_file), "--window", "4"])
     assert code == 3
+
+
+def _fails_cleanly(argv, tmp_path, capsys):
+    """Exit 1 with one stderr line, no answer on stdout, and a report."""
+    report = tmp_path / "report.json"
+    assert main(["--report", str(report), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "error" in json.loads(report.read_text())["data"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deck-group", "--level", "0"],
+        ["deck-group", "--level", "-1"],
+        ["deck-group", "--level", "9"],
+        ["metric", "--x", "0", "--y", "1", "--depth", "9"],
+    ],
+)
+def test_tower_levels_out_of_range(argv, tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"circle_degrees": [2, 2, 2]}))
+    _fails_cleanly([argv[0], "--tower", str(tower), *argv[1:]], tmp_path, capsys)
+
+
+def test_approximants_negative_radius(files, tmp_path, capsys):
+    _fails_cleanly(
+        ["approximants", "--input", str(files["fib"]), "--k", "-1"], tmp_path, capsys
+    )
+
+
+def test_separation_negative_max_k(files, tmp_path, capsys):
+    argv = ["separation", "--input", str(files["fib"]), "--x", "aab@1", "--y", "bab@1"]
+    _fails_cleanly([*argv, "--max-k", "-2"], tmp_path, capsys)
+
+
+def test_deck_group_enumerates_once(files, tmp_path, monkeypatch, capsys):
+    from laminate.coverings import GraphCovering
+
+    calls = []
+    original = GraphCovering.deck_group
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphCovering, "deck_group", counting)
+    report = tmp_path / "deck.json"
+    argv = ["deck-group", "--tower", str(files["dyadic"]), "--level", "4"]
+    assert main(["--report", str(report), *argv]) == 0
+    assert len(calls) == 1
+    data = json.loads(report.read_text())["data"]
+    assert data == {
+        "degree": 8,
+        "deck_order": 8,
+        "regular": True,
+        "orbit": [0, 1, 2, 3, 4, 5, 6, 7],
+        "free_transitive": True,
+        "exit_code": 0,
+    }
+    assert "level 4: degree 8, deck order 8, regular: True" in capsys.readouterr().out

@@ -211,6 +211,19 @@ def test_tower_rotation_witness_and_enumeration_agree():
         assert tower.verify_regular(k).regular
 
 
+def test_tower_levels_outside_the_tower_rejected():
+    tower = cyclic_tower([2, 2, 2])
+    for k, k0 in ((0, 1), (-1, 1), (5, 1), (2, 0), (2, 3)):
+        with pytest.raises(ValueError):
+            tower.composite_map(k, k0)
+        with pytest.raises(ValueError):
+            tower.composite_covering(k, k0)
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError):
+            tower.base_point(k)
+    assert tower.composite_covering(4, 1).degree() == 8
+
+
 def test_tower_stacking_validated():
     with pytest.raises(ValueError):
         CoveringTower([cyclic_cover(2, 1), cyclic_cover(4, 3)])

@@ -3,8 +3,13 @@ from random import Random
 
 import pytest
 
-from laminate import fixtures
-from laminate.branched_graph import is_flattening
+from laminate import branched_graph, fixtures, inverse_system
+from laminate.branched_graph import (
+    compose_germs,
+    germ_flattening_witness,
+    germ_map,
+    is_flattening,
+)
 from laminate.inverse_system import (
     EdgePoint,
     Flattening,
@@ -23,7 +28,7 @@ from laminate.inverse_system import (
     telescope,
 )
 
-from helpers import random_small_system
+from helpers import random_small_system, rose_graph, rose_map
 
 
 def solenoid():
@@ -167,6 +172,15 @@ def test_figure_eight_not_lamination_for_every_window():
         assert verdict.witness.vertex == "w"
 
 
+def _path_chain_reaches(system, window) -> bool:
+    """Some telescoping of levels 0..window flattens, by full path composites."""
+    reach = {window}
+    for j in range(window - 1, -1, -1):
+        if any(is_flattening(system.composite(k, j)) for k in sorted(reach)):
+            reach.add(j)
+    return len(reach) > 1
+
+
 def test_flattening_verdict_soundness():
     rng = Random(303)
     seen_flattening = 0
@@ -178,7 +192,71 @@ def test_flattening_verdict_soundness():
             tel = telescope(system, list(verdict.indices))
             for k in range(len(verdict.indices) - 1):
                 assert is_flattening(tel.bond(k))
+        else:
+            # the search is exhaustive over the window
+            assert not _path_chain_reaches(system, 5)
     assert seen_flattening > 0
+
+
+def test_greedy_dead_end_still_finds_a_telescoping():
+    # bond 0 flattens, but no composite from level 1 does: a chain through
+    # level 1 gets stuck, yet composite(4, 0) flattens
+    petals = ("a", "b")
+    bond0 = rose_map(petals, {"a": "ab", "b": "ab"})
+    swap = rose_map(petals, {"a": "ab", "b": "ba"})
+    system = InverseSystem.from_lists([rose_graph(petals)] * 5, [bond0, swap, swap, swap])
+    assert is_flattening(system.composite(4, 0))
+    verdict = is_flattening_system(system, 4)
+    assert verdict == Flattening((0, 4))
+
+
+def test_greedy_chain_kept_where_it_succeeds():
+    # only the powers f^n with n >= 3 flatten (first letters a -> b -> c -> d
+    # -> d, last letters all d): the least greedy start is 2, not level 0,
+    # which also reaches the window edge
+    petals = ("a", "b", "c", "d")
+    f = rose_map(petals, {"a": "bd", "b": "cd", "c": "dd", "d": "dad"})
+    system = InverseSystem.stationary(f)
+    assert not is_flattening(system.composite(2, 0))
+    assert is_flattening(system.composite(3, 0))
+    assert is_flattening_system(system, 8) == Flattening((2, 5, 8))
+
+
+def test_germ_composites_match_path_composites():
+    rng = Random(404)
+    for _ in range(60):
+        system = random_small_system(rng, depth=5)
+        for k0 in range(5):
+            germ = germ_map(system.bond(k0))
+            for k in range(k0 + 1, 6):
+                if k > k0 + 1:
+                    germ = compose_germs(germ, germ_map(system.bond(k - 1)))
+                path = system.composite(k, k0)
+                assert germ.vertex_map == path.vertex_map
+                assert germ.half_edge_map == germ_map(path).half_edge_map
+                assert (germ_flattening_witness(germ) is None) == is_flattening(path)
+
+
+def test_search_builds_no_path_composites(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window search composed edge paths")
+
+    monkeypatch.setattr(branched_graph, "compose", refuse)
+    monkeypatch.setattr(inverse_system, "compose", refuse)
+    monkeypatch.setattr(InverseSystem, "composite", refuse)
+    assert is_flattening_system(solenoid(), 8) == Flattening(tuple(range(9)))
+    assert isinstance(is_flattening_system(figure_eight_system(), 8), NotLamination)
+    rng = Random(505)
+    for _ in range(10):
+        is_flattening_system(random_small_system(rng, depth=6), 6)
+
+
+def test_fibonacci_rose_window_200_is_inconclusive():
+    # path composites of f^200 would have about phi^200 steps; the germ
+    # search builds one germ map per gap
+    petals = ("a", "b")
+    system = InverseSystem.stationary(rose_map(petals, {"a": "ab", "b": "a"}))
+    assert is_flattening_system(system, 200) == NotFlatteningUpTo(200)
 
 
 def test_nonstationary_failure_is_inconclusive():
