@@ -50,21 +50,30 @@ def build_approximant(oracle: LanguageOracle, k: int) -> CollaredComplex:
     return CollaredComplex(k, BranchedGraph(vertices, edges, sides))
 
 
+def _drop_one_letter(upper: BranchedGraph, lower: BranchedGraph) -> CellularMap:
+    """The bond from approximant k+1 onto approximant k, given both levels."""
+    vmap = {w: w[1:-1] for w in upper.vertices}
+    emap = {w: ((w[1:-1], 1),) for w in upper.edges}
+    return CellularMap(upper, lower, vmap, emap)
+
+
 def bonding_map(oracle: LanguageOracle, k: int) -> CellularMap:
     """From approximant k+1 onto approximant k: drop one letter per end."""
-    upper = build_approximant(oracle, k + 1)
-    lower = build_approximant(oracle, k)
-    vmap = {w: w[1:-1] for w in upper.graph.vertices}
-    emap = {w: ((w[1:-1], 1),) for w in upper.graph.edges}
-    return CellularMap(upper.graph, lower.graph, vmap, emap)
+    return _drop_one_letter(build_approximant(oracle, k + 1).graph,
+                            build_approximant(oracle, k).graph)
 
 
 def approximant_system(oracle: LanguageOracle) -> InverseSystem:
-    """The full tower as a lazily materialized inverse system."""
-    return InverseSystem(
+    """The full tower as a lazily materialized inverse system.
+
+    Each bond joins the system's own memoised levels, so every approximant
+    is built once.
+    """
+    system = InverseSystem(
         lambda k: build_approximant(oracle, k).graph,
-        lambda k: bonding_map(oracle, k),
+        lambda k: _drop_one_letter(system.level(k + 1), system.level(k)),
     )
+    return system
 
 
 def pattern_clopen(oracle: LanguageOracle, word: str, mark: int) -> ClopenSet:

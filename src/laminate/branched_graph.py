@@ -25,12 +25,6 @@ Step = tuple      # (edge_id, +1 | -1)
 SRC, DST = "+", "-"
 
 
-def half_edge(edge_id, end: str) -> HalfEdge:
-    if end not in (SRC, DST):
-        raise ValueError(f"half-edge end must be '+' or '-', got {end!r}")
-    return (edge_id, end)
-
-
 def _he_key(h: HalfEdge):
     return (repr(h[0]), h[1])
 

@@ -9,6 +9,7 @@ schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -212,7 +213,9 @@ def cmd_export_dot(args, report: RunReport) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="laminate",
         description="Branched 1-manifolds, approximant towers, covering dynamics",

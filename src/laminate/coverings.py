@@ -14,7 +14,7 @@ for metric experiments stay fast at six-digit sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -76,12 +76,6 @@ class Graph:
         if self._eindex is None:
             self._eindex = {d: i for i, d in enumerate(self.edge_ids)}
         return self._eindex[e]
-
-    def half_edges_at(self, vi: int) -> list[tuple[int, int]]:
-        """(edge index, +1 outgoing / -1 incoming) pairs at vertex index vi."""
-        out = [(int(e), 1) for e in np.flatnonzero(self.esrc == vi)]
-        inc = [(int(e), -1) for e in np.flatnonzero(self.edst == vi)]
-        return out + inc
 
     def is_connected(self) -> bool:
         if self.nv <= 1:
@@ -162,9 +156,6 @@ class DeckElement:
     def compose(self, other: "DeckElement") -> "DeckElement":
         """self after other."""
         return DeckElement(self.vperm[other.vperm], self.eperm[other.eperm])
-
-    def inverse(self) -> "DeckElement":
-        return DeckElement(np.argsort(self.vperm), np.argsort(self.eperm))
 
     def is_identity(self) -> bool:
         return bool(
@@ -248,24 +239,6 @@ class GraphCovering:
             self._lifts = (out, inc)
         return self._lifts
 
-    def lift_path(self, start_vi: int, loop: Sequence[Step]) -> int:
-        """End vertex index of the lift of a base edge path from start_vi."""
-        out, inc = self._lift_tables()
-        cur = start_vi
-        for edge_id, sign in loop:
-            be = self.base.edge_index(edge_id)
-            if sign == 1:
-                e = out.get((cur, be))
-                if e is None:
-                    raise ValueError("path does not continue at the current vertex")
-                cur = int(self.total.edst[e])
-            else:
-                e = inc.get((cur, be))
-                if e is None:
-                    raise ValueError("path does not continue at the current vertex")
-                cur = int(self.total.esrc[e])
-        return cur
-
     def _step_transport(self, base_ei: int, sign: int) -> np.ndarray:
         """Per total vertex, where the unique lift of one base step lands."""
         cache = getattr(self, "_transport", None)
@@ -293,6 +266,15 @@ class GraphCovering:
         if cur != base_vi:
             raise ValueError("loop does not close up at the base point")
 
+    def lift(self, starts: np.ndarray, path: Sequence[Step]) -> np.ndarray:
+        """End vertex indices of the lifts of a base edge path, one per start."""
+        cur = np.asarray(starts, dtype=np.int64)
+        for edge_id, sign in path:
+            cur = self._step_transport(self.base.edge_index(edge_id), sign)[cur]
+            if (cur < 0).any():
+                raise ValueError("loop does not lift; the map is not a covering here")
+        return cur
+
     def monodromy(self, loop: Sequence[Step], base_vi: int = 0) -> np.ndarray:
         """Endpoint-of-lift permutation of fiber positions over base_vi.
 
@@ -304,12 +286,7 @@ class GraphCovering:
         fiber = self.fiber(base_vi)
         pos = -np.ones(self.total.nv, dtype=np.int64)
         pos[fiber] = np.arange(len(fiber))
-        cur = fiber.copy()
-        for edge_id, sign in loop:
-            cur = self._step_transport(self.base.edge_index(edge_id), sign)[cur]
-            if (cur < 0).any():
-                raise ValueError("lift breaks: the map is not a covering here")
-        return pos[cur]
+        return pos[self.lift(fiber, loop)]
 
     # -- deck group --------------------------------------------------------
 
@@ -395,17 +372,6 @@ class DeckGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity(self) -> DeckElement:
-        return DeckElement(
-            np.arange(self.covering.total.nv), np.arange(self.covering.total.ne)
-        )
-
-    def element_sending_basepoint_to(self, target_vi: int) -> DeckElement:
-        for deck in self.elements:
-            if deck.vperm[self.basepoint] == target_vi:
-                return deck
-        raise ValueError("no deck element reaches that fiber point (irregular cover?)")
-
     def is_free_and_transitive(self) -> bool:
         images = sorted(int(d.vperm[self.basepoint]) for d in self.elements)
         return images == sorted(int(u) for u in self.fiber)
@@ -419,52 +385,28 @@ class DeckGroup:
         )
 
 
-def compose_coverings(coverings: Sequence[GraphCovering], k: int, k0: int) -> GraphCovering:
-    """Composite covering from level k down to level k0 (1-based levels).
-
-    ``coverings[i]`` joins level i+2 to level i+1; the composite of regular
-    coverings is wrapped unverified -- callers re-verify regularity where
-    they rely on it.
-    """
-    if not 1 <= k0 <= k <= len(coverings) + 1:
-        raise ValueError("levels out of range")
-    if k == k0:
-        g = coverings[k0 - 2].total if k0 >= 2 else coverings[0].base
-        ident = GraphMap(g, g, np.arange(g.nv), np.arange(g.ne))
-        return GraphCovering(ident)
-    m = coverings[k0 - 1].map
-    for i in range(k0, k - 1):
-        m = m.compose(coverings[i].map)
-    return GraphCovering(m)
-
-
 class CoveringTower:
     """Levels S_1 <- S_2 <- ... with a coherent thread of base points.
 
-    The thread is chosen deterministically (least-index lifts) unless a
-    ``base_thread`` of vertex ids is supplied; every fiber, deck group and
+    The thread starts at ``base_vertex`` (default: the least vertex) and
+    lifts deterministically (least-index lifts); every fiber, deck group and
     identification is relative to it.
     """
 
-    def __init__(self, coverings: Sequence[GraphCovering], *,
-                 base_vertex=None, base_thread: Optional[Sequence] = None,
-                 deck_witnesses: Optional[Sequence[DeckElement]] = None):
+    def __init__(self, coverings: Sequence[GraphCovering], *, base_vertex=None):
         if not coverings:
             raise ValueError("a tower needs at least one covering")
         self.coverings = list(coverings)
         for lower, upper in zip(self.coverings, self.coverings[1:]):
-            if upper.base != lower.total:
+            if upper.base is not lower.total and upper.base != lower.total:
                 raise ValueError("consecutive coverings do not stack")
         self.base = self.coverings[0].base
-        if base_thread is not None:
-            self._thread = [self.graph(k).vertex_index(base_thread[k - 1])
-                            for k in range(1, len(base_thread) + 1)]
-        else:
-            x1 = 0 if base_vertex is None else self.base.vertex_index(base_vertex)
-            self._thread = [x1]
-        self._deck_witnesses = list(deck_witnesses) if deck_witnesses else None
+        x1 = 0 if base_vertex is None else self.base.vertex_index(base_vertex)
+        self._thread = [x1]
         self._composites: dict[tuple[int, int], GraphMap] = {}
         self._composite_covers: dict[tuple[int, int], GraphCovering] = {}
+        self._fibers: dict[int, np.ndarray] = {}
+        self._fiber_positions: dict[int, np.ndarray] = {}
 
     @property
     def depth(self) -> int:
@@ -476,16 +418,23 @@ class CoveringTower:
             raise ValueError(f"level {k} is outside the tower's levels 1..{self.depth}")
 
     def graph(self, k: int) -> Graph:
+        self._check_level(k)
         if k == 1:
             return self.base
         return self.coverings[k - 2].total
 
     def covering(self, k: int) -> GraphCovering:
         """The bonding covering f_k : S_k -> S_{k-1}, for k >= 2."""
+        if not 2 <= k <= self.depth:
+            raise ValueError(f"covering {k} is outside the tower's coverings 2..{self.depth}")
         return self.coverings[k - 2]
 
     def composite_map(self, k: int, k0: int) -> GraphMap:
-        """The composite covering map from level k down to level k0 <= k."""
+        """The composite covering map from level k down to level k0 <= k.
+
+        Each composite is one bond composed onto the memoised composite from
+        the level below, so every pair (k, k0) is built once.
+        """
         if (k, k0) not in self._composites:
             self._check_level(k)
             self._check_level(k0)
@@ -493,14 +442,14 @@ class CoveringTower:
                 raise ValueError(f"composite needs k >= k0, got {k} < {k0}")
             if k == k0:
                 g = self.graph(k)
-                self._composites[(k, k0)] = GraphMap(
-                    g, g, np.arange(g.nv), np.arange(g.ne)
-                )
+                m = GraphMap(g, g, np.arange(g.nv), np.arange(g.ne))
             else:
-                m = self.coverings[k0 - 1].map
-                for i in range(k0, k - 1):
-                    m = m.compose(self.coverings[i].map)
-                self._composites[(k, k0)] = m
+                m = self.covering(k0 + 1).map
+                for j in range(k0 + 2, k + 1):
+                    if (j, k0) not in self._composites:
+                        self._composites[(j, k0)] = m.compose(self.covering(j).map)
+                    m = self._composites[(j, k0)]
+            self._composites[(k, k0)] = m
         return self._composites[(k, k0)]
 
     def composite_covering(self, k: int, k0: int = 1) -> GraphCovering:
@@ -521,13 +470,22 @@ class CoveringTower:
         return self._thread[k - 1]
 
     def fiber(self, k: int) -> np.ndarray:
-        """Total-vertex indices of level k over x_1, sorted."""
-        return np.flatnonzero(self.composite_map(k, 1).vmap == self.base_point(1))
+        """Total-vertex indices of level k over x_1, sorted (read-only)."""
+        if k not in self._fibers:
+            fiber = np.flatnonzero(self.composite_map(k, 1).vmap == self.base_point(1))
+            fiber.setflags(write=False)
+            self._fibers[k] = fiber
+        return self._fibers[k]
 
     def fiber_position(self, k: int) -> np.ndarray:
-        pos = -np.ones(self.graph(k).nv, dtype=np.int64)
-        pos[self.fiber(k)] = np.arange(len(self.fiber(k)))
-        return pos
+        """Per level-k vertex, its index in ``fiber(k)``; -1 off the fiber."""
+        if k not in self._fiber_positions:
+            fiber = self.fiber(k)
+            pos = -np.ones(self.graph(k).nv, dtype=np.int64)
+            pos[fiber] = np.arange(len(fiber))
+            pos.setflags(write=False)
+            self._fiber_positions[k] = pos
+        return self._fiber_positions[k]
 
     def deck_fiber_perm_from_point(self, k: int, target_vi: int) -> np.ndarray:
         """Fiber action of the deck element of f_{k,1} sending x_k there.
@@ -577,11 +535,11 @@ class CyclicTower(CoveringTower):
         for d in degrees:
             sizes.append(sizes[-1] * d)
         self.sizes = sizes  # sizes[k-1] = order of level k
+        graphs = [Graph.cycle(n) for n in sizes]  # one per level, shared by its bonds
         coverings = []
-        for below, above in zip(sizes, sizes[1:]):
-            upper, lower = Graph.cycle(above), Graph.cycle(below)
-            idx = np.arange(above, dtype=np.int64)
-            coverings.append(GraphCovering(GraphMap(upper, lower, idx % below, idx % below)))
+        for lower, upper in zip(graphs, graphs[1:]):
+            idx = np.arange(upper.nv, dtype=np.int64)
+            coverings.append(GraphCovering(GraphMap(upper, lower, idx % lower.nv, idx % lower.nv)))
         super().__init__(coverings, **kw)
 
     def deck_fiber_perm_from_point(self, k: int, target_vi: int) -> np.ndarray:

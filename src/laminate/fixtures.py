@@ -68,13 +68,3 @@ def rose(petals: tuple[str, ...] = ("a", "b")) -> BranchedGraph:
         },
     )
 
-
-def rose_self_map(words: dict[str, str]) -> CellularMap:
-    """Self-map of the rose on ``words``'s keys, each petal to a forward word.
-
-    Any assignment of nonempty forward words is side coherent, which makes
-    this the workhorse for randomized system generation.
-    """
-    g = rose(tuple(sorted(words)))
-    emap = {e: tuple((d, 1) for d in w) for e, w in words.items()}
-    return CellularMap(g, g, {"w": "w"}, emap)

@@ -23,6 +23,29 @@ from .subshift import LanguageOracle, Substitution
 from .transversal import ClopenSet, Cylinder
 
 
+# -- shape checks ----------------------------------------------------------
+
+_ID = (str, int)  # cell ids
+_KIND = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+         _ID: "a string or an integer"}
+
+
+def _field(data, key: str, kind=object, each=None):
+    """``data[key]``, checked to be of a JSON kind and, for an array or an
+    object, to hold entries of kind ``each``; a ValueError names the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with key {key!r}")
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be {_KIND[kind]}")
+    entries = value.values() if isinstance(value, dict) else value
+    if each is not None and not all(issubclass(t, each) for t in set(map(type, entries))):
+        raise ValueError(f"every entry of {key!r} must be {_KIND[each]}")
+    return value
+
+
 # -- rationals -------------------------------------------------------------
 
 def parse_fraction(text: str) -> Fraction:
@@ -64,19 +87,20 @@ def format_step(step: tuple) -> str:
 # -- branch trees ------------------------------------------------------------
 
 def branch_tree_from_json(data: dict) -> BranchTree:
-    n = int(data["dimension"])
+    n = _field(data, "dimension", int)
+    vertices = _field(data, "vertices", list, _ID)
+    edges = _field(data, "edges", list, list)
+    if any(len(pair) != 2 or not all(isinstance(v, _ID) for v in pair) for pair in edges):
+        raise ValueError("every entry of 'edges' must be a [source, target] pair")
+    sector_data = _field(data, "sectors", dict, list) if "sectors" in data else {}
     sectors = {}
-    for v in data["vertices"]:
-        normals = data.get("sectors", {}).get(v, [])
+    for v in vertices:
+        normals = _field(sector_data, v, list, list) if v in sector_data else []
         sectors[v] = Sector(
             n, tuple(HalfSpace(tuple(parse_fraction(c) for c in normal))
                      for normal in normals)
         )
-    return BranchTree(
-        n, tuple(data["vertices"]),
-        tuple((s, t) for s, t in data["edges"]),
-        sectors,
-    )
+    return BranchTree(n, tuple(vertices), tuple((s, t) for s, t in edges), sectors)
 
 
 def branch_tree_to_json(tree: BranchTree) -> dict:
@@ -93,16 +117,25 @@ def branch_tree_to_json(tree: BranchTree) -> dict:
 
 # -- branched graphs and cellular maps ---------------------------------------
 
+def _edges_from_json(data: dict) -> dict:
+    entries = _field(data, "edges", list, dict)
+    try:
+        edges = {e["id"]: (e["src"], e["dst"]) for e in entries}
+        hash(tuple(edges.values()))  # endpoints must be usable as vertex ids
+    except (KeyError, TypeError):
+        raise ValueError("every entry of 'edges' needs an 'id', a 'src' and a 'dst' id") from None
+    return edges
+
+
 def branched_graph_from_json(data: dict) -> BranchedGraph:
-    edges = {e["id"]: (e["src"], e["dst"]) for e in data["edges"]}
-    sides = {
-        v: (
-            {parse_half_edge(h) for h in ab.get("A", [])},
-            {parse_half_edge(h) for h in ab.get("B", [])},
+    edges = _edges_from_json(data)
+    sides = {}
+    for v, ab in _field(data, "sides", dict, dict).items():
+        sides[v] = tuple(
+            {parse_half_edge(h) for h in (_field(ab, label, list, str) if label in ab else [])}
+            for label in ("A", "B")
         )
-        for v, ab in data["sides"].items()
-    }
-    return BranchedGraph(set(data["vertices"]), edges, sides)
+    return BranchedGraph(set(_field(data, "vertices", list, _ID)), edges, sides)
 
 
 def branched_graph_to_json(g: BranchedGraph) -> dict:
@@ -124,12 +157,13 @@ def branched_graph_to_json(g: BranchedGraph) -> dict:
 
 def cellular_map_from_json(data: dict, domain: BranchedGraph,
                            codomain: BranchedGraph) -> CellularMap:
+    edge_map = _field(data, "edge_map", dict, list)
     return CellularMap(
         domain,
         codomain,
-        dict(data["vertex_map"]),
-        {e: tuple(parse_step(s) for s in path)
-         for e, path in data["edge_map"].items()},
+        dict(_field(data, "vertex_map", dict, _ID)),
+        {e: tuple(parse_step(s) for s in _field(edge_map, e, list, str))
+         for e in edge_map},
     )
 
 
@@ -150,19 +184,26 @@ def _resolve(node: Union[str, dict], base_dir: Optional[Path]) -> dict:
         path = Path(node)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        return json.loads(path.read_text())
+        node = json.loads(path.read_text())
+    if not isinstance(node, dict):
+        raise ValueError("expected an object or a file path holding one")
     return node
 
 
 def system_from_json(data: dict, base_dir: Optional[Path] = None) -> InverseSystem:
+    if not (isinstance(data, dict) and ("stationary" in data or {"levels", "bonds"} <= data.keys())):
+        raise ValueError("a system needs 'stationary' or 'levels' and 'bonds'")
     if "stationary" in data:
-        graph = branched_graph_from_json(_resolve(data["stationary"]["graph"], base_dir))
+        stationary = _field(data, "stationary", dict)
+        graph = branched_graph_from_json(_resolve(_field(stationary, "graph"), base_dir))
         bond = cellular_map_from_json(
-            _resolve(data["stationary"]["map"], base_dir), graph, graph
+            _resolve(_field(stationary, "map"), base_dir), graph, graph
         )
         return InverseSystem.stationary(bond)
     levels = [branched_graph_from_json(_resolve(node, base_dir))
-              for node in data["levels"]]
+              for node in _field(data, "levels", list)]
+    if len(_field(data, "bonds", list)) != len(levels) - 1:
+        raise ValueError("need one bond per consecutive pair of levels")
     bonds = [
         cellular_map_from_json(_resolve(node, base_dir), levels[i + 1], levels[i])
         for i, node in enumerate(data["bonds"])
@@ -178,11 +219,12 @@ def load_system(path: Union[str, Path]) -> InverseSystem:
 # -- subshift inputs -----------------------------------------------------------
 
 def oracle_from_json(data: dict) -> LanguageOracle:
-    alphabet = data["alphabet"]
+    alphabet = _field(data, "alphabet", list, str)
     if "rules" in data:
-        return LanguageOracle.from_substitution(Substitution(alphabet, data["rules"]))
+        substitution = Substitution(alphabet, _field(data, "rules", dict, str))
+        return LanguageOracle.from_substitution(substitution)
     if "forbidden" in data:
-        return LanguageOracle.from_forbidden(alphabet, data["forbidden"])
+        return LanguageOracle.from_forbidden(alphabet, _field(data, "forbidden", list, str))
     return LanguageOracle.full_shift(alphabet)
 
 
@@ -193,7 +235,7 @@ def load_oracle(path: Union[str, Path]) -> LanguageOracle:
 # -- clopen sets ----------------------------------------------------------------
 
 def clopen_from_json(data: dict, oracle: LanguageOracle) -> ClopenSet:
-    cylinders = [Cylinder.parse(text) for text in data["cylinders"]]
+    cylinders = [Cylinder.parse(text) for text in _field(data, "cylinders", list, str)]
     out = ClopenSet.from_cylinders(oracle, cylinders)
     from .transversal import canonicalize
 
@@ -208,8 +250,7 @@ def clopen_to_json(s: ClopenSet) -> dict:
 # -- plain graphs, coverings, towers ----------------------------------------------
 
 def plain_graph_from_json(data: dict) -> Graph:
-    edges = {e["id"]: (e["src"], e["dst"]) for e in data["edges"]}
-    return Graph.from_edges(data["vertices"], edges)
+    return Graph.from_edges(_field(data, "vertices", list, _ID), _edges_from_json(data))
 
 
 def plain_graph_to_json(g: Graph) -> dict:
@@ -232,9 +273,10 @@ def _keyed(mapping: dict, key):
 
 def covering_from_json(data: dict, base: Graph,
                        base_dir: Optional[Path] = None) -> GraphCovering:
-    total = plain_graph_from_json(_resolve(data["total"], base_dir))
-    vertex_map = {v: _keyed(data["vertex_map"], v) for v in total.vertex_ids}
-    edge_map = {e: _keyed(data["edge_map"], e) for e in total.edge_ids}
+    total = plain_graph_from_json(_resolve(_field(data, "total"), base_dir))
+    vmap, emap = _field(data, "vertex_map", dict, _ID), _field(data, "edge_map", dict, _ID)
+    vertex_map = {v: _keyed(vmap, v) for v in total.vertex_ids}
+    edge_map = {e: _keyed(emap, e) for e in total.edge_ids}
     gmap = GraphMap.from_dicts(total, base, vertex_map, edge_map)
     return GraphCovering(gmap)
 
@@ -255,12 +297,12 @@ def covering_to_json(c: GraphCovering) -> dict:
 
 
 def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTower:
-    if "circle_degrees" in data:
-        return cyclic_tower(list(data["circle_degrees"]))
-    base = plain_graph_from_json(_resolve(data["base"], base_dir))
+    if isinstance(data, dict) and "circle_degrees" in data:
+        return cyclic_tower(_field(data, "circle_degrees", list, int))
+    base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
     coverings = []
     current = base
-    for node in data["levels"]:
+    for node in _field(data, "levels", list):
         cov = covering_from_json(_resolve(node, base_dir), current, base_dir)
         coverings.append(cov)
         current = cov.total

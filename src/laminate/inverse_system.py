@@ -125,10 +125,6 @@ class InverseSystem:
             lambda k: levels[k], lambda k: bonds[k], max_depth=len(levels) - 1
         )
 
-    @property
-    def materialized_depth(self) -> int:
-        return max(self._levels, default=-1)
-
     def _check_depth(self, k: int):
         if k < 0:
             raise ValueError("level index must be nonnegative")
@@ -150,7 +146,8 @@ class InverseSystem:
                 return self._bonds[k]
         upper, lower = self.level(k + 1), self.level(k)
         f = self._bond_fn(k)
-        if f.domain != upper or f.codomain != lower:
+        if ((f.domain is not upper and f.domain != upper)
+                or (f.codomain is not lower and f.codomain != lower)):
             raise ValueError(f"bond {k} does not join levels {k + 1} -> {k}")
         if set(f.vertex_map.values()) != set(lower.vertices):
             raise ValueError(f"bond {k} is not onto on vertices")

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coverings import CoveringTower, DeckGroup, Step
+from .coverings import CoveringTower, Step
 
 
 class ProfiniteElement:
@@ -157,12 +157,6 @@ def metric(x: ProfiniteElement, y: ProfiniteElement) -> TransverseMetricValue:
     return TransverseMetricValue(total, x.depth)
 
 
-def deck_element_from_point(tower: CoveringTower, k: int, fiber_pos: int) -> np.ndarray:
-    """Fiber permutation of the deck element sending x_k to fiber position."""
-    target = int(tower.fiber(k)[fiber_pos])
-    return tower.deck_fiber_perm_from_point(k, target)
-
-
 def element_from_point(tower: CoveringTower, depth: int, fiber_pos: int) -> ProfiniteElement:
     """The coherent element whose top component sends x_K to fiber_pos.
 
@@ -187,23 +181,15 @@ def delta_infinity_rep(tower: CoveringTower, loop: Sequence[Step], depth: int) -
     of loops goes to composition, so words in base loops represent the
     dense finitely-generated subgroup of the transversal group.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     comps = []
     for k in range(1, depth + 1):
         cov = tower.composite_covering(k, 1)
         cov.check_loop(loop, tower.base_point(1))
-        endpoint = _lift_endpoint(tower, k, loop)
+        endpoint = int(cov.lift([tower.base_point(k)], loop)[0])
         comps.append(tower.deck_fiber_perm_from_point(k, endpoint))
     return ProfiniteElement(tower, comps)
-
-
-def _lift_endpoint(tower: CoveringTower, k: int, loop: Sequence[Step]) -> int:
-    cov = tower.composite_covering(k, 1)
-    cur = np.array([tower.base_point(k)])
-    for edge_id, sign in loop:
-        cur = cov._step_transport(cov.base.edge_index(edge_id), sign)[cur]
-        if (cur < 0).any():
-            raise ValueError("loop does not lift; the map is not a covering here")
-    return int(cur[0])
 
 
 class QuotientHom:

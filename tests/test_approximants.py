@@ -168,3 +168,26 @@ def test_separation_at_distance(fib):
 def test_separation_window_precondition(fib):
     with pytest.raises(ValueError):
         separation_depth(fib, "aba", 1, "aab", 1, 2)
+
+
+def test_system_bond_joins_the_system_levels(fib, monkeypatch):
+    import laminate.approximants as approximants
+
+    built = []
+    original = approximants.build_approximant
+
+    def counting(oracle, k):
+        built.append(k)
+        return original(oracle, k)
+
+    monkeypatch.setattr(approximants, "build_approximant", counting)
+    system = approximant_system(fib)
+    bond = system.bond(2)
+    assert sorted(built) == [2, 3]
+    assert bond.domain is system.level(3) and bond.codomain is system.level(2)
+    system.bond(1)
+    assert sorted(built) == [1, 2, 3]
+    built.clear()
+    alone = bonding_map(fib, 2)
+    assert sorted(built) == [2, 3]
+    assert alone.vertex_map == bond.vertex_map and alone.edge_map == bond.edge_map

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +311,71 @@ def test_deck_group_enumerates_once(files, tmp_path, monkeypatch, capsys):
         "exit_code": 0,
     }
     assert "level 4: degree 8, deck order 8, regular: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_rep_without_levels_fails_cleanly(depth, tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"circle_degrees": [2, 2, 2]}))
+    argv = ["rep", "--tower", str(tower), "--loop", "0", f"--depth={depth}"]
+    _fails_cleanly(argv, tmp_path, capsys)
+
+
+def test_system_with_bad_edges_fails_cleanly(tmp_path, capsys):
+    graph = formats.branched_graph_to_json(fixtures.figure_eight())
+    graph["edges"] = 5
+    system = tmp_path / "bad_edges.json"
+    system.write_text(json.dumps({"stationary": {
+        "graph": graph, "map": formats.cellular_map_to_json(fixtures.figure_eight_double()),
+    }}))
+    _fails_cleanly(["check-flatten", "--system", str(system)], tmp_path, capsys)
+
+
+def test_check_flatten_on_a_tower_file_names_the_keys(tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"circle_degrees": [2, 2]}))
+    report = tmp_path / "report.json"
+    assert main(["--report", str(report), "check-flatten", "--system", str(tower)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: a system needs 'stationary' or 'levels' and 'bonds'\n"
+    assert "needs 'stationary'" in json.loads(report.read_text())["data"]["error"]
+
+
+def test_cyclic_tower_commands_never_compare_graphs(files, monkeypatch, capsys):
+    from laminate.coverings import Graph
+
+    def refuse(self, other):
+        raise AssertionError("graphs compared by value")
+
+    monkeypatch.setattr(Graph, "__eq__", refuse)
+    tower = str(files["dyadic"])
+    assert main(["rep", "--tower", tower, "--loop", "0 0 0", "--depth", "8"]) == 0
+    assert main(["metric", "--tower", tower, "--x", "3", "--y", "11", "--depth", "8"]) == 0
+    assert main(["deck-group", "--tower", tower, "--level", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "representation of loop '0 0 0': base-point orbit [0, 1, 3, 3, 3, 3, 3, 3]",
+        "d(x, y) = 15/256 (truncated at depth 8, tail below 1/256)",
+        "level 6: degree 32, deck order 32, regular: True",
+    ]
+
+
+def test_one_parser_serves_every_call(files, capsys):
+    from laminate import cli
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import laminate.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert probe.stdout == "0\n"  # importing builds no parser
+
+    assert main(["deck-group"]) == 1  # an argparse error first
+    capsys.readouterr()
+    argv = ["deck-group", "--tower", str(files["dyadic"]), "--level", "3"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "laminate.cli", *argv], capture_output=True, text=True, env=env,
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, in_process.out, in_process.err)

@@ -6,7 +6,6 @@ from laminate.coverings import (
     Graph,
     GraphCovering,
     GraphMap,
-    compose_coverings,
     cyclic_tower,
 )
 
@@ -144,17 +143,18 @@ def test_deck_elements_commute_with_projection():
 # -- composition ------------------------------------------------------------------------
 
 
-def test_compose_coverings_degree_multiplies():
-    tower = [cyclic_cover(2, 1), cyclic_cover(6, 2)]
-    composite = compose_coverings(tower, 3, 1)
+def test_composite_covering_degree_multiplies():
+    # levels built separately: the tower stacks them by value
+    tower = CoveringTower([cyclic_cover(2, 1), cyclic_cover(6, 2)])
+    composite = tower.composite_covering(3, 1)
     assert composite.degree() == 6
     report = composite.is_regular()
     assert report.regular and report.deck_order == 6
 
 
-def test_compose_with_identity_range():
-    tower = [cyclic_cover(2, 1), cyclic_cover(6, 2)]
-    same = compose_coverings(tower, 2, 2)
+def test_composite_covering_identity_range():
+    tower = CoveringTower([cyclic_cover(2, 1), cyclic_cover(6, 2)])
+    same = tower.composite_covering(2, 2)
     assert same.degree() == 1
     assert same.total == Graph.cycle(2)
 
@@ -233,3 +233,77 @@ def test_generator_monodromies_rotate():
     tower = cyclic_tower([3, 2])
     perms = tower.generator_monodromies(3)
     assert np.array_equal(perms[0], (np.arange(6) + 1) % 6)
+
+
+# -- one object per level -------------------------------------------------------------------
+
+
+def test_cyclic_tower_builds_one_graph_per_level(monkeypatch):
+    built = []
+    original = Graph.cycle.__func__
+
+    def counting(cls, n):
+        built.append(n)
+        return original(cls, n)
+
+    monkeypatch.setattr(Graph, "cycle", classmethod(counting))
+    tower = cyclic_tower([2] * 6)
+    assert built == [2 ** i for i in range(7)]
+    for k in range(3, tower.depth + 1):
+        assert tower.covering(k).base is tower.covering(k - 1).total
+        assert tower.graph(k) is tower.covering(k).total
+
+
+def test_tower_graph_and_covering_bounds():
+    tower = cyclic_tower([2, 2, 2])
+    for k in (0, -1, 5):
+        with pytest.raises(ValueError):
+            tower.graph(k)
+    for k in (1, 0, -1, 5):
+        with pytest.raises(ValueError):
+            tower.covering(k)
+    assert [tower.graph(k).nv for k in range(1, 5)] == [1, 2, 4, 8]
+    assert [tower.covering(k).degree() for k in range(2, 5)] == [2, 2, 2]
+
+
+def test_composites_chain_one_bond_onto_the_level_below(monkeypatch):
+    composed = []
+    original = GraphMap.compose
+
+    def counting(self, inner):
+        composed.append(inner)
+        return original(self, inner)
+
+    monkeypatch.setattr(GraphMap, "compose", counting)
+    tower = cyclic_tower([2, 3, 2, 2, 3])
+    top = tower.composite_map(6, 1)
+    assert len(composed) == 4  # levels 3..6, each onto the composite below
+    assert tower.composite_map(2, 1) is tower.covering(2).map
+    for k in range(3, 7):
+        assert composed[k - 3] is tower.covering(k).map
+        below = tower.composite_map(k - 1, 1)
+        expected = below.vmap[tower.covering(k).map.vmap]
+        assert np.array_equal(tower.composite_map(k, 1).vmap, expected)
+    assert len(composed) == 4
+    assert np.array_equal(top.vmap, np.zeros(72, dtype=np.int64))
+    tower.composite_map(5, 2)
+    assert len(composed) == 6
+
+
+def test_fibers_are_computed_once_per_level():
+    tower = cyclic_tower([2, 3])
+    assert tower.fiber(3) is tower.fiber(3)
+    assert tower.fiber_position(3) is tower.fiber_position(3)
+    assert np.array_equal(tower.fiber_position(3), np.arange(6))
+    with pytest.raises(ValueError):
+        tower.fiber(3)[0] = 5  # shared arrays are read-only
+
+
+def test_lift_walks_every_start_at_once():
+    cov = cyclic_cover(6, 2)
+    ends = cov.lift(np.array([0, 2, 4]), ((0, 1), (1, 1), (0, 1)))
+    assert np.array_equal(ends, [3, 5, 1])
+    assert np.array_equal(cov.lift([4], ((1, -1),)), [3])
+    assert np.array_equal(cov.lift([5], ()), [5])
+    with pytest.raises(ValueError):
+        cov.lift([1], ((0, 1),))  # vertex 1 does not lie over the path's start

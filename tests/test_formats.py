@@ -157,3 +157,98 @@ def test_dot_export_marks_branch_points_only():
     text = formats.export_dot(fixtures.circle())
     assert "doublecircle" not in text
     assert text.startswith("digraph") and text.rstrip().endswith("}")
+
+
+def _fig8_system() -> dict:
+    return {
+        "stationary": {
+            "graph": formats.branched_graph_to_json(fixtures.figure_eight()),
+            "map": formats.cellular_map_to_json(fixtures.figure_eight_double()),
+        }
+    }
+
+
+@pytest.mark.parametrize(
+    "breakage, key",
+    [
+        (lambda d: d["stationary"]["graph"].__setitem__("edges", 5), "'edges'"),
+        (lambda d: d["stationary"]["graph"]["edges"].__setitem__(0, "a"), "'edges'"),
+        (lambda d: d["stationary"]["graph"]["edges"][0].pop("src"), "'src'"),
+        (lambda d: d["stationary"]["graph"].__setitem__("sides", []), "'sides'"),
+        (lambda d: d["stationary"]["graph"]["sides"]["w"].__setitem__("A", "a+"), "'A'"),
+        (lambda d: d["stationary"]["map"].__setitem__("vertex_map", {"w": ["w"]}), "'vertex_map'"),
+        (lambda d: d["stationary"]["map"]["edge_map"].__setitem__("a", "a"), "'edge_map'"),
+        (lambda d: d["stationary"]["map"]["edge_map"].__setitem__("a", [1]), "'a'"),
+        (lambda d: d["stationary"].__setitem__("map", 3), "object"),
+        (lambda d: d.__setitem__("stationary", []), "'stationary'"),
+    ],
+)
+def test_system_loader_names_the_bad_key(breakage, key):
+    data = _fig8_system()
+    breakage(data)
+    with pytest.raises(ValueError, match=key):
+        formats.system_from_json(data)
+
+
+def test_system_loader_names_what_a_system_needs():
+    for data in ({"circle_degrees": [2, 2]}, {"levels": []}, [1, 2]):
+        with pytest.raises(ValueError, match="needs 'stationary' or 'levels' and 'bonds'"):
+            formats.system_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "loader, data, key",
+    [
+        (formats.oracle_from_json, {"alphabet": "ab"}, "'alphabet'"),
+        (formats.oracle_from_json, {"alphabet": ["a"], "rules": {"a": ["a"]}}, "'rules'"),
+        (formats.oracle_from_json, {"alphabet": ["a"], "forbidden": "aa"}, "'forbidden'"),
+        (formats.tower_from_json, {"circle_degrees": 3}, "'circle_degrees'"),
+        (formats.tower_from_json, {"base": {"vertices": ["w"], "edges": {}}, "levels": []}, "'edges'"),
+        (formats.tower_from_json, {"levels": []}, "'base'"),
+        (formats.branch_tree_from_json, {"dimension": "2", "vertices": [], "edges": []}, "'dimension'"),
+        (formats.branch_tree_from_json, {"dimension": 2, "vertices": ["v"], "edges": [["v"]]}, "'edges'"),
+        (formats.branch_tree_from_json,
+         {"dimension": 2, "vertices": ["v"], "edges": [], "sectors": {"v": [1]}}, "'v'"),
+    ],
+)
+def test_loaders_name_the_bad_key(loader, data, key):
+    with pytest.raises(ValueError, match=key):
+        loader(data)
+
+
+def test_loaded_tower_never_compares_graphs(monkeypatch):
+    from laminate.coverings import Graph
+    from laminate.profinite import QuotientHom
+
+    rose = {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"},
+                                         {"id": "b", "src": "w", "dst": "w"}]}
+    # Z/2 x Z/2 over the rose, then Z/4 x Z/2 over it
+    levels, below = [], None
+    for m in (2, 4):
+        ids = [f"{i}{j}" for i in range(m) for j in range(2)]
+        edges = []
+        for i in range(m):
+            for j in range(2):
+                edges.append({"id": f"a{i}{j}", "src": f"{i}{j}", "dst": f"{(i + 1) % m}{j}"})
+                edges.append({"id": f"b{i}{j}", "src": f"{i}{j}", "dst": f"{i}{(j + 1) % 2}"})
+        if below is None:
+            vmap = {v: "w" for v in ids}
+            emap = {e["id"]: e["id"][0] for e in edges}
+        else:
+            vmap = {v: f"{int(v[0]) % below}{v[1]}" for v in ids}
+            emap = {e["id"]: f"{e['id'][0]}{int(e['id'][1]) % below}{e['id'][2]}" for e in edges}
+        levels.append({"total": {"vertices": ids, "edges": edges},
+                       "vertex_map": vmap, "edge_map": emap})
+        below = m
+
+    def refuse(self, other):
+        raise AssertionError("graphs compared by value")
+
+    monkeypatch.setattr(Graph, "__eq__", refuse)
+    tower = formats.tower_from_json({"base": rose, "levels": levels})
+    perms = tower.generator_monodromies(3)
+    assert sorted(perms) == ["a", "b"]
+    assert QuotientHom(tower, 3).verify() == {
+        "upper_order": 8, "lower_order": 4, "kernel_order": 2,
+    }
+    assert QuotientHom(tower, 2).verify()["upper_order"] == 4

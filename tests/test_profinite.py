@@ -238,6 +238,12 @@ def test_faithfulness_at_depth(dyadic):
         assert (power == ident) == (n % dyadic.sizes[K - 1] == 0)
 
 
+def test_rep_needs_a_level(dyadic):
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            delta_infinity_rep(dyadic, ((0, 1),), depth)
+
+
 def test_non_closed_loop_rejected_by_rep():
     tower = cyclic_tower([2, 2])
     # the level-2 edge ids are not base edges; a bogus token fails
