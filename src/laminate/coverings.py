@@ -2,11 +2,13 @@
 
 Graphs here are plain directed multigraphs standing in for 1-manifolds and
 roses; coverings are graph maps that are bijections on every vertex star.
-Deck transformations are computed by path lifting: a candidate image of a
-fiber basepoint propagates across the total graph, with every edge checked
-for consistency.  Towers stack coverings over a fixed base, carry a
-coherent thread of base points, and expose the composite coverings whose
-deck groups feed the profinite layer.
+Deck transformations are computed by path lifting, for every candidate at
+once: the candidate images of a fiber base point fill one column each of an
+image matrix, which propagates down a spanning tree of the total graph by
+one lift gather per tree step; then every edge is checked for consistency
+and every column for bijectivity in bulk.  Towers stack coverings over a
+fixed base, carry a coherent thread of base points, and expose the
+composite coverings whose deck groups feed the profinite layer.
 
 The cell data lives in numpy index arrays so that the cyclic towers used
 for metric experiments stay fast at six-digit sizes.
@@ -20,6 +22,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 Step = tuple  # (edge_id, +1 | -1)
+
+# entries per array when deck candidates propagate in blocks; bounds the
+# memory of large enumerations
+_BLOCK = 1 << 17
 
 
 class Graph:
@@ -77,21 +83,33 @@ class Graph:
             self._eindex = {d: i for i, d in enumerate(self.edge_ids)}
         return self._eindex[e]
 
+    def spanning_tree(self, root: int) -> list[tuple[int, int, int, int]]:
+        """Steps (u, edge, sign, w) of a spanning tree of root's component.
+
+        One depth-first pass over the edges read as undirected: each step
+        reaches the new vertex w from u, which an earlier step reached;
+        sign is +1 when the edge runs u -> w and -1 when it runs w -> u.
+        """
+        ends = np.concatenate([self.esrc, self.edst])
+        order = np.argsort(ends, kind="stable")
+        starts = np.searchsorted(ends[order], np.arange(self.nv + 1)).tolist()
+        half = order.tolist()  # h < ne: edge h at its source; else edge h - ne at its target
+        far = np.concatenate([self.edst, self.esrc]).tolist()
+        seen = bytearray(self.nv)
+        seen[root] = 1
+        stack, steps = [root], []
+        while stack:
+            u = stack.pop()
+            for h in half[starts[u]:starts[u + 1]]:
+                w = far[h]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+                    steps.append((u, h, 1, w) if h < self.ne else (u, h - self.ne, -1, w))
+        return steps
+
     def is_connected(self) -> bool:
-        if self.nv <= 1:
-            return True
-        seen = np.zeros(self.nv, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0])
-        while frontier.size:
-            hit = np.concatenate([
-                self.edst[np.isin(self.esrc, frontier)],
-                self.esrc[np.isin(self.edst, frontier)],
-            ])
-            hit = np.unique(hit)
-            frontier = hit[~seen[hit]]
-            seen[frontier] = True
-        return bool(seen.all())
+        return self.nv <= 1 or len(self.spanning_tree(0)) == self.nv - 1
 
     def __eq__(self, other):
         return (
@@ -177,6 +195,9 @@ class GraphCovering:
 
     def __init__(self, graph_map: GraphMap):
         self.map = graph_map
+        self._problems: Optional[list[str]] = None
+        self._transport: dict[tuple[int, int], np.ndarray] = {}
+        self._trees: dict[int, list] = {}
 
     @property
     def total(self) -> Graph:
@@ -228,22 +249,9 @@ class GraphCovering:
 
     # -- lifting ----------------------------------------------------------
 
-    def _lift_tables(self):
-        """Per (total vertex, base edge): the unique outgoing/incoming lift."""
-        if not hasattr(self, "_lifts"):
-            out: dict = {}
-            inc: dict = {}
-            for e in range(self.total.ne):
-                out[(int(self.total.esrc[e]), int(self.map.emap[e]))] = e
-                inc[(int(self.total.edst[e]), int(self.map.emap[e]))] = e
-            self._lifts = (out, inc)
-        return self._lifts
-
     def _step_transport(self, base_ei: int, sign: int) -> np.ndarray:
         """Per total vertex, where the unique lift of one base step lands."""
-        cache = getattr(self, "_transport", None)
-        if cache is None:
-            cache = self._transport = {}
+        cache = self._transport
         if (base_ei, sign) not in cache:
             sel = np.flatnonzero(self.map.emap == base_ei)
             nxt = -np.ones(self.total.nv, dtype=np.int64)
@@ -290,61 +298,66 @@ class GraphCovering:
 
     # -- deck group --------------------------------------------------------
 
+    def _deck_elements(self, t0: int, images: np.ndarray) -> tuple[list[int], list[DeckElement]]:
+        """The candidates t0 -> images[i] that extend to deck transformations.
+
+        Returns the surviving images and their elements, in candidate order.
+        Candidates propagate in blocks of columns of an image matrix (one row
+        per total vertex), so temporaries stay within ``_BLOCK`` entries.
+        Raises ``ValueError`` when the map is not a covering, where a step
+        could have two lifts.
+        """
+        if self._problems is None:
+            self._problems = self.validate(allow_degree_one=True)
+        if self._problems:
+            raise ValueError(f"not a covering: {self._problems[0]}")
+        total, emap = self.total, self.map.emap
+        if t0 not in self._trees:
+            self._trees[t0] = [(u, self._step_transport(int(emap[e]), sign), w)
+                               for u, e, sign, w in total.spanning_tree(t0)]
+        steps = self._trees[t0]
+        # edges sorted by (source, base edge): the lift of a base edge at a vertex
+        nb = max(self.base.ne, 1)
+        key = total.esrc * nb + emap
+        order = np.argsort(key)
+        key = key[order]
+        images = np.asarray(images, dtype=np.int64)
+        images = images[self.map.vmap[images] == self.map.vmap[t0]]
+        block = max(1, _BLOCK // max(total.nv, total.ne, 1))
+        orbit, elements = [], []
+        for lo in range(0, len(images), block):
+            cand = images[lo:lo + block]
+            img = np.empty((total.nv, len(cand)), dtype=np.int64)
+            img[t0] = cand
+            for u, transport, w in steps:
+                img[w] = transport[img[u]]
+            # each edge goes to the lift of its base edge at its source's
+            # image, which must end at its target's image
+            eimg = order[np.searchsorted(key, img[total.esrc] * nb + emap[:, None])]
+            ok = (total.edst[eimg] == img[total.edst]).all(axis=0)
+            # vertex images must be bijective; lifts being unique, the edge
+            # images then are too
+            cols = np.arange(len(cand)) * total.nv
+            hits = np.bincount((img + cols).ravel(), minlength=len(cand) * total.nv)
+            ok &= (hits.reshape(len(cand), total.nv) == 1).all(axis=1)
+            vperms, eperms = img.T[ok], eimg.T[ok]
+            orbit.extend(cand[ok].tolist())
+            elements.extend(DeckElement(v, e) for v, e in zip(vperms, eperms))
+        return orbit, elements
+
     def deck_transformation_from(self, t0: int, image: int) -> Optional[DeckElement]:
-        """Propagate the candidate t0 -> image; None when inconsistent."""
-        total = self.total
-        out, inc = self._lift_tables()
-        vperm = -np.ones(total.nv, dtype=np.int64)
-        eperm = -np.ones(total.ne, dtype=np.int64)
-        vperm[t0] = image
-        stack = [t0]
-        adjacency = getattr(self, "_adj", None)
-        if adjacency is None:
-            adjacency = [[] for _ in range(total.nv)]
-            for e in range(total.ne):
-                adjacency[int(total.esrc[e])].append((e, 1))
-                adjacency[int(total.edst[e])].append((e, -1))
-            self._adj = adjacency
-        emap = self.map.emap
-        while stack:
-            u = stack.pop()
-            iu = int(vperm[u])
-            for e, sign in adjacency[u]:
-                table = out if sign == 1 else inc
-                e2 = table.get((iu, int(emap[e])))
-                if e2 is None:
-                    return None
-                if eperm[e] == -1:
-                    eperm[e] = e2
-                elif eperm[e] != e2:
-                    return None
-                w = int(total.edst[e]) if sign == 1 else int(total.esrc[e])
-                w2 = int(total.edst[e2]) if sign == 1 else int(total.esrc[e2])
-                if vperm[w] == -1:
-                    vperm[w] = w2
-                    stack.append(w)
-                elif vperm[w] != w2:
-                    return None
-        if (vperm == -1).any() or (eperm == -1).any():
-            return None  # disconnected total graph
-        if (len(np.unique(vperm)) != total.nv
-                or len(np.unique(eperm)) != total.ne):
-            return None
-        return DeckElement(vperm, eperm)
+        """The deck transformation sending t0 to image, or None."""
+        _, elements = self._deck_elements(t0, [image])
+        return elements[0] if elements else None
 
     def deck_group(self, base_vi: int = 0) -> "DeckGroup":
-        """All deck transformations, by candidate propagation over one fiber."""
+        """All deck transformations: every fiber point is a candidate image
+        of the least one, and all candidates propagate at once."""
         fiber = self.fiber(base_vi)
         if not len(fiber):
             raise ValueError("empty fiber; the map is not onto this vertex")
         t0 = int(fiber[0])
-        elements = []
-        orbit = []
-        for candidate in fiber:
-            deck = self.deck_transformation_from(t0, int(candidate))
-            if deck is not None:
-                elements.append(deck)
-                orbit.append(int(candidate))
+        orbit, elements = self._deck_elements(t0, fiber)
         return DeckGroup(self, tuple(elements), fiber, t0, tuple(orbit))
 
     def is_regular(self, base_vi: int = 0) -> "RegularityReport":

@@ -10,8 +10,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from random import Random
+from typing import Callable
+
+import numpy as np
 
 from laminate.branched_graph import BranchedGraph, CellularMap
+from laminate.coverings import DeckElement, Graph, GraphCovering, GraphMap
 from laminate.inverse_system import InverseSystem
 from laminate.local_model import BranchTree, HalfSpace, Sector, sector_contains
 
@@ -171,3 +175,139 @@ def random_small_system(rng: Random, depth: int = 5) -> InverseSystem:
     return InverseSystem.from_lists(
         [rose_graph(petals)] * (depth + 1), [bond] * depth
     )
+
+
+# -- coverings ----------------------------------------------------------------
+
+
+def reference_deck_transformation(cov: GraphCovering, t0: int, image: int):
+    """Propagate t0 -> image by a dict-based search; None when inconsistent."""
+    total, emap = cov.total, cov.map.emap
+    out, inc = {}, {}
+    adjacency = [[] for _ in range(total.nv)]
+    for e in range(total.ne):
+        out[(int(total.esrc[e]), int(emap[e]))] = e
+        inc[(int(total.edst[e]), int(emap[e]))] = e
+        adjacency[int(total.esrc[e])].append((e, 1))
+        adjacency[int(total.edst[e])].append((e, -1))
+    vperm = -np.ones(total.nv, dtype=np.int64)
+    eperm = -np.ones(total.ne, dtype=np.int64)
+    vperm[t0] = image
+    stack = [t0]
+    while stack:
+        u = stack.pop()
+        iu = int(vperm[u])
+        for e, sign in adjacency[u]:
+            e2 = (out if sign == 1 else inc).get((iu, int(emap[e])))
+            if e2 is None:
+                return None
+            if eperm[e] == -1:
+                eperm[e] = e2
+            elif eperm[e] != e2:
+                return None
+            w = int(total.edst[e]) if sign == 1 else int(total.esrc[e])
+            w2 = int(total.edst[e2]) if sign == 1 else int(total.esrc[e2])
+            if vperm[w] == -1:
+                vperm[w] = w2
+                stack.append(w)
+            elif vperm[w] != w2:
+                return None
+    if (vperm == -1).any() or (eperm == -1).any():
+        return None
+    if len(np.unique(vperm)) != total.nv or len(np.unique(eperm)) != total.ne:
+        return None
+    return DeckElement(vperm, eperm)
+
+
+def reference_deck_group(cov: GraphCovering, base_vi: int = 0) -> tuple[list, list]:
+    """(elements, orbit): one search per fiber candidate from the least point."""
+    fiber = cov.fiber(base_vi)
+    t0 = int(fiber[0])
+    found = [(int(c), reference_deck_transformation(cov, t0, int(c))) for c in fiber]
+    return [d for _, d in found if d is not None], [c for c, d in found if d is not None]
+
+
+def permutation_cover(perms: dict) -> GraphCovering:
+    """Cover of the rose with one petal per key: edge (a, i) runs i -> perms[a][i]."""
+    n = len(next(iter(perms.values())))
+    edges = {(a, i): (i, perm[i]) for a, perm in perms.items() for i in range(n)}
+    rose = Graph.from_edges(["w"], {a: ("w", "w") for a in perms})
+    total = Graph.from_edges(range(n), edges)
+    return GraphCovering(GraphMap.from_dicts(
+        total, rose, {i: "w" for i in range(n)}, {e: e[0] for e in edges}))
+
+
+def dihedral(n: int) -> tuple[list, Callable]:
+    """D_n as pairs (i, f) = r^i s^f, with its multiplication."""
+    def mul(x, y):
+        return ((x[0] + (-1) ** x[1] * y[0]) % n, x[1] ^ y[1])
+    return [(i, f) for f in (0, 1) for i in range(n)], mul
+
+
+def cayley_cover(elements: list, mul, gens: dict) -> GraphCovering:
+    """Cayley graph of a group over the rose: petal a multiplies by gens[a] on the right."""
+    index = {g: i for i, g in enumerate(elements)}
+    return permutation_cover(
+        {a: [index[mul(g, x)] for g in elements] for a, x in gens.items()})
+
+
+def coset_cover(elements: list, mul, subgroup: set, gens: dict) -> GraphCovering:
+    """The group acting on the left cosets of a subgroup, over the rose."""
+    cosets = []
+    for g in elements:
+        coset = frozenset(mul(g, h) for h in subgroup)
+        if coset not in cosets:
+            cosets.append(coset)
+    where = {g: i for i, c in enumerate(cosets) for g in c}
+    return permutation_cover(
+        {a: [where[mul(x, next(iter(c)))] for c in cosets] for a, x in gens.items()})
+
+
+def random_graph_cover(rng: Random, g: Graph, degree: int) -> GraphCovering:
+    """Degree-d cover of g: vertex (v, i); each edge lifts by a random permutation."""
+    verts = [(v, i) for v in range(g.nv) for i in range(degree)]
+    edges = {}
+    for e in range(g.ne):
+        perm = rng.sample(range(degree), degree)
+        for i in range(degree):
+            edges[(e, i)] = ((int(g.esrc[e]), i), (int(g.edst[e]), perm[i]))
+    total = Graph.from_edges(verts, edges)
+    return GraphCovering(GraphMap.from_dicts(
+        total, g, {v: g.vertex_ids[v[0]] for v in verts}, {x: g.edge_ids[x[0]] for x in edges}))
+
+
+def reference_quotient_verify(tower, k: int) -> dict:
+    """QuotientHom(tower, k).verify() from reference deck groups, composing
+    and comparing whole deck elements."""
+    upper = reference_deck_group(tower.composite_covering(k, 1), tower.base_point(1))[0]
+    lower = reference_deck_group(tower.composite_covering(k - 1, 1), tower.base_point(1))[0]
+    xu, xl = tower.base_point(k), tower.base_point(k - 1)
+    vmap = tower.covering(k).map.vmap
+
+    def image(g):
+        found = [i for i, h in enumerate(lower) if h.vperm[xl] == vmap[g.vperm[xu]]]
+        if not found:
+            raise AssertionError("image is not a deck element below")
+        return found[0]
+
+    img = [image(g) for g in upper]
+    for i, a in enumerate(upper):
+        for j, b in enumerate(upper):
+            if lower[image(a.compose(b))] != lower[img[i]].compose(lower[img[j]]):
+                raise AssertionError("not a homomorphism")
+    kernel = sum(lower[i].is_identity() for i in img)
+    if set(img) != set(range(len(lower))):
+        raise AssertionError("not surjective")
+    if kernel != tower.covering(k).degree():
+        raise AssertionError("kernel does not match the single covering's deck group")
+    return {"upper_order": len(upper), "lower_order": len(lower), "kernel_order": kernel}
+
+
+def random_permutation_cover(rng: Random, max_degree: int = 6) -> GraphCovering:
+    """A connected cover of the two-petal rose by random permutations."""
+    while True:
+        n = rng.randint(1, max_degree)
+        perms = {a: rng.sample(range(n), n) for a in "ab"}
+        cov = permutation_cover(perms)
+        if cov.validate(allow_degree_one=True) == []:
+            return cov

@@ -275,6 +275,25 @@ def test_tower_levels_out_of_range(argv, tmp_path, capsys):
     _fails_cleanly([argv[0], "--tower", str(tower), *argv[1:]], tmp_path, capsys)
 
 
+def test_deck_group_refuses_a_level_that_is_not_a_covering(tmp_path, capsys):
+    # vertex 0 has two out-edges over the base loop a, vertex 1 none
+    tower = tmp_path / "nc.json"
+    tower.write_text(json.dumps({
+        "base": {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"}]},
+        "levels": [{
+            "total": {"vertices": ["0", "1"], "edges": [{"id": "a0", "src": "0", "dst": "0"},
+                                                         {"id": "a1", "src": "0", "dst": "1"}]},
+            "vertex_map": {"0": "w", "1": "w"},
+            "edge_map": {"a0": "a", "a1": "a"},
+        }],
+    }))
+    argv = ["deck-group", "--tower", str(tower), "--level", "2"]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: not a covering: two out-edges at one vertex share a base edge\n")
+
+
 def test_approximants_negative_radius(files, tmp_path, capsys):
     _fails_cleanly(
         ["approximants", "--input", str(files["fib"]), "--k", "-1"], tmp_path, capsys

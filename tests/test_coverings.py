@@ -1,11 +1,23 @@
+import time
+from random import Random
+
 import numpy as np
 import pytest
 
+from helpers import (
+    cayley_cover,
+    coset_cover,
+    dihedral,
+    random_permutation_cover,
+    reference_deck_group,
+    reference_deck_transformation,
+)
 from laminate.coverings import (
     CoveringTower,
     Graph,
     GraphCovering,
     GraphMap,
+    RegularityReport,
     cyclic_tower,
 )
 
@@ -105,6 +117,34 @@ def test_degree_one_flagged_unless_allowed():
     assert ident.validate(allow_degree_one=True) == []
 
 
+def _closure_connected(g: Graph) -> bool:
+    reach = {0}
+    while True:
+        more = {int(g.edst[e]) for e in range(g.ne) if g.esrc[e] in reach}
+        more |= {int(g.esrc[e]) for e in range(g.ne) if g.edst[e] in reach}
+        if more <= reach:
+            return len(reach) == g.nv
+        reach |= more
+
+
+def test_connectivity_and_spanning_tree_match_a_closure():
+    rng = Random(5)
+    for _ in range(200):
+        nv = rng.randint(1, 7)
+        edges = {i: (rng.randrange(nv), rng.randrange(nv)) for i in range(rng.randint(0, 8))}
+        g = Graph.from_edges(range(nv), edges)
+        assert g.is_connected() == _closure_connected(g)
+        root = rng.randrange(nv)
+        steps = g.spanning_tree(root)
+        reached = {root}
+        for u, e, sign, w in steps:
+            assert u in reached and w not in reached
+            ends = (int(g.esrc[e]), int(g.edst[e]))
+            assert ends == ((u, w) if sign == 1 else (w, u))
+            reached.add(w)
+        assert g.is_connected() == (len(reached) == nv)
+
+
 # -- deck groups ---------------------------------------------------------------------
 
 
@@ -138,6 +178,131 @@ def test_deck_elements_commute_with_projection():
     for deck in cov.deck_group().elements:
         assert np.array_equal(cov.map.vmap[deck.vperm], cov.map.vmap)
         assert np.array_equal(cov.map.emap[deck.eperm], cov.map.emap)
+
+
+def _abelian():
+    elements = [(i, j) for i in range(4) for j in range(2)]
+    return cayley_cover(elements, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 2),
+                        {"a": (1, 0), "b": (0, 1)})
+
+
+def _dihedral_cayley(n):
+    elements, mul = dihedral(n)
+    return cayley_cover(elements, mul, {"a": (1, 0), "b": (0, 1)})
+
+
+def _dihedral_cosets(n, j):
+    """D_n on the cosets of <s r^j>: deck order 1 for odd n, 2 for n = 2 * odd."""
+    elements, mul = dihedral(n)
+    return coset_cover(elements, mul, {(0, 0), mul((0, 1), (j, 0))}, {"a": (1, 0), "b": (0, 1)})
+
+
+DECK_CASES = {
+    "cyclic": lambda: cyclic_cover(12, 1),
+    "cyclic-over-a-cycle": lambda: cyclic_cover(12, 4),
+    "cyclic-composite": lambda: cyclic_tower([2, 3, 2]).composite_covering(4, 1),
+    "identity": lambda: GraphCovering(GraphMap(Graph.cycle(3), Graph.cycle(3), np.arange(3), np.arange(3))),
+    "parity": parity_cover_of_rose2,
+    "klein-four": klein_four_cover,
+    "cayley-abelian": _abelian,
+    "cayley-dihedral": lambda: _dihedral_cayley(6),
+    "non-normal": non_normal_degree3_cover,
+    "cosets-odd": lambda: _dihedral_cosets(5, 2),
+    "cosets-twice-odd": lambda: _dihedral_cosets(6, 1),
+}
+
+
+def _assert_matches_reference(cov, base_vi=0):
+    group = cov.deck_group(base_vi)
+    elements, orbit = reference_deck_group(cov, base_vi)
+    assert group.elements == tuple(elements)
+    assert group.orbit == tuple(orbit)
+    fiber = len(cov.fiber(base_vi))
+    assert group.regularity() == RegularityReport(
+        regular=len(elements) == fiber, degree=fiber, deck_order=len(elements), orbit=tuple(orbit))
+    return group
+
+
+@pytest.mark.parametrize("name", DECK_CASES)
+def test_batched_deck_group_equals_reference(name):
+    cov = DECK_CASES[name]()
+    for base_vi in range(cov.base.nv):
+        _assert_matches_reference(cov, base_vi)
+
+
+def test_deck_orders_of_the_named_covers():
+    orders = {name: DECK_CASES[name]().deck_group().order() for name in DECK_CASES}
+    assert orders == {
+        "cyclic": 12, "cyclic-over-a-cycle": 3, "cyclic-composite": 12, "identity": 1,
+        "parity": 2, "klein-four": 4, "cayley-abelian": 8, "cayley-dihedral": 12,
+        "non-normal": 1, "cosets-odd": 1, "cosets-twice-odd": 2,
+    }
+
+
+def test_batched_deck_group_equals_reference_on_random_covers():
+    rng = Random(17)
+    orders = set()
+    for _ in range(150):
+        orders.add(_assert_matches_reference(random_permutation_cover(rng)).order())
+    assert {1, 2, 3, 5} <= orders  # trivial and nontrivial groups both occur
+
+
+def test_candidate_blocks_give_the_same_group(monkeypatch):
+    from laminate import coverings
+
+    cov = _dihedral_cayley(6)
+    whole = cov.deck_group()
+    monkeypatch.setattr(coverings, "_BLOCK", 5 * cov.total.ne)  # blocks of 5 candidates
+    assert GraphCovering(cov.map).deck_group().elements == whole.elements
+
+
+def test_deck_enumeration_refuses_a_non_covering(monkeypatch):
+    rose = Graph.from_edges(["w"], {"a": ("w", "w")})
+    total = Graph.from_edges(["0", "1"], {"a0": ("0", "0"), "a1": ("0", "1")})
+    cov = GraphCovering(GraphMap.from_dicts(total, rose, {"0": "w", "1": "w"},
+                                            {"a0": "a", "a1": "a"}))
+    calls, validate = [], GraphCovering.validate
+    monkeypatch.setattr(GraphCovering, "validate",
+                        lambda self, **kw: calls.append(kw) or validate(self, **kw))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a covering: two out-edges"):
+            cov.deck_group()
+    with pytest.raises(ValueError, match="not a covering"):
+        cov.deck_transformation_from(0, 1)
+    assert calls == [{"allow_degree_one": True}]  # memoised per covering
+
+
+def test_one_candidate_call_agrees_with_the_reference():
+    cov = non_normal_degree3_cover()
+    assert cov.deck_transformation_from(0, 0).is_identity()
+    assert cov.deck_transformation_from(0, 1) is None
+    cov = cyclic_cover(12, 4)
+    assert cov.deck_transformation_from(0, 1) is None  # over another base vertex
+    assert cov.deck_transformation_from(0, 4) == reference_deck_transformation(cov, 0, 4)
+
+
+def test_deck_group_never_walks_one_candidate_at_a_time(monkeypatch, tmp_path, capsys):
+    from laminate.cli import main
+
+    def refuse(*args):
+        raise AssertionError("deck_transformation_from called")
+
+    monkeypatch.setattr(GraphCovering, "deck_transformation_from", refuse)
+    assert klein_four_cover().deck_group().order() == 4
+    assert cyclic_tower([2, 3]).verify_regular(3).deck_order == 6
+    tower = tmp_path / "tower.json"
+    tower.write_text('{"circle_degrees": [2, 3]}')
+    assert main(["deck-group", "--tower", str(tower), "--level", "3"]) == 0
+    assert capsys.readouterr().out == "level 3: degree 6, deck order 6, regular: True\n"
+
+
+def test_verify_regular_at_degree_1024_is_fast():
+    tower = cyclic_tower([2] * 10)
+    start = time.perf_counter()
+    report = tower.verify_regular(11)
+    assert time.perf_counter() - start < 2.0
+    assert report.regular and report.deck_order == 1024
+    assert report.orbit == tuple(range(1024))
 
 
 # -- composition ------------------------------------------------------------------------

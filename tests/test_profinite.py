@@ -4,6 +4,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from helpers import permutation_cover, random_graph_cover, reference_quotient_verify
 from laminate.coverings import CoveringTower, Graph, GraphCovering, GraphMap, cyclic_tower
 from laminate.profinite import (
     ProfiniteElement,
@@ -132,6 +133,73 @@ def test_quotient_trivial_kernel_is_isomorphism():
     stats = QuotientHom(tower, 3).verify()
     assert stats["kernel_order"] == 1
     assert stats["upper_order"] == stats["lower_order"]
+
+
+def _parity_tower(beta0, beta1):
+    """Rose <- parity cover <- a degree-3 cover of it whose b-edges over
+    vertex s permute the three sheets by beta_s."""
+    low = permutation_cover({"a": [1, 0], "b": [0, 1]})
+    edges = {}
+    for j in range(3):
+        for s in (0, 1):
+            edges[("a", j, s)] = ((j, s), (j, 1 - s))
+            edges[("b", j, s)] = ((j, s), ((beta0, beta1)[s][j], s))
+    top = Graph.from_edges([(j, s) for j in range(3) for s in (0, 1)], edges)
+    up = GraphCovering(GraphMap.from_dicts(
+        top, low.total, {v: v[1] for v in top.vertex_ids}, {e: (e[0], e[2]) for e in edges}))
+    return CoveringTower([low, up])
+
+
+def test_quotient_not_surjective_on_an_irregular_stack():
+    tower = _parity_tower([0, 1, 2], [1, 2, 0])
+    assert tower.verify_regular(2).deck_order == 2
+    # three deck elements above, all over the identity below
+    assert tower.verify_regular(3).deck_order == 3
+    with pytest.raises(AssertionError, match="not surjective"):
+        QuotientHom(tower, 3).verify()
+
+
+def test_quotient_kernel_mismatch_on_irregular_covers():
+    tower = CoveringTower([permutation_cover({"a": [1, 0, 2], "b": [0, 2, 1]})])
+    with pytest.raises(AssertionError, match="kernel does not match"):
+        QuotientHom(tower, 2).verify()  # deck order 1 under a degree-3 covering
+    with pytest.raises(AssertionError, match="kernel does not match"):
+        QuotientHom(_parity_tower([0, 2, 1], [1, 0, 2]), 3).verify()
+
+
+def test_quotient_verify_equals_reference_on_random_stacks():
+    rng = Random(24)
+    rose = Graph.from_edges(["w"], {"a": ("w", "w"), "b": ("w", "w")})
+    outcomes = set()
+    for _ in range(150):
+        low = random_graph_cover(rng, rose, rng.randint(1, 4))
+        up = random_graph_cover(rng, low.total, rng.randint(1, 3))
+        if low.validate(allow_degree_one=True) or up.validate(allow_degree_one=True):
+            continue
+        tower = CoveringTower([low, up])
+        for k in (2, 3):
+            results = []
+            for verify in (QuotientHom(tower, k).verify, lambda: reference_quotient_verify(tower, k)):
+                try:
+                    results.append(verify())
+                except AssertionError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            outcomes.add(str(results[0]))
+    assert {"image is not a deck element below", "not surjective",
+            "kernel does not match the single covering's deck group"} <= outcomes
+
+
+def test_quotient_verify_reads_the_enumerated_groups(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("deck_transformation_from called")
+
+    tower = CoveringTower([
+        GraphCovering(GraphMap(Graph.cycle(2), Graph.cycle(1), np.zeros(2), np.zeros(2))),
+        GraphCovering(GraphMap(Graph.cycle(6), Graph.cycle(2), np.arange(6) % 2, np.arange(6) % 2)),
+    ])
+    monkeypatch.setattr(GraphCovering, "deck_transformation_from", refuse)
+    assert QuotientHom(tower, 3).verify() == {"upper_order": 6, "lower_order": 2, "kernel_order": 3}
 
 
 def test_kernel_times_image_is_group_order(dyadic):
@@ -268,7 +336,7 @@ def test_generator_translates_the_fiber(dyadic):
 
 
 def test_action_law_on_random_triples(dyadic):
-    rng = Random(23)
+    rng = Random(24)
     gen_word = ((0, 1),)
     for _ in range(100):
         h1 = tuple(gen_word[0] for _ in range(rng.randrange(3))) + tuple(
