@@ -3,77 +3,117 @@
 Level k of the tower is the de-Bruijn-style branched graph whose vertices
 are the legal words of length 2k and whose edges are the legal words of
 length 2k+1 (an edge runs from its prefix to its suffix; tiles are unit
-intervals, one prototile per letter).  The bonding map drops one letter
-from each end, which is independent of how the window extends -- that is
-exactly why every bonding map is flattening.  Quotient maps send a marked
-word to the edge labelled by the radius-k window around the mark.
+intervals, one prototile per letter).  Levels hold the oracle's sorted word
+rows and edge endpoints as ranks; the labelled graph is built on first use.
+The bonding map drops one letter from each end, which is independent of
+how the window extends -- that is exactly why every bonding map is
+flattening.  Quotient maps send a marked word to the edge labelled by the
+radius-k window around the mark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .branched_graph import BranchedGraph, CellularMap
+import numpy as np
+
+from .branched_graph import DST, SRC, BranchedGraph, CellularMap, _unchecked
 from .inverse_system import InverseSystem
-from .subshift import LanguageOracle
+from .subshift import LanguageOracle, word_ranks
 from .transversal import ClopenSet, Cylinder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollaredComplex:
-    """Approximant at collar radius k; labels double as cell ids."""
+    """Approximant at collar radius k; edge i runs from vertex ``src[i]``
+    to ``dst[i]``, ranks into the oracle's sorted words."""
 
+    oracle: LanguageOracle
     k: int
-    graph: BranchedGraph
+    vertices: np.ndarray
+    edges: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
     @property
     def vertex_words(self) -> frozenset:
-        return frozenset(self.graph.vertices)
+        return self.oracle.words(2 * self.k)
 
     @property
     def edge_words(self) -> frozenset:
-        return frozenset(self.graph.edges)
+        return self.oracle.words(2 * self.k + 1)
+
+    @cached_property
+    def graph(self) -> BranchedGraph:
+        """Words as labels; side A holds the incoming half-edges, B the outgoing."""
+        words = self.oracle.sorted_words
+        vwords, ewords = words(2 * self.k), words(2 * self.k + 1)
+        ends = zip([vwords[i] for i in self.src.tolist()], [vwords[i] for i in self.dst.tolist()])
+        # one sort by (vertex, side) lays every side out as one slice
+        key = np.concatenate([2 * self.dst, 2 * self.src + 1])
+        halves = [(e, DST) for e in ewords] + [(e, SRC) for e in ewords]
+        halves = [halves[i] for i in np.argsort(key, kind="stable").tolist()]
+        cuts = [0, *np.cumsum(np.bincount(key, minlength=2 * len(vwords))).tolist()]
+        sides = [frozenset(halves[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return _unchecked(BranchedGraph, vertices=self.vertex_words, edges=dict(zip(ewords, ends)),
+                          sides=dict(zip(vwords, zip(sides[0::2], sides[1::2]))))
 
 
 def build_approximant(oracle: LanguageOracle, k: int) -> CollaredComplex:
     """The radius-k collared complex; k = 0 is the rose of letters."""
     if k < 0:
         raise ValueError("collar radius must be nonnegative")
-    vertices = oracle.words(2 * k)
-    edges = {w: (w[:-1], w[1:]) for w in oracle.words(2 * k + 1)}
-    incoming: dict = {v: set() for v in vertices}
-    outgoing: dict = {v: set() for v in vertices}
-    for w, (src, dst) in edges.items():
-        outgoing[src].add((w, "+"))
-        incoming[dst].add((w, "-"))
-    sides = {v: (incoming[v], outgoing[v]) for v in vertices}
-    return CollaredComplex(k, BranchedGraph(vertices, edges, sides))
+    vertices, edges = oracle.rows(2 * k), oracle.rows(2 * k + 1)
+    src, dst = word_ranks(vertices, edges[:, :-1]), word_ranks(vertices, edges[:, 1:])
+    if min(src.min(), dst.min()) < 0:
+        raise ValueError(f"the language is not factor-closed at length {2 * k}")
+    return CollaredComplex(oracle, k, vertices, edges, src, dst)
 
 
-def _drop_one_letter(upper: BranchedGraph, lower: BranchedGraph) -> CellularMap:
-    """The bond from approximant k+1 onto approximant k, given both levels."""
-    vmap = {w: w[1:-1] for w in upper.vertices}
-    emap = {w: ((w[1:-1], 1),) for w in upper.edges}
-    return CellularMap(upper, lower, vmap, emap)
+def _drop_one_letter(upper: CollaredComplex, lower: CollaredComplex) -> CellularMap:
+    """The bond from approximant k+1 onto approximant k, given both levels.
+
+    Each edge maps to one forward step, so these checks on the rank arrays
+    are all of ``validate_map``: side A (in) lands on A, side B (out) on B.
+    """
+    vmap = word_ranks(lower.vertices, upper.vertices[:, 1:-1])
+    emap = word_ranks(lower.edges, upper.edges[:, 1:-1])
+    k, below, above = lower.k, lower.oracle.sorted_words, upper.oracle.sorted_words
+    if min(vmap.min(), emap.min()) < 0:
+        raise ValueError(f"bond {k}: a trimmed word is not legal")
+    if not (np.array_equal(lower.src[emap], vmap[upper.src])
+            and np.array_equal(lower.dst[emap], vmap[upper.dst])):
+        raise ValueError(f"bond {k}: edge images do not join vertex images")
+    if not (np.bincount(vmap, minlength=len(lower.vertices)).all()
+            and np.bincount(emap, minlength=len(lower.edges)).all()):
+        raise ValueError(f"bond {k} is not onto")
+    vwords, steps = below(2 * k), [((e, 1),) for e in below(2 * k + 1)]
+    return _unchecked(
+        CellularMap, domain=upper.graph, codomain=lower.graph,
+        vertex_map=dict(zip(above(2 * k + 2), [vwords[i] for i in vmap.tolist()])),
+        edge_map=dict(zip(above(2 * k + 3), [steps[i] for i in emap.tolist()])),
+    )
 
 
 def bonding_map(oracle: LanguageOracle, k: int) -> CellularMap:
     """From approximant k+1 onto approximant k: drop one letter per end."""
-    return _drop_one_letter(build_approximant(oracle, k + 1).graph,
-                            build_approximant(oracle, k).graph)
+    return _drop_one_letter(build_approximant(oracle, k + 1), build_approximant(oracle, k))
 
 
 def approximant_system(oracle: LanguageOracle) -> InverseSystem:
     """The full tower as a lazily materialized inverse system.
 
-    Each bond joins the system's own memoised levels, so every approximant
-    is built once.
+    The system memoises each level's graph once; the bonds join the
+    complexes behind those graphs, so every approximant is built once.
     """
-    system = InverseSystem(
-        lambda k: build_approximant(oracle, k).graph,
-        lambda k: _drop_one_letter(system.level(k + 1), system.level(k)),
-    )
-    return system
+    complexes: dict[int, CollaredComplex] = {}
+
+    def level(k: int) -> BranchedGraph:
+        complexes[k] = build_approximant(oracle, k)
+        return complexes[k].graph
+
+    return InverseSystem(level, lambda k: _drop_one_letter(complexes[k + 1], complexes[k]))
 
 
 def pattern_clopen(oracle: LanguageOracle, word: str, mark: int) -> ClopenSet:

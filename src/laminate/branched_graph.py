@@ -29,6 +29,14 @@ def _he_key(h: HalfEdge):
     return (repr(h[0]), h[1])
 
 
+def _unchecked(cls, **fields):
+    """A frozen ``cls`` from fields known to be normal and valid, without
+    running ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class BranchedGraph:
     """Directed multigraph with two-sided smooth structure.

@@ -97,7 +97,7 @@ def cmd_approximants(args, report: RunReport) -> int:
     oracle = formats.load_oracle(args.input)
     complexes = [build_approximant(oracle, k) for k in range(args.k + 1)]
     counts = [
-        {"k": c.k, "vertices": len(c.graph.vertices), "edges": len(c.graph.edges)}
+        {"k": c.k, "vertices": len(c.vertices), "edges": len(c.edges)}
         for c in complexes
     ]
     for row in counts:

@@ -1,22 +1,19 @@
 """Factor languages of subshifts: substitutions, SFTs, full shifts.
 
-A :class:`LanguageOracle` answers "what are the legal words of length L".
-Words are plain strings over single-character symbols.  The oracle caches
-by length, can persist its cache to ``LAMINATE_CACHE_DIR``, and guarantees
-the two structural facts the rest of the package leans on: factor
-closedness and two-sided extendability of every legal word.
+A :class:`LanguageOracle` computes the legal words of each length once, as
+a sorted matrix of letter ranks whose rows view as fixed-width byte
+strings, so they sort and ``searchsorted`` like words at any length.  SFT
+and full-shift words grow one letter at a time over the trimmed blocks;
+substitution words are iterated until stable.  Strings are decoded once
+per length.  Languages are factor closed and every word extends both ways.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
 import threading
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,7 +39,7 @@ class Substitution:
                 raise ValueError(f"rule for {a!r} must be a nonempty word over the alphabet")
 
     def apply(self, word: str) -> str:
-        return "".join(self.rules[a] for a in word)
+        return word.translate({ord(a): w for a, w in self.rules.items()})
 
     def incidence_matrix(self) -> np.ndarray:
         """M[i, j] = how often alphabet[i] occurs in the rule for alphabet[j]."""
@@ -71,80 +68,108 @@ class Substitution:
         return self.primitivity()[0]
 
 
-def _fingerprint(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def word_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a word matrix as one byte string, ordered like the words."""
+    if not rows.shape[1]:  # the empty word
+        return np.zeros(len(rows), dtype="S1")
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"S{rows.shape[1] * rows.itemsize}")[:, 0]
+
+
+def word_ranks(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of ``rows`` among ``sorted_rows``, -1 where absent."""
+    keys, queries = word_keys(sorted_rows), word_keys(rows)
+    at = np.searchsorted(keys, queries)
+    at[at == len(keys)] = 0
+    return np.where(keys[at] == queries, at, -1)
 
 
 class LanguageOracle:
-    """Legal-word supplier for a subshift, cached by word length."""
+    """Legal words of a subshift, computed once per length: ``rows(L)``
+    (letter ranks from 1, sorted), ``sorted_words(L)`` (the same words as
+    strings, in that order) and ``words(L)`` (their frozenset)."""
 
-    def __init__(self, alphabet: Sequence[str], *, cache_dir: Optional[str] = None):
+    def __init__(self, alphabet: Sequence[str], forbidden: Sequence[str] = (),
+                 substitution: Optional[Substitution] = None):
         self.alphabet = tuple(alphabet)
+        if not self.alphabet:
+            raise ValueError("the alphabet is empty")
         if any(len(a) != 1 for a in self.alphabet):
             raise ValueError("symbols must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate symbols in the alphabet")
-        self._cache: dict[int, frozenset[str]] = {0: frozenset({""})}
-        self._lock = threading.Lock()
-        self._cache_dir = cache_dir if cache_dir is not None else os.environ.get(
-            "LAMINATE_CACHE_DIR"
-        )
-        self._loaded_disk = False
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def full_shift(cls, alphabet: Sequence[str], **kw) -> "LanguageOracle":
-        oracle = cls(alphabet, **kw)
-        oracle.source = ("full", tuple(oracle.alphabet))
-        return oracle
-
-    @classmethod
-    def from_substitution(cls, subst: Substitution, **kw) -> "LanguageOracle":
-        oracle = cls(subst.alphabet, **kw)
-        oracle.substitution = subst
-        primitive, power = subst.primitivity()
-        if not primitive:
-            warnings.warn(
-                "substitution is not primitive; the factor language is taken "
-                "as the stabilized union over all letters",
-                stacklevel=2,
-            )
-        oracle._stable_rounds = power if primitive else len(subst.alphabet) + 2
-        oracle.source = ("substitution", tuple(sorted(subst.rules.items())))
-        return oracle
-
-    @classmethod
-    def from_forbidden(
-        cls, alphabet: Sequence[str], forbidden: Sequence[str], **kw
-    ) -> "LanguageOracle":
-        oracle = cls(alphabet, **kw)
-        forbidden = tuple(sorted(set(forbidden)))
-        letters = set(oracle.alphabet)
         for w in forbidden:
-            if not w or not set(w) <= letters:
+            if not w or not set(w) <= set(self.alphabet):
                 raise ValueError(f"forbidden word {w!r} is not over the alphabet")
-        oracle.forbidden = forbidden
-        oracle.source = ("sft", tuple(oracle.alphabet), forbidden)
-        return oracle
+        self.forbidden = tuple(sorted(set(forbidden)))
+        self.substitution = substitution
+        if substitution is not None:
+            primitive, power = substitution.primitivity()
+            if not primitive:
+                warnings.warn(
+                    "substitution is not primitive; the factor language is taken "
+                    "as the stabilized union over all letters",
+                    stacklevel=3,
+                )
+            self._stable_rounds = power if primitive else len(self.alphabet) + 2
+        # ranks start at 1, so that no row holds a NUL byte
+        self.dtype = np.dtype(np.uint8 if len(self.alphabet) < 255 else ">u2")
+        self._ranks = {ord(a): i for i, a in enumerate(self.alphabet, 1)}
+        self._codes = np.array([0, *self._ranks], dtype="<u4")
+        self._rows = {0: np.zeros((1, 0), self.dtype)}
+        self._sorted: dict[int, list[str]] = {}
+        self._words = {0: frozenset({""})}
+        self._blocks = self._walks = None
+        self._powers: list[list[str]] = []
+        self._lock = threading.RLock()
+
+    @classmethod
+    def full_shift(cls, alphabet: Sequence[str]) -> "LanguageOracle":
+        return cls(alphabet)
+
+    @classmethod
+    def from_forbidden(cls, alphabet: Sequence[str], forbidden: Sequence[str]) -> "LanguageOracle":
+        return cls(alphabet, forbidden)
+
+    @classmethod
+    def from_substitution(cls, subst: Substitution) -> "LanguageOracle":
+        return cls(subst.alphabet, substitution=subst)
 
     # -- public API -----------------------------------------------------
 
-    def words(self, length: int) -> frozenset[str]:
+    def rows(self, length: int) -> np.ndarray:
+        """The legal words of one length as a sorted matrix of ranks."""
         if length < 0:
             raise ValueError("length must be nonnegative")
         with self._lock:
-            self._load_disk_cache()
-            if length not in self._cache:
-                self._cache[length] = frozenset(self._compute(length))
-                if not self._cache[length]:
-                    raise ValueError(
-                        f"the language has no words of length {length}; "
-                        "the subshift is empty"
+            if length not in self._rows:
+                if self.substitution is None:
+                    self._rows[length] = self._grow(length)
+                else:  # the strings come first
+                    self._sorted[length], self._rows[length] = self._encode(self.words(length))
+            return self._rows[length]
+
+    def sorted_words(self, length: int) -> list[str]:
+        """The legal words of one length as strings, in the order of ``rows``."""
+        with self._lock:
+            rows = self.rows(length)
+            if length not in self._sorted:
+                self._sorted[length] = self._decode(rows)
+            return self._sorted[length]
+
+    def words(self, length: int) -> frozenset[str]:
+        words = self._words.get(length)
+        if words is None:
+            if length < 0:
+                raise ValueError("length must be nonnegative")
+            with self._lock:
+                if length not in self._words:
+                    self._words[length] = frozenset(
+                        self.sorted_words(length) if self.substitution is None
+                        else self._substitution_words(length)
                     )
-                self._save_disk_cache()
-            return self._cache[length]
+                words = self._words[length]
+        return words
 
     def is_legal(self, word: str) -> bool:
         return word in self.words(len(word))
@@ -158,24 +183,78 @@ class LanguageOracle:
 
     # -- computation ----------------------------------------------------
 
-    def _compute(self, length: int):
-        kind = self.source[0]
-        if kind == "full":
-            return {"".join(t) for t in itertools.product(self.alphabet, repeat=length)}
-        if kind == "substitution":
-            return self._substitution_words(length)
-        return self._sft_words(length)
+    def _encode(self, words) -> tuple[list[str], np.ndarray]:
+        """Distinct words of one length in rank order, and their rows."""
+        ordered = sorted(words, key=lambda w: w.translate(self._ranks))
+        text = "".join(ordered).translate(self._ranks).encode("utf-32-le", "surrogatepass")
+        rows = np.frombuffer(text, "<u4").astype(self.dtype)
+        return ordered, rows.reshape(len(ordered), len(ordered[0]))
+
+    def _decode(self, rows: np.ndarray) -> list[str]:
+        n, length = rows.shape
+        if not length:
+            return [""] * n
+        codes = self._codes[rows]
+        if codes[:, -1].all():  # numpy strips trailing NULs
+            return codes.view(f"<U{length}")[:, 0].tolist()
+        text = codes.tobytes().decode("utf-32-le", "surrogatepass")
+        return [text[i : i + length] for i in range(0, n * length, length)]
+
+    def _grow(self, length: int) -> np.ndarray:
+        """SFT words: walks on the trimmed blocks, grown one letter at a time
+        from the longest walks so far, keeping every length on the way."""
+        if self._blocks is None:
+            self._blocks = self._block_graph()
+        blocks, succ = self._blocks
+        width = blocks.shape[1]
+        if length <= width:
+            prefixes = blocks[:, :length]
+            return prefixes[np.unique(word_keys(prefixes), return_index=True)[1]]
+        n, rows, state = self._walks or (width, blocks, np.arange(len(blocks)))
+        while n < length:
+            after = succ[state]
+            word, letter = np.nonzero(after >= 0)
+            rows = np.column_stack([rows[word], (letter + 1).astype(self.dtype)])
+            n, state = n + 1, after[word, letter]
+            self._rows[n] = rows
+        self._walks = n, rows, state
+        return rows
+
+    def _block_graph(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted blocks on bi-infinite forbidden-free paths, one letter
+        shorter than the longest forbidden word, and ``succ[b, c]``: the
+        block after block b and letter c, or -1 where that is forbidden."""
+        bad = set(self.forbidden)
+        block = max(map(len, bad), default=1) - 1
+        # a step is a forbidden-free word one letter longer than a block; it
+        # joins its prefix block to its suffix block
+        steps = [w for w in map("".join, itertools.product(self.alphabet, repeat=block + 1))
+                 if not any(f in w for f in bad)]
+        blocks = {w[:-1] for w in steps} | {w[1:] for w in steps}
+        while True:  # drop blocks without an in- and an out-step
+            steps = [w for w in steps if w[:-1] in blocks and w[1:] in blocks]
+            alive = {w[:-1] for w in steps} & {w[1:] for w in steps}
+            if alive == blocks:
+                break
+            blocks = alive
+        if not blocks:
+            raise ValueError("the forbidden list kills every orbit; the subshift is empty")
+        ordered, rows = self._encode(blocks)
+        order = {b: i for i, b in enumerate(ordered)}
+        succ = np.full((len(order), len(self.alphabet)), -1, dtype=np.intp)
+        for w in steps:
+            succ[order[w[:-1]], self._ranks[ord(w[-1])] - 1] = order[w[1:]]
+        return rows, succ
 
     def _substitution_words(self, length: int) -> set[str]:
-        subst = self.substitution
-        words = {a: a for a in self.alphabet}
         factors: set[str] = set()
         stable = 0
-        for _ in range(400):
-            words = {a: subst.apply(w) for a, w in words.items()}
-            new = set()
-            for w in words.values():
-                new.update(w[i : i + length] for i in range(len(w) - length + 1))
+        for n in range(400):
+            if n == len(self._powers):  # letter images under each power, kept
+                last = self._powers[-1] if self._powers else self.alphabet
+                self._powers.append([self.substitution.apply(w) for w in last])
+            words = self._powers[n]
+            new = {w[i : i + length] for w in words for i in range(len(w) - length + 1)}
             if new == factors and new:
                 stable += 1
                 if stable >= self._stable_rounds:
@@ -183,7 +262,7 @@ class LanguageOracle:
             else:
                 stable = 0
             factors = new
-            if max(len(w) for w in words.values()) > 2_000_000:
+            if max(map(len, words)) > 2_000_000:
                 break
         if not factors:
             raise ValueError(
@@ -191,85 +270,6 @@ class LanguageOracle:
                 "its eventual language is empty"
             )
         return factors
-
-    def _sft_words(self, length: int) -> set[str]:
-        forbidden = self.forbidden
-        if not forbidden:
-            return {"".join(t) for t in itertools.product(self.alphabet, repeat=length)}
-        bad = set(forbidden)
-        m = max(len(w) for w in bad)
-
-        def clean(w: str) -> bool:
-            return not any(f in w for f in bad)
-
-        block = m - 1
-        if block == 0:
-            good = [a for a in self.alphabet if a not in bad]
-            if not good:
-                raise ValueError("every letter is forbidden; the subshift is empty")
-            return {"".join(t) for t in itertools.product(good, repeat=length)}
-        blocks = {
-            "".join(t)
-            for t in itertools.product(self.alphabet, repeat=block)
-            if clean("".join(t))
-        }
-
-        def successors(b, universe):
-            return {
-                c
-                for c in self.alphabet
-                if clean(b + c) and (b + c)[1:] in universe
-            }
-
-        # keep only blocks on bi-infinite forbidden-free paths: repeatedly
-        # drop blocks with no successor or no predecessor
-        while True:
-            succ = {b: successors(b, blocks) for b in blocks}
-            reachable = {b[1:] + c for b in blocks for c in succ[b]}
-            dead = {b for b in blocks if not succ[b]} | (blocks - reachable)
-            if not dead:
-                break
-            blocks -= dead
-        if not blocks:
-            raise ValueError("the forbidden list kills every orbit; the subshift is empty")
-        if length <= block:
-            return {b[:length] for b in blocks}
-        succ = {b: successors(b, blocks) for b in blocks}
-        words = set(blocks)
-        for _ in range(length - block):
-            words = {w + c for w in words for c in succ[w[-block:]]}
-        return words
-
-    # -- disk cache -----------------------------------------------------
-
-    def _cache_path(self) -> Optional[Path]:
-        if not self._cache_dir:
-            return None
-        return Path(self._cache_dir) / f"lang-{_fingerprint(self.source)}.json"
-
-    def _load_disk_cache(self):
-        path = self._cache_path()
-        if path is None or self._loaded_disk:
-            return
-        self._loaded_disk = True
-        try:
-            stored = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return
-        for key, words in stored.items():
-            self._cache.setdefault(int(key), frozenset(words))
-
-    def _save_disk_cache(self):
-        path = self._cache_path()
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps({str(k): sorted(v) for k, v in self._cache.items()})
-            )
-        except OSError:
-            pass
 
 
 def fibonacci() -> Substitution:

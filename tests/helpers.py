@@ -7,6 +7,7 @@ is checked against computations that share none of its code paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from random import Random
@@ -82,13 +83,13 @@ def long_word_factors(rules: dict, seed: str, iterations: int, length: int) -> s
     return {word[i : i + length] for i in range(len(word) - length + 1)}
 
 
-def brute_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
-    """Legal words as centers of longer forbidden-free words.
+def enumerated_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
+    """Legal words as centers of longer forbidden-free words, by enumeration.
 
     A word is kept when it extends ``margin`` letters on both sides without
     forbidden factors, which over-approximates bi-extendability well enough
     for the small test systems (margin exceeds any synchronization length
-    used here).
+    used here).  Costs |alphabet|^(length + 2 margin); see brute_sft_words.
     """
     out = set()
     for t in itertools.product(alphabet, repeat=length + 2 * margin):
@@ -98,6 +99,61 @@ def brute_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
         out.add(w[margin : margin + length])
     return out
 
+
+def brute_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
+    """The same set as enumerated_sft_words, by dynamic programming.
+
+    A forbidden-free word is read left to right; whether the next letter
+    creates a forbidden factor depends only on the last (longest forbidden
+    length - 1) letters, the state.  The DP keeps the states after
+    ``margin`` letters, then (center, state) pairs over ``length`` letters,
+    and keeps a center when its state still admits ``margin`` more letters.
+    """
+    keep = max(map(len, forbidden), default=1) - 1
+
+    def step(state: str, c: str):
+        w = state + c
+        if any(w.endswith(f) for f in forbidden):
+            return None
+        return w[-keep:] if keep else ""
+
+    @functools.cache
+    def extends(state: str, more: int) -> bool:
+        return more == 0 or any(
+            t is not None and extends(t, more - 1) for t in (step(state, c) for c in alphabet)
+        )
+
+    states = {""}
+    for _ in range(margin):
+        states = {t for s in states for c in alphabet if (t := step(s, c)) is not None}
+    pairs = {("", s) for s in states}
+    for _ in range(length):
+        pairs = {(w + c, t) for w, s in pairs for c in alphabet
+                 if (t := step(s, c)) is not None}
+    return {w for w, s in pairs if extends(s, margin)}
+
+
+def reference_approximant(oracle, k: int) -> BranchedGraph:
+    """Approximant level k built word by word from strings."""
+    vertices = oracle.words(2 * k)
+    edges = {w: (w[:-1], w[1:]) for w in oracle.words(2 * k + 1)}
+    incoming: dict = {v: set() for v in vertices}
+    outgoing: dict = {v: set() for v in vertices}
+    for w, (src, dst) in edges.items():
+        outgoing[src].add((w, "+"))
+        incoming[dst].add((w, "-"))
+    sides = {v: (incoming[v], outgoing[v]) for v in vertices}
+    return BranchedGraph(vertices, edges, sides)
+
+
+def reference_drop_one_letter(upper: BranchedGraph, lower: BranchedGraph) -> CellularMap:
+    """The drop-one-letter bond from strings, through the validating constructor."""
+    vmap = {w: w[1:-1] for w in upper.vertices}
+    emap = {w: ((w[1:-1], 1),) for w in upper.edges}
+    return CellularMap(upper, lower, vmap, emap)
+
+
+# -- random systems -------------------------------------------------------------
 
 # -- random systems -------------------------------------------------------------
 

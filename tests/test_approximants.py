@@ -1,5 +1,7 @@
+import dataclasses
 from random import Random
 
+import numpy as np
 import pytest
 
 from laminate.approximants import (
@@ -10,10 +12,12 @@ from laminate.approximants import (
     quotient_cell,
     separation_depth,
 )
-from laminate.branched_graph import is_flattening, validate_graph
+from laminate.branched_graph import is_flattening, validate_graph, validate_map
 from laminate.inverse_system import Flattening, is_flattening_system
 from laminate.subshift import LanguageOracle, fibonacci, thue_morse
 from laminate.transversal import is_subset
+
+from helpers import reference_approximant, reference_drop_one_letter
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +195,82 @@ def test_system_bond_joins_the_system_levels(fib, monkeypatch):
     alone = bonding_map(fib, 2)
     assert sorted(built) == [2, 3]
     assert alone.vertex_map == bond.vertex_map and alone.edge_map == bond.edge_map
+
+
+SHIFTS = {
+    "full": lambda: LanguageOracle.full_shift(["0", "1"]),
+    "golden": lambda: LanguageOracle.from_forbidden(["a", "b"], ["bb"]),
+    "fibonacci": lambda: LanguageOracle.from_substitution(fibonacci()),
+    "thue-morse": lambda: LanguageOracle.from_substitution(thue_morse()),
+    "sft3": lambda: LanguageOracle.from_forbidden(["z", "y", "x"], ["xz", "zzy"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTS))
+def test_levels_and_bonds_equal_the_string_reference(name):
+    oracle = SHIFTS[name]()
+    for k in range(5):
+        level = build_approximant(oracle, k).graph
+        reference = reference_approximant(oracle, k)
+        assert level == reference
+        assert validate_graph(level) == []
+        assert len(build_approximant(oracle, k).edges) == len(reference.edges)
+    system = approximant_system(oracle)
+    for k in range(4):
+        bond = bonding_map(oracle, k)
+        reference = reference_drop_one_letter(reference_approximant(oracle, k + 1),
+                                              reference_approximant(oracle, k))
+        assert bond.domain == reference.domain and bond.codomain == reference.codomain
+        assert bond.vertex_map == reference.vertex_map
+        assert bond.edge_map == reference.edge_map
+        assert validate_map(bond) == []
+        assert system.bond(k).edge_map == reference.edge_map
+
+
+def test_long_fibonacci_bonds(fib):
+    for k in (30, 40):
+        bond = approximant_system(fib).bond(k)
+        assert len(bond.domain.edges) == 2 * k + 4 and len(bond.codomain.edges) == 2 * k + 2
+        reference = reference_drop_one_letter(reference_approximant(fib, k + 1),
+                                              reference_approximant(fib, k))
+        assert bond.vertex_map == reference.vertex_map
+        assert bond.edge_map == reference.edge_map
+
+
+def test_system_bonds_do_not_run_validate_map(monkeypatch):
+    import laminate.branched_graph as branched_graph
+
+    def refuse(f):
+        raise AssertionError("validate_map ran")
+
+    monkeypatch.setattr(branched_graph, "validate_map", refuse)
+    for name in sorted(SHIFTS):
+        system = approximant_system(SHIFTS[name]())
+        for k in range(4):
+            assert system.bond(k).domain is system.level(k + 1)
+    with pytest.raises(AssertionError, match="validate_map ran"):
+        reference_drop_one_letter(reference_approximant(SHIFTS["full"](), 1),
+                                  reference_approximant(SHIFTS["full"](), 0))
+
+
+def test_bond_checks_run_on_the_arrays():
+    from laminate.approximants import _drop_one_letter
+
+    full, golden = SHIFTS["full"](), LanguageOracle.from_forbidden(["0", "1"], ["11"])
+    with pytest.raises(ValueError, match="not legal"):
+        _drop_one_letter(build_approximant(full, 2), build_approximant(golden, 1))
+    with pytest.raises(ValueError, match="not onto"):
+        _drop_one_letter(build_approximant(golden, 2), build_approximant(full, 1))
+    lower = build_approximant(full, 1)
+    other = _drop_one_letter(build_approximant(SHIFTS["full"](), 2), lower)
+    assert other.vertex_map == bonding_map(full, 1).vertex_map
+    scrambled = dataclasses.replace(lower, dst=np.roll(lower.dst, 1))
+    with pytest.raises(ValueError, match="do not join"):
+        _drop_one_letter(build_approximant(full, 2), scrambled)
+
+
+def test_approximant_counts_do_not_build_graphs(full2):
+    c = build_approximant(full2, 3)
+    assert (len(c.vertices), len(c.edges)) == (64, 128)
+    assert "graph" not in vars(c)
+    assert c.graph is c.graph and "graph" in vars(c)

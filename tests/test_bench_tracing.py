@@ -3,14 +3,20 @@
 import importlib.util
 from pathlib import Path
 
-from laminate import coverings, profinite
+from laminate import approximants, coverings, profinite
+from laminate.subshift import LanguageOracle
 
 
-def test_tracer_installs_and_uninstalls():
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = load_tracing()
     cover = coverings.GraphCovering
     before = (cover.__dict__["deck_group"], cover.__dict__["deck_transformation_from"],
               profinite.QuotientHom.__dict__["verify"], profinite.delta_infinity_rep)
@@ -23,3 +29,16 @@ def test_tracer_installs_and_uninstalls():
     after = (cover.__dict__["deck_group"], cover.__dict__["deck_transformation_from"],
              profinite.QuotientHom.__dict__["verify"], profinite.delta_infinity_rep)
     assert after == before
+
+
+def test_traced_bond_builds_no_validated_cellular_map():
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        system = approximants.approximant_system(LanguageOracle.full_shift(["0", "1"]))
+        system.bond(2)
+    finally:
+        tracer.uninstall()
+    assert "inverse_system.bond" in tracer.ids and "approximants.build" in tracer.ids
+    assert "branched_graph.cellular_map" not in tracer.ids
+    assert tracer.counts["approximants.cells_built"] == (16 + 32) + (64 + 128)

@@ -300,6 +300,16 @@ def test_approximants_negative_radius(files, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [["approximants", "--k", "1"],
+                                     ["separation", "--x", "a@0", "--y", "a@0"]])
+def test_empty_alphabet_fails_at_load(command, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"alphabet": []}))
+    _fails_cleanly([command[0], "--input", str(empty), *command[1:]], tmp_path, capsys)
+    assert main([command[0], "--input", str(empty), *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: the alphabet is empty\n"
+
+
 def test_separation_negative_max_k(files, tmp_path, capsys):
     argv = ["separation", "--input", str(files["fib"]), "--x", "aab@1", "--y", "bab@1"]
     _fails_cleanly([*argv, "--max-k", "-2"], tmp_path, capsys)

@@ -18,7 +18,6 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("LAMINATE_CACHE_DIR", None)
     done = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=tmp_path,
         timeout=120,

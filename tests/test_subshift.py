@@ -1,10 +1,12 @@
 import warnings
+from random import Random
 
+import numpy as np
 import pytest
 
-from laminate.subshift import LanguageOracle, Substitution, fibonacci, thue_morse
+from laminate.subshift import LanguageOracle, Substitution, fibonacci, thue_morse, word_ranks
 
-from helpers import brute_sft_words, long_word_factors
+from helpers import brute_sft_words, enumerated_sft_words, long_word_factors
 
 # Sturmian complexity: the Fibonacci language has exactly L+1 factors of
 # length L.  Thue-Morse complexity is the classical 2, 4, 6, 10, 12, ...
@@ -56,8 +58,29 @@ def test_full_shift_counts():
 
 def test_sft_golden_mean_matches_brute_force():
     oracle = LanguageOracle.from_forbidden(["a", "b"], ["bb"])
+    for L in range(1, 4):
+        assert brute_sft_words("ab", ["bb"], L) == enumerated_sft_words("ab", ["bb"], L)
     for L in range(1, 7):
         assert oracle.words(L) == frozenset(brute_sft_words("ab", ["bb"], L))
+
+
+def test_sft_words_match_brute_force_on_random_forbidden_lists():
+    rng = Random(17)
+    checked = 0
+    for _ in range(150):
+        alphabet = "abc"[: rng.randint(2, 3)]
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                     for _ in range(rng.randint(0, 4))]
+        oracle = LanguageOracle.from_forbidden(list(alphabet), forbidden)
+        for L in range(1, 7):
+            brute = brute_sft_words(alphabet, forbidden, L, margin=12)
+            if not brute:
+                with pytest.raises(ValueError):
+                    oracle.words(L)
+                break
+            assert oracle.words(L) == frozenset(brute), (alphabet, forbidden, L)
+            checked += 1
+    assert checked > 250
 
 
 def test_sft_with_dead_ends_trims_to_recurrent_part():
@@ -129,9 +152,108 @@ def test_concurrent_readers_see_one_language():
     assert len(results[0]) == 8
 
 
-def test_cache_dir_round_trip(tmp_path):
-    oracle = LanguageOracle.from_substitution(fibonacci(), cache_dir=str(tmp_path))
-    first = oracle.words(5)
-    again = LanguageOracle.from_substitution(fibonacci(), cache_dir=str(tmp_path))
-    assert again.words(5) == first
-    assert list(tmp_path.glob("lang-*.json"))
+def test_second_words_call_computes_nothing(monkeypatch):
+    calls = []
+    for name in ("_substitution_words", "_grow"):
+        original = getattr(LanguageOracle, name)
+        monkeypatch.setattr(
+            LanguageOracle, name,
+            lambda self, length, original=original: calls.append(length) or original(self, length),
+        )
+    for oracle in (LanguageOracle.from_substitution(fibonacci()),
+                   LanguageOracle.from_forbidden(["a", "b"], ["bb"])):
+        calls.clear()
+        first = oracle.words(5)
+        assert calls == [5]
+        assert oracle.words(5) is first
+        assert oracle.rows(5) is oracle.rows(5) and oracle.sorted_words(5) is oracle.sorted_words(5)
+        assert calls == [5]
+
+
+def test_empty_alphabet_is_rejected():
+    with pytest.raises(ValueError, match="alphabet is empty"):
+        LanguageOracle.full_shift([])
+    with pytest.raises(ValueError, match="alphabet is empty"):
+        LanguageOracle.from_forbidden([], [])
+
+
+def test_an_empty_language_raises_on_every_call():
+    swap = Substitution(("a", "b"), {"a": "b", "b": "a"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rotation = LanguageOracle.from_substitution(swap)
+    for oracle, length in ((LanguageOracle.from_forbidden(["a"], ["aa"]), 3),
+                           (LanguageOracle.from_forbidden(["a", "b"], ["a", "b"]), 1),
+                           (rotation, 2)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                oracle.words(length)
+            with pytest.raises(ValueError):
+                oracle.rows(length)
+
+
+def _rank_order(oracle, word):
+    return [oracle.alphabet.index(c) for c in word]
+
+
+@pytest.mark.parametrize(
+    "oracle_factory",
+    [
+        lambda: LanguageOracle.full_shift(["1", "0"]),
+        lambda: LanguageOracle.from_forbidden(["b", "a"], ["bb"]),
+        lambda: LanguageOracle.from_forbidden(["x", "y", "z"], ["xz", "zzy"]),
+        lambda: LanguageOracle.from_substitution(fibonacci()),
+        lambda: LanguageOracle.from_substitution(thue_morse()),
+    ],
+    ids=["full", "golden", "sft3", "fibonacci", "thue-morse"],
+)
+def test_rows_are_the_words_sorted_by_letter_rank(oracle_factory):
+    oracle = oracle_factory()
+    for L in range(0, 9):
+        rows, strings = oracle.rows(L), oracle.sorted_words(L)
+        assert rows.shape == (len(strings), L)
+        assert strings == sorted(oracle.words(L), key=lambda w: _rank_order(oracle, w))
+        assert [[oracle.alphabet[r - 1] for r in row] for row in rows.tolist()] == \
+            [list(w) for w in strings]
+        assert (word_ranks(rows, rows) == np.arange(len(rows))).all()
+
+
+def test_word_ranks_marks_absent_rows():
+    oracle = LanguageOracle.from_forbidden(["a", "b"], ["bb"])
+    full = LanguageOracle.full_shift(["a", "b"])
+    ranks = word_ranks(oracle.rows(3), full.rows(3))
+    legal = oracle.sorted_words(3)
+    for word, r in zip(full.sorted_words(3), ranks.tolist()):
+        assert (r >= 0) == (word in oracle.words(3))
+        if r >= 0:
+            assert legal[r] == word
+
+
+def test_words_of_any_length_and_alphabet():
+    fib = LanguageOracle.from_substitution(fibonacci())
+    assert len(fib.words(83)) == 84
+    assert fib.words(83) == frozenset(long_word_factors({"a": "ab", "b": "a"}, "a", 20, 83))
+    wide = LanguageOracle.full_shift([chr(0x4E00 + i) for i in range(300)])
+    words = wide.sorted_words(2)
+    assert len(words) == 90_000 and words[301] == chr(0x4E01) * 2
+    nul = LanguageOracle.from_forbidden(["\x00", "z"], ["zz"])
+    assert nul.words(3) == frozenset(brute_sft_words(["\x00", "z"], ["zz"], 3))
+
+
+def test_random_primitive_substitutions_match_long_iterates():
+    rng = Random(4)
+    tried = 0
+    while tried < 25:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        rules = {a: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                 for a in alphabet}
+        subst = Substitution(tuple(alphabet), rules)
+        if not subst.is_primitive or all(len(w) == 1 for w in rules.values()):
+            continue
+        tried += 1
+        oracle = LanguageOracle.from_substitution(subst)
+        iterate = "a"
+        while len(iterate) < 5_000:
+            iterate = subst.apply(iterate)
+        for L in (1, 2, 3, 5, 8):
+            assert oracle.words(L) == long_word_factors(rules, iterate, 0, L), (rules, L)
