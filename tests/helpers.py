@@ -155,8 +155,6 @@ def reference_drop_one_letter(upper: BranchedGraph, lower: BranchedGraph) -> Cel
 
 # -- random systems -------------------------------------------------------------
 
-# -- random systems -------------------------------------------------------------
-
 def random_rose_words(rng: Random, petals: tuple[str, ...]) -> dict:
     """Image words for a rose self-map, onto on edges."""
     while True:

@@ -152,6 +152,26 @@ def test_concurrent_readers_see_one_language():
     assert len(results[0]) == 8
 
 
+def test_concurrent_growth_keeps_rows_and_words_aligned():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    reference = LanguageOracle.from_forbidden(["a", "b", "c"], ["bb", "ca"])
+    lengths = [(7 * i) % 13 for i in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        oracle = LanguageOracle.from_forbidden(["a", "b", "c"], ["bb", "ca"])
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda L: (L, oracle.words(L), oracle.sorted_words(L),
+                                           oracle.rows(L)), lengths, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for L, words, ordered, rows in got:
+        assert words == reference.words(L) and ordered == reference.sorted_words(L)
+        assert (rows == reference.rows(L)).all()
+
+
 def test_second_words_call_computes_nothing(monkeypatch):
     calls = []
     for name in ("_substitution_words", "_grow"):
