@@ -4,21 +4,23 @@ Level k of the tower is the de-Bruijn-style branched graph whose vertices
 are the legal words of length 2k and whose edges are the legal words of
 length 2k+1 (an edge runs from its prefix to its suffix; tiles are unit
 intervals, one prototile per letter).  Levels hold the oracle's sorted word
-rows and edge endpoints as ranks; the labelled graph is built on first use.
-The bonding map drops one letter from each end, which is independent of
-how the window extends -- that is exactly why every bonding map is
-flattening.  Quotient maps send a marked word to the edge labelled by the
-radius-k window around the mark.
+rows and edge endpoints as ranks, and their branched graphs and bonds are
+index arrays over those ranks; words are decoded only where a label is
+read.  The bonding map drops one letter from each end, which is
+independent of how the window extends -- that is exactly why every
+bonding map is flattening.  Quotient maps send a marked word to the edge
+labelled by the radius-k window around the mark.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .branched_graph import DST, SRC, BranchedGraph, CellularMap, _unchecked
+from .branched_graph import BranchedGraph, CellularMap
 from .inverse_system import InverseSystem
 from .subshift import LanguageOracle, word_ranks
 from .transversal import ClopenSet, Cylinder
@@ -46,18 +48,28 @@ class CollaredComplex:
 
     @cached_property
     def graph(self) -> BranchedGraph:
-        """Words as labels; side A holds the incoming half-edges, B the outgoing."""
-        words = self.oracle.sorted_words
-        vwords, ewords = words(2 * self.k), words(2 * self.k + 1)
-        ends = zip([vwords[i] for i in self.src.tolist()], [vwords[i] for i in self.dst.tolist()])
-        # one sort by (vertex, side) lays every side out as one slice
-        key = np.concatenate([2 * self.dst, 2 * self.src + 1])
-        halves = [(e, DST) for e in ewords] + [(e, SRC) for e in ewords]
-        halves = [halves[i] for i in np.argsort(key, kind="stable").tolist()]
-        cuts = [0, *np.cumsum(np.bincount(key, minlength=2 * len(vwords))).tolist()]
-        sides = [frozenset(halves[a:b]) for a, b in zip(cuts, cuts[1:])]
-        return _unchecked(BranchedGraph, vertices=self.vertex_words, edges=dict(zip(ewords, ends)),
-                          sides=dict(zip(vwords, zip(sides[0::2], sides[1::2]))))
+        """The level indexed by word rank; side A holds the incoming
+        half-edges, B the outgoing, and words are decoded on first read."""
+        ne = len(self.edges)
+        return BranchedGraph.from_arrays(
+            _Words(self.oracle, 2 * self.k, len(self.vertices)), _Words(self.oracle, 2 * self.k + 1, ne),
+            self.src, self.dst, np.ones(ne, np.int8), np.zeros(ne, np.int8))
+
+
+class _Words(Sequence):
+    """The oracle's legal words of one length in rank order, decoded on first read."""
+
+    def __init__(self, oracle: LanguageOracle, length: int, count: int):
+        self.oracle, self.length, self.count = oracle, length, count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, i):
+        return self.oracle.sorted_words(self.length)[i]
+
+    def __iter__(self):
+        return iter(self.oracle.sorted_words(self.length))
 
 
 def build_approximant(oracle: LanguageOracle, k: int) -> CollaredComplex:
@@ -79,21 +91,16 @@ def _drop_one_letter(upper: CollaredComplex, lower: CollaredComplex) -> Cellular
     """
     vmap = word_ranks(lower.vertices, upper.vertices[:, 1:-1])
     emap = word_ranks(lower.edges, upper.edges[:, 1:-1])
-    k, below, above = lower.k, lower.oracle.sorted_words, upper.oracle.sorted_words
+    k = lower.k
     if min(vmap.min(), emap.min()) < 0:
         raise ValueError(f"bond {k}: a trimmed word is not legal")
     if not (np.array_equal(lower.src[emap], vmap[upper.src])
             and np.array_equal(lower.dst[emap], vmap[upper.dst])):
         raise ValueError(f"bond {k}: edge images do not join vertex images")
-    if not (np.bincount(vmap, minlength=len(lower.vertices)).all()
-            and np.bincount(emap, minlength=len(lower.edges)).all()):
+    f = CellularMap.edgewise(upper.graph, lower.graph, vmap, emap)
+    if not all(f.onto()):
         raise ValueError(f"bond {k} is not onto")
-    vwords, steps = below(2 * k), [((e, 1),) for e in below(2 * k + 1)]
-    return _unchecked(
-        CellularMap, domain=upper.graph, codomain=lower.graph,
-        vertex_map=dict(zip(above(2 * k + 2), [vwords[i] for i in vmap.tolist()])),
-        edge_map=dict(zip(above(2 * k + 3), [steps[i] for i in emap.tolist()])),
-    )
+    return f
 
 
 def bonding_map(oracle: LanguageOracle, k: int) -> CellularMap:

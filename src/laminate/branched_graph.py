@@ -3,137 +3,177 @@
 A branched graph is a finite directed multigraph together with, at each
 vertex, a partition of the incident half-edges into two sides A and B
 (either possibly empty).  A vertex is a branch point when some side holds
-more than one half-edge.  Smooth germs pair a side-A with a side-B
-half-edge; cellular maps send vertices to vertices and edges to nonempty
-edge paths coherently with the sides.  The single-map flattening test asks
+more than one half-edge.  Cellular maps send vertices to vertices and edges
+to nonempty edge paths coherently with the sides; the flattening test asks
 that at every vertex each side's half-edges share one image direction.
 
-Half-edges are pairs ``(edge_id, "+")`` (at the source) and
-``(edge_id, "-")`` (at the target); a loop contributes both at the same
-vertex.  Path steps are pairs ``(edge_id, +1 | -1)`` for forward/backward
-traversal.
+The core is indexed.  A :class:`BranchedGraph` is a :class:`coverings.Graph`
+with one side bit per half-edge: half-edge ``2e`` is edge e at its source
+and ``2e + 1`` edge e at its target.  A path step is stored as its outward
+half-edge h; it ends at the vertex of ``h ^ 1``, its inward half-edge.  A
+:class:`CellularMap` is a vertex array plus a CSR table of edge paths and a
+:class:`GermMap` one half-edge array, so validation, composition, the chain
+rule and the flattening test run on arrays.
+
+Labels live at the boundary: the labelled constructors take half-edges
+``(edge_id, "+" | "-")`` (at the source / target) and path steps
+``(edge_id, +1 | -1)`` and validate once; ``vertices``, ``edges``,
+``sides``, ``vertex_map`` and ``edge_map`` are read-only views built on
+first read.  A first cell (of a witness, of germs) is first in ``repr``
+order of the labels.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
+
+from .coverings import Graph
 
 HalfEdge = tuple  # (edge_id, "+" | "-")
-Step = tuple      # (edge_id, +1 | -1)
-
 SRC, DST = "+", "-"
 
 
-def _he_key(h: HalfEdge):
-    return (repr(h[0]), h[1])
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two arrays of one dtype and length are equal."""
+    return x.tobytes() == y.tobytes()
 
 
-def _unchecked(cls, **fields):
-    """A frozen ``cls`` from fields known to be normal and valid, without
-    running ``__post_init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+def _stand_ins(keys: np.ndarray, n: int) -> np.ndarray:
+    """For each position, one fixed position that holds the same key (< n)."""
+    first = np.empty(n, dtype=np.int64)
+    first[keys] = np.arange(len(keys))  # of repeated keys, one position wins
+    return first[keys]
 
 
-@dataclass(frozen=True)
-class BranchedGraph:
+class BranchedGraph(Graph):
     """Directed multigraph with two-sided smooth structure.
 
-    ``edges`` maps edge id -> (source vertex, target vertex); ``sides`` maps
-    vertex -> (side_A, side_B), two collections of half-edges.
+    Built from labels: ``vertices``, ``edges`` mapping edge id -> (source,
+    target) and ``sides`` mapping vertex -> (side_A, side_B), two
+    collections of half-edges; cells are indexed in ``repr`` order of their
+    ids.  A ValueError names the first half-edge that is on no side, on
+    both sides or at the wrong vertex.
     """
 
-    vertices: frozenset
-    edges: Mapping
-    sides: Mapping
+    def __init__(self, vertices, edges: Mapping, sides: Mapping):
+        vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
+        vidx = {v: i for i, v in enumerate(vertex_ids)}
+        home = [vidx.get(v, -1) for e in edge_ids for v in edges[e]]  # the vertex of every half-edge
+        if -1 in home:
+            e, end = edge_ids[home.index(-1) >> 1], home.index(-1) & 1
+            raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
+        # Graph's fields, set here: its constructor would re-check index ranges
+        self.vertex_ids, self.edge_ids, self._vindex, self._eindex = vertex_ids, edge_ids, vidx, None
+        self.half_vertex = ends = np.array(home, dtype=np.int64)
+        self.esrc, self.edst = ends[0::2], ends[1::2]
+        if set(sides) != set(vidx):
+            raise ValueError("sides must be given for exactly the vertex set")
+        index = dict(zip(itertools.product(edge_ids, (SRC, DST)), itertools.count()))
+        side, leader, vertex_leader = [-1] * len(home), [-1] * len(home), [-1] * len(home)
+        for v, halves in sides.items():
+            at, first_at = vidx[v], -1  # the first half-edge at v, and on each side, stands in
+            for bit, half_edges in enumerate(halves):
+                first = -1
+                for h in half_edges:
+                    i = index.get(h, -1)
+                    if i < 0 or side[i] >= 0 or home[i] != at:
+                        problem = ("of unknown edge" if i < 0 else "on both sides" if side[i] >= 0
+                                   else f"belongs at vertex {vertex_ids[home[i]]!r}")
+                        raise ValueError(f"vertex {v!r}: half-edge {h!r} {problem}")
+                    first, first_at = (i if first < 0 else first), (i if first_at < 0 else first_at)
+                    side[i], leader[i], vertex_leader[i] = bit, first, first_at
+        if -1 in side:
+            raise ValueError(f"half-edge {self.half_edge_label(side.index(-1))!r} missing from the sides")
+        self.side = np.array(side, dtype=np.int8)
+        self._leader, self._vertex_leader = np.array(leader), np.array(vertex_leader)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(
-            self, "edges", {e: (s, t) for e, (s, t) in self.edges.items()}
-        )
-        object.__setattr__(
-            self,
-            "sides",
-            {
-                v: (frozenset(a), frozenset(b))
-                for v, (a, b) in self.sides.items()
-            },
-        )
+    @classmethod
+    def from_arrays(cls, vertex_ids: Sequence, edge_ids: Sequence, esrc, edst,
+                    src_side, dst_side) -> "BranchedGraph":
+        """A graph from its index arrays; ``src_side[e]`` and ``dst_side[e]``
+        are the side bits (0 = A, 1 = B) of edge e at its two ends.  Every
+        half-edge then sits on exactly one side of its own vertex."""
+        g = cls.__new__(cls)
+        Graph.__init__(g, vertex_ids, edge_ids, esrc, edst)
+        g.side = np.stack([src_side, dst_side], axis=1).astype(np.int8).reshape(-1)
+        return g
 
-    def src(self, e):
-        return self.edges[e][0]
+    # -- indices ---------------------------------------------------------
 
-    def dst(self, e):
-        return self.edges[e][1]
+    @cached_property
+    def half_vertex(self) -> np.ndarray:
+        """Vertex index of every half-edge."""
+        return np.stack([self.esrc, self.edst], axis=1).reshape(-1)
+
+    @cached_property
+    def _slot(self) -> np.ndarray:
+        """2 * vertex + side bit of every half-edge."""
+        return 2 * self.half_vertex + self.side
+
+    @cached_property
+    def _leader(self) -> np.ndarray:
+        """For each half-edge, one fixed half-edge on its side of its vertex."""
+        return _stand_ins(self._slot, 2 * self.nv)
+
+    @cached_property
+    def _vertex_leader(self) -> np.ndarray:
+        """For each half-edge, one fixed half-edge at its vertex."""
+        return _stand_ins(self.half_vertex, self.nv)
+
+    def _half_edge_index(self, h: HalfEdge) -> int:
+        try:
+            e, end = h
+            return 2 * self.edge_index(e) + (SRC, DST).index(end)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"half-edge {h!r} of unknown edge") from None
+
+    def half_edge_label(self, i: int) -> HalfEdge:
+        return (self.edge_ids[i >> 1], DST if i & 1 else SRC)
+
+    # -- labelled views ----------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(self.vertex_ids)
+
+    @cached_property
+    def edges(self) -> Mapping:
+        vs = list(self.vertex_ids)
+        ends = zip([vs[i] for i in self.esrc.tolist()], [vs[i] for i in self.edst.tolist()])
+        return MappingProxyType(dict(zip(self.edge_ids, ends)))
+
+    @cached_property
+    def sides(self) -> Mapping:
+        halves = [(e, end) for e in self.edge_ids for end in (SRC, DST)]
+        halves = [halves[i] for i in np.argsort(self._slot, kind="stable").tolist()]
+        cuts = [0, *np.cumsum(np.bincount(self._slot, minlength=2 * self.nv)).tolist()]
+        groups = [frozenset(halves[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return MappingProxyType(dict(zip(self.vertex_ids, zip(groups[0::2], groups[1::2]))))
 
     def half_edges_at(self, v) -> frozenset:
-        out = {(e, SRC) for e, (s, _) in self.edges.items() if s == v}
-        inc = {(e, DST) for e, (_, t) in self.edges.items() if t == v}
-        return frozenset(out | inc)
-
-    def side(self, v, label: str) -> frozenset:
-        a, b = self.sides[v]
-        return a if label == "A" else b
-
-    def side_of(self, h: HalfEdge) -> tuple:
-        """(vertex, side label) where the half-edge is registered."""
-        v = self.src(h[0]) if h[1] == SRC else self.dst(h[0])
-        a, b = self.sides[v]
-        if h in a:
-            return v, "A"
-        if h in b:
-            return v, "B"
-        raise ValueError(f"half-edge {h!r} not registered at vertex {v!r}")
-
-    def base_vertex(self, h: HalfEdge):
-        return self.src(h[0]) if h[1] == SRC else self.dst(h[0])
+        return frozenset().union(*self.sides[v])
 
     def is_branch_point(self, v) -> bool:
-        a, b = self.sides[v]
-        return len(a) > 1 or len(b) > 1
+        return bool(self._branched[self.vertex_index(v)])
 
     def branch_points(self) -> list:
-        return [v for v in self.vertices if self.is_branch_point(v)]
+        return [self.vertex_ids[i] for i in np.flatnonzero(self._branched).tolist()]
 
+    @cached_property
+    def _branched(self) -> np.ndarray:
+        return (np.bincount(self._slot, minlength=2 * self.nv) > 1).reshape(-1, 2).any(axis=1)
 
-def validate_graph(g: BranchedGraph) -> list[str]:
-    """All invariant violations, as human-readable strings; [] means ok."""
-    problems = []
-    for e, (s, t) in g.edges.items():
-        if s not in g.vertices:
-            problems.append(f"edge {e!r}: unknown source {s!r}")
-        if t not in g.vertices:
-            problems.append(f"edge {e!r}: unknown target {t!r}")
-    if set(g.sides) != set(g.vertices):
-        problems.append("sides must be given for exactly the vertex set")
-        return problems
-    placed: dict = {}
-    for v, (a, b) in g.sides.items():
-        if a & b:
-            for h in sorted(a & b, key=_he_key):
-                problems.append(f"vertex {v!r}: half-edge {h!r} on both sides")
-        for h in a | b:
-            e, end = h
-            if e not in g.edges:
-                problems.append(f"vertex {v!r}: half-edge {h!r} of unknown edge")
-                continue
-            home = g.src(e) if end == SRC else g.dst(e)
-            if home != v:
-                problems.append(
-                    f"vertex {v!r}: half-edge {h!r} belongs at vertex {home!r}"
-                )
-            if h in placed:
-                problems.append(f"duplicated half-edge {h!r}")
-            placed[h] = v
-    for e, (s, t) in g.edges.items():
-        if s in g.sides and (e, SRC) not in placed:
-            problems.append(f"half-edge {(e, SRC)!r} missing from the sides")
-        if t in g.sides and (e, DST) not in placed:
-            problems.append(f"half-edge {(e, DST)!r} missing from the sides")
-    return problems
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, BranchedGraph)
+            and (self.vertices, self.edges, self.sides) == (other.vertices, other.edges, other.sides)
+        )
 
 
 @dataclass(frozen=True)
@@ -154,8 +194,7 @@ class SmoothGerm:
 
 def germs_at(g: BranchedGraph, v) -> list[SmoothGerm]:
     """All two-sided germs at v, in a deterministic order."""
-    a_side = sorted(g.side(v, "A"), key=_he_key)
-    b_side = sorted(g.side(v, "B"), key=_he_key)
+    a_side, b_side = (sorted(side, key=lambda h: (repr(h[0]), h[1])) for side in g.sides[v])
     return [SmoothGerm(v, a, b) for a in a_side for b in b_side]
 
 
@@ -166,152 +205,150 @@ class Star:
     center: object
     half_edges: frozenset
     edges: frozenset
-    vertices: frozenset
 
 
 def star(g: BranchedGraph, v) -> Star:
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v!r}")
     hes = g.half_edges_at(v)
-    edges = frozenset(e for e, _ in hes)
-    verts = {v}
-    for e in edges:
-        verts.update(g.edges[e])
-    return Star(v, hes, edges, frozenset(verts))
+    return Star(v, hes, frozenset(e for e, _ in hes))
 
 
-def _reverse_path(path: Sequence[Step]) -> tuple[Step, ...]:
-    return tuple((e, -s) for e, s in reversed(path))
-
-
-def _step_start(g: BranchedGraph, step: Step):
-    e, s = step
-    return g.src(e) if s == 1 else g.dst(e)
-
-
-def _step_end(g: BranchedGraph, step: Step):
-    e, s = step
-    return g.dst(e) if s == 1 else g.src(e)
-
-
-def _outward(step: Step) -> HalfEdge:
-    """Half-edge pointing along the step, at the step's start vertex."""
-    e, s = step
-    return (e, SRC) if s == 1 else (e, DST)
-
-
-def _inward(step: Step) -> HalfEdge:
-    """Half-edge pointing back along the step, at the step's end vertex."""
-    e, s = step
-    return (e, DST) if s == 1 else (e, SRC)
-
-
-@dataclass(frozen=True)
 class CellularMap:
-    """Vertex-to-vertex, edge-to-edge-path map respecting sides."""
+    """Vertex-to-vertex, edge-to-edge-path map respecting sides.
 
-    domain: BranchedGraph
-    codomain: BranchedGraph
-    vertex_map: Mapping
-    edge_map: Mapping
+    ``vmap[v]`` is the image of vertex v, and the image path of edge e is
+    ``steps[offsets[e]:offsets[e + 1]]``, each step stored as its outward
+    half-edge in the codomain.  The constructor takes labels: a vertex map
+    and an edge map to tuples of steps ``(edge_id, +1 | -1)``, and
+    validates them once.  Compositions, identities and edgewise maps are
+    built on arrays and are valid by construction.
+    """
+
+    def __init__(self, domain: BranchedGraph, codomain: BranchedGraph,
+                 vertex_map: Mapping, edge_map: Mapping):
+        if set(vertex_map) != set(domain.vertex_ids):
+            raise ValueError("vertex_map must cover exactly the domain vertices")
+        if set(edge_map) != set(domain.edge_ids):
+            raise ValueError("edge_map must cover exactly the domain edges")
+        try:
+            vmap = [codomain.vertex_index(vertex_map[v]) for v in domain.vertex_ids]
+        except KeyError:
+            v = next(v for v in domain.vertex_ids if vertex_map[v] not in codomain.vertex_ids)
+            raise ValueError(f"vertex {v!r} maps to unknown vertex {vertex_map[v]!r}") from None
+        step_index = dict(zip(itertools.product(codomain.edge_ids, (1, -1)), itertools.count()))
+        steps, offsets = [], [0]
+        for e in domain.edge_ids:
+            if not edge_map[e]:
+                raise ValueError(f"edge {e!r} maps to an empty path")
+            for step in edge_map[e]:
+                if step not in step_index:
+                    raise ValueError(f"edge {e!r}: bad step {step!r}")
+                steps.append(step_index[step])
+            offsets.append(len(steps))
+        self._set(domain, codomain, vmap, offsets, steps)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_map", dict(self.vertex_map))
-        object.__setattr__(
-            self, "edge_map", {e: tuple(p) for e, p in self.edge_map.items()}
-        )
         problems = validate_map(self)
         if problems:
             raise ValueError("invalid cellular map: " + "; ".join(problems))
 
+    def _set(self, domain, codomain, vmap, offsets, steps):
+        self.domain, self.codomain = domain, codomain
+        self.vmap = np.asarray(vmap, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.steps = np.asarray(steps, dtype=np.int64)
+        image = np.empty(2 * domain.ne, dtype=np.int64)
+        image[0::2] = self.steps[self.offsets[:-1]]
+        image[1::2] = self.steps[self.offsets[1:] - 1] ^ 1
+        self.germs = GermMap(domain, codomain, image)
+        return self
+
+    @classmethod
+    def _from_arrays(cls, domain, codomain, vmap, offsets, steps) -> "CellularMap":
+        return cls.__new__(cls)._set(domain, codomain, vmap, offsets, steps)
+
+    @classmethod
+    def edgewise(cls, domain: BranchedGraph, codomain: BranchedGraph,
+                 vmap: np.ndarray, emap: np.ndarray) -> "CellularMap":
+        """Each edge e onto edge ``emap[e]``, forward.  The caller has checked
+        that the edge images join the vertex images and keep the sides."""
+        return cls._from_arrays(domain, codomain, vmap, np.arange(domain.ne + 1), 2 * emap)
+
+    @cached_property
+    def vertex_map(self) -> Mapping:
+        ws = list(self.codomain.vertex_ids)
+        return MappingProxyType(dict(zip(self.domain.vertex_ids, [ws[i] for i in self.vmap.tolist()])))
+
+    @cached_property
+    def edge_map(self) -> Mapping:
+        labels = [(e, s) for e in self.codomain.edge_ids for s in (1, -1)]
+        steps = [labels[h] for h in self.steps.tolist()]
+        cuts = self.offsets.tolist()
+        return MappingProxyType(dict(zip(
+            self.domain.edge_ids, [tuple(steps[a:b]) for a, b in zip(cuts, cuts[1:])])))
+
+    def onto(self) -> tuple[bool, bool]:
+        """Whether every codomain vertex, and every codomain edge, is hit."""
+        h = self.codomain
+        return (np.count_nonzero(np.bincount(self.vmap, minlength=h.nv)) == h.nv,
+                np.count_nonzero(np.bincount(self.steps >> 1, minlength=h.ne)) == h.ne)
+
 
 def validate_map(f: CellularMap) -> list[str]:
-    g, h = f.domain, f.codomain
-    problems = []
-    if set(f.vertex_map) != set(g.vertices):
-        return ["vertex_map must cover exactly the domain vertices"]
-    if set(f.edge_map) != set(g.edges):
-        return ["edge_map must cover exactly the domain edges"]
-    for v, w in f.vertex_map.items():
-        if w not in h.vertices:
-            problems.append(f"vertex {v!r} maps to unknown vertex {w!r}")
-    if problems:
-        return problems
-    for e, path in f.edge_map.items():
-        if not path:
-            problems.append(f"edge {e!r} maps to an empty path")
-            continue
-        for d, s in path:
-            if d not in h.edges or s not in (1, -1):
-                problems.append(f"edge {e!r}: bad step ({d!r}, {s!r})")
-                break
-        else:
-            for prev, nxt in zip(path, path[1:]):
-                if _step_end(h, prev) != _step_start(h, nxt):
-                    problems.append(f"edge {e!r}: image path is not a walk")
-                    break
-            if _step_start(h, path[0]) != f.vertex_map[g.src(e)]:
-                problems.append(f"edge {e!r}: image path starts off target")
-            if _step_end(h, path[-1]) != f.vertex_map[g.dst(e)]:
-                problems.append(f"edge {e!r}: image path ends off target")
-    if problems:
-        return problems
-    # side coherence: per vertex, each side's image directions stay on one
-    # side of the image vertex, and the two sides land on opposite sides
-    for v in g.vertices:
-        w = f.vertex_map[v]
-        labels = {}
-        for side_label in ("A", "B"):
-            img_sides = set()
-            for h_edge in g.side(v, side_label):
-                img = half_edge_image(f, h_edge)
-                _, img_side = h.side_of(img)
-                img_sides.add(img_side)
-            if len(img_sides) > 1:
-                problems.append(
-                    f"vertex {v!r}: side {side_label} image spans both sides of {w!r}"
-                )
-            labels[side_label] = img_sides
-        if labels["A"] and labels["B"] and labels["A"] == labels["B"]:
-            problems.append(
-                f"vertex {v!r}: sides A and B collapse onto one side of {w!r}"
-            )
-    return problems
+    """All violations of walks, endpoints and side coherence; [] means ok."""
+    g, h, image = f.domain, f.codomain, f.germs.image
+    depart = arrive = start = end = f.steps[:0]
+    if h.nv > 1:  # into one vertex, every path is a walk between the images of its ends
+        depart, arrive = h.half_vertex[f.steps[1:]], h.half_vertex[f.steps[:-1] ^ 1]
+        cuts = f.offsets[1:-1] - 1
+        arrive[cuts] = depart[cuts]  # consecutive paths need not meet
+        start, end = h.half_vertex[image], f.vmap[g.half_vertex]
+    if not (_same(arrive, depart) and _same(start, end)):
+        broken = np.searchsorted(f.offsets[1:], np.flatnonzero(arrive != depart), side="right")
+        off = np.flatnonzero(start != end) >> 1
+        return [f"edge {g.edge_ids[e]!r}: image path is not a walk from the image of its source "
+                "to the image of its target" for e in np.union1d(broken, off).tolist()]
+    # side coherence: side A's images lie on one side of the image vertex and
+    # side B's on the other, so image side XOR side is constant per vertex
+    turn = h.side[image] ^ g.side
+    if _same(turn[g._vertex_leader], turn):
+        return []
+    return [f"vertex {g.vertex_ids[v]!r}: sides A and B do not map onto opposite sides of "
+            f"{f.vertex_map[g.vertex_ids[v]]!r}"
+            for v in np.unique(g.half_vertex[turn[g._vertex_leader] != turn]).tolist()]
 
 
 def half_edge_image(f: CellularMap, h: HalfEdge) -> HalfEdge:
     """First outward direction of the image path, at the image vertex."""
-    e, end = h
-    path = f.edge_map[e]
-    if end == SRC:
-        return _outward(path[0])
-    return _inward(path[-1])
+    return f.codomain.half_edge_label(int(germ_map(f).image[f.domain._half_edge_index(h)]))
 
 
 def identity_map(g: BranchedGraph) -> CellularMap:
-    return CellularMap(
-        g, g, {v: v for v in g.vertices}, {e: ((e, 1),) for e in g.edges}
-    )
+    return CellularMap.edgewise(g, g, np.arange(g.nv), np.arange(g.ne))
 
 
 def compose(g: CellularMap, f: CellularMap) -> CellularMap:
     """g after f; edge paths expand by concatenating g-images of f's steps."""
     if g.domain is not f.codomain and g.domain != f.codomain:
         raise ValueError("compose: domain of g must be the codomain of f")
-    vmap = {v: g.vertex_map[w] for v, w in f.vertex_map.items()}
-    emap = {}
-    for e, path in f.edge_map.items():
-        out: list[Step] = []
-        for d, s in path:
-            img = g.edge_map[d]
-            out.extend(img if s == 1 else _reverse_path(img))
-        emap[e] = tuple(out)
-    return CellularMap(f.domain, g.codomain, vmap, emap)
+    edge, backward = f.steps >> 1, f.steps & 1
+    lengths = np.diff(g.offsets)[edge]
+    piece = np.concatenate([[0], np.cumsum(lengths)])
+    step = np.repeat(np.arange(len(f.steps)), lengths)
+    within = np.arange(piece[-1]) - piece[step]
+    # a backward step reads g's path from its end, each step reversed
+    at = np.where(backward[step], g.offsets[edge + 1][step] - 1 - within,
+                  g.offsets[edge][step] + within)
+    return CellularMap._from_arrays(f.domain, g.codomain, g.vmap[f.vmap], piece[f.offsets],
+                                    g.steps[at] ^ backward[step])
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GermMap:
-    """Derivative of a cellular map: its vertex map and half-edge image map.
+    """Derivative of a cellular map: ``image[h]`` is the codomain half-edge
+    in which the image path of domain half-edge h starts.
 
     The flattening test and germ images read only the first and last step
     of each image path, so germ maps carry all they need, and they compose
@@ -320,49 +357,44 @@ class GermMap:
 
     domain: BranchedGraph
     codomain: BranchedGraph
-    vertex_map: Mapping
-    half_edge_map: Mapping
+    image: np.ndarray
 
 
 def germ_map(f: CellularMap) -> GermMap:
-    """The germ map of a (validated) cellular map."""
-    hmap = {}
-    for e, path in f.edge_map.items():
-        hmap[(e, SRC)] = _outward(path[0])
-        hmap[(e, DST)] = _inward(path[-1])
-    return GermMap(f.domain, f.codomain, f.vertex_map, hmap)
+    """The germ map of a cellular map, built once per map."""
+    return f.germs
 
 
 def compose_germs(g: GermMap, f: GermMap) -> GermMap:
     """g after f, by the chain rule."""
     if g.domain is not f.codomain and g.domain != f.codomain:
         raise ValueError("compose_germs: domain of g must be the codomain of f")
-    gv, gh = g.vertex_map, g.half_edge_map
-    return GermMap(
-        f.domain,
-        g.codomain,
-        {v: gv[w] for v, w in f.vertex_map.items()},
-        {h: gh[x] for h, x in f.half_edge_map.items()},
-    )
+    return GermMap(f.domain, g.codomain, g.image[f.image])
+
+
+def germ_flattens(d: GermMap) -> bool:
+    """Whether every side of every vertex sends all its half-edges one way."""
+    return _same(d.image[d.domain._leader], d.image)
 
 
 def germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
     """Image germ, with the image half-edges sorted back into their sides."""
-    g, h = f.domain, f.codomain
-    w = f.vertex_map[germ.vertex]
-    slots = {"A": None, "B": None}
+    g, h, image = f.domain, f.codomain, germ_map(f).image
+    v = g.vertex_index(germ.vertex)
+    slots = [None, None]
     for h_edge in (germ.a, germ.b):
         if h_edge is None:
             continue
-        v_found, _ = g.side_of(h_edge)
-        if v_found != germ.vertex:
+        i = g._half_edge_index(h_edge)
+        if g.half_vertex[i] != v:
             raise ValueError(f"half-edge {h_edge!r} is not at vertex {germ.vertex!r}")
-        img = half_edge_image(f, h_edge)
-        _, img_side = h.side_of(img)
-        if slots[img_side] is not None and slots[img_side] != img:
+        img = int(image[i])
+        bit = h.side[img]
+        if slots[bit] is not None and slots[bit] != img:
             raise ValueError("germ folds onto one side; image is not a germ")
-        slots[img_side] = img
-    return SmoothGerm(w, slots["A"], slots["B"])
+        slots[bit] = img
+    a, b = (None if s is None else h.half_edge_label(s) for s in slots)
+    return SmoothGerm(h.vertex_ids[f.vmap[v]], a, b)
 
 
 @dataclass(frozen=True)
@@ -384,19 +416,19 @@ def germ_flattening_witness(d: GermMap) -> Optional[FlatteningWitness]:
     side in sorted order, its first half-edge with the first one whose
     image differs.
     """
-    g, hmap = d.domain, d.half_edge_map
-    for v in sorted(g.vertices, key=repr):
-        for side_label in ("A", "B"):
-            side = g.side(v, side_label)
-            if len({hmap[h] for h in side}) <= 1:
-                continue
-            first, *rest = sorted(side, key=_he_key)
-            for h_edge in rest:
-                if hmap[h_edge] != hmap[first]:
-                    return FlatteningWitness(
-                        v, side_label, (first, h_edge), (hmap[first], hmap[h_edge])
-                    )
-    return None
+    if germ_flattens(d):
+        return None
+    g, image = d.domain, d.image
+    failing = np.unique(g._slot[image != image[g._leader]]).tolist()
+    slot = min(failing, key=lambda s: (repr(g.vertex_ids[s >> 1]), s & 1))
+    first, *rest = sorted(np.flatnonzero(g._slot == slot).tolist(),
+                          key=lambda i: (repr(g.edge_ids[i >> 1]), i & 1))
+    other = next(i for i in rest if image[i] != image[first])
+    return FlatteningWitness(
+        g.vertex_ids[slot >> 1], "AB"[slot & 1],
+        (g.half_edge_label(first), g.half_edge_label(other)),
+        (d.codomain.half_edge_label(int(image[first])), d.codomain.half_edge_label(int(image[other]))),
+    )
 
 
 def flattening_witness(f: CellularMap) -> Optional[FlatteningWitness]:

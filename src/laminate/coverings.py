@@ -121,7 +121,7 @@ class Graph:
         )
 
     def __repr__(self):
-        return f"Graph({self.nv} vertices, {self.ne} edges)"
+        return f"{type(self).__name__}({self.nv} vertices, {self.ne} edges)"
 
 
 class GraphMap:

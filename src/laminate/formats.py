@@ -88,7 +88,7 @@ def format_step(step: tuple) -> str:
 
 def branch_tree_from_json(data: dict) -> BranchTree:
     n = _field(data, "dimension", int)
-    vertices = _field(data, "vertices", list, _ID)
+    vertices = _unique(_field(data, "vertices", list, _ID), "vertex")
     edges = _field(data, "edges", list, list)
     if any(len(pair) != 2 or not all(isinstance(v, _ID) for v in pair) for pair in edges):
         raise ValueError("every entry of 'edges' must be a [source, target] pair")
@@ -117,6 +117,13 @@ def branch_tree_to_json(tree: BranchTree) -> dict:
 
 # -- branched graphs and cellular maps ---------------------------------------
 
+def _unique(ids: list, what: str) -> list:
+    """``ids``, checked to repeat no id; a ValueError names a repeated one."""
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"repeated {what} id {next(i for i in ids if ids.count(i) > 1)!r}")
+    return ids
+
+
 def _edges_from_json(data: dict) -> dict:
     entries = _field(data, "edges", list, dict)
     try:
@@ -124,18 +131,17 @@ def _edges_from_json(data: dict) -> dict:
         hash(tuple(edges.values()))  # endpoints must be usable as vertex ids
     except (KeyError, TypeError):
         raise ValueError("every entry of 'edges' needs an 'id', a 'src' and a 'dst' id") from None
+    if len(edges) < len(entries):
+        _unique([e["id"] for e in entries], "edge")
     return edges
 
 
 def branched_graph_from_json(data: dict) -> BranchedGraph:
     edges = _edges_from_json(data)
-    sides = {}
-    for v, ab in _field(data, "sides", dict, dict).items():
-        sides[v] = tuple(
-            {parse_half_edge(h) for h in (_field(ab, label, list, str) if label in ab else [])}
-            for label in ("A", "B")
-        )
-    return BranchedGraph(set(_field(data, "vertices", list, _ID)), edges, sides)
+    sides = {v: [{parse_half_edge(h) for h in (_field(ab, label, list, str) if label in ab else [])}
+                 for label in ("A", "B")]
+             for v, ab in _field(data, "sides", dict, dict).items()}
+    return BranchedGraph(_unique(_field(data, "vertices", list, _ID), "vertex"), edges, sides)
 
 
 def branched_graph_to_json(g: BranchedGraph) -> dict:
@@ -158,13 +164,8 @@ def branched_graph_to_json(g: BranchedGraph) -> dict:
 def cellular_map_from_json(data: dict, domain: BranchedGraph,
                            codomain: BranchedGraph) -> CellularMap:
     edge_map = _field(data, "edge_map", dict, list)
-    return CellularMap(
-        domain,
-        codomain,
-        dict(_field(data, "vertex_map", dict, _ID)),
-        {e: tuple(parse_step(s) for s in _field(edge_map, e, list, str))
-         for e in edge_map},
-    )
+    return CellularMap(domain, codomain, dict(_field(data, "vertex_map", dict, _ID)),
+                       {e: [parse_step(s) for s in _field(edge_map, e, list, str)] for e in edge_map})
 
 
 def cellular_map_to_json(f: CellularMap) -> dict:
@@ -250,7 +251,7 @@ def clopen_to_json(s: ClopenSet) -> dict:
 # -- plain graphs, coverings, towers ----------------------------------------------
 
 def plain_graph_from_json(data: dict) -> Graph:
-    return Graph.from_edges(_field(data, "vertices", list, _ID), _edges_from_json(data))
+    return Graph.from_edges(_unique(_field(data, "vertices", list, _ID), "vertex"), _edges_from_json(data))
 
 
 def plain_graph_to_json(g: Graph) -> dict:

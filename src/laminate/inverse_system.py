@@ -16,16 +16,15 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .branched_graph import (
+    DST,
+    SRC,
     BranchedGraph,
     CellularMap,
     GermMap,
     SmoothGerm,
-    _inward,
-    _outward,
-    _step_end,
     compose,
     compose_germs,
-    germ_flattening_witness,
+    germ_flattens,
     germ_image,
     germ_map,
     germs_at,
@@ -76,7 +75,8 @@ def apply_cell(f: CellularMap, cell: Cell) -> Cell:
     u = pos - j
     if u == 0:
         # exactly on a junction of the image path (j >= 1 since pos > 0)
-        return VertexCell(_step_end(f.codomain, path[j - 1]))
+        d, s = path[j - 1]
+        return VertexCell(f.codomain.edges[d][1 if s == 1 else 0])
     d, s = path[j]
     return EdgePoint(d, u if s == 1 else 1 - u)
 
@@ -149,10 +149,10 @@ class InverseSystem:
         if ((f.domain is not upper and f.domain != upper)
                 or (f.codomain is not lower and f.codomain != lower)):
             raise ValueError(f"bond {k} does not join levels {k + 1} -> {k}")
-        if set(f.vertex_map.values()) != set(lower.vertices):
+        on_vertices, on_edges = f.onto()
+        if not on_vertices:
             raise ValueError(f"bond {k} is not onto on vertices")
-        covered = {d for path in f.edge_map.values() for d, _ in path}
-        if covered != set(lower.edges):
+        if not on_edges:
             raise ValueError(f"bond {k} is not onto on edges")
         with self._lock:
             # racing fills converge on whichever landed first
@@ -348,7 +348,7 @@ def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVe
             while len(column) < k - k0:
                 below = bond_germ(0 if stationary else k - 1 - len(column))
                 column.append(compose_germs(below, column[-1]) if column else below)
-            flat_memo[key] = germ_flattening_witness(column[k - k0 - 1]) is None
+            flat_memo[key] = germ_flattens(column[k - k0 - 1])
         return flat_memo[key]
 
     reach = [False] * window + [True]
@@ -464,25 +464,21 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
             if len(set(images.values())) != len(images):
                 raise NotLocallyTrivial(k, f"star of {u!r} folds over {v!r}")
             if set(images.values()) != set(disk_star.half_edges):
-                raise NotLocallyTrivial(
-                    k, f"star of {u!r} misses directions of star({v!r})"
-                )
+                raise NotLocallyTrivial(k, f"star of {u!r} misses directions of star({v!r})")
             found.append(VertexComponent(u))
         for e in sorted(f.edge_map, key=repr):
             path = f.edge_map[e]
             for j in range(1, len(path)):
-                if _step_end(f.codomain, path[j - 1]) != v:
-                    continue
-                arrived = _inward(path[j - 1])
-                leaving = _outward(path[j])
+                (d0, s0), (d1, s1) = path[j - 1], path[j]
+                arrived = (d0, DST if s0 == 1 else SRC)
+                if arrived not in disk_star.half_edges:
+                    continue  # the junction is not at v
+                leaving = (d1, SRC if s1 == 1 else DST)
                 if arrived == leaving:
                     raise NotLocallyTrivial(k, f"edge {e!r} folds at step {j} over {v!r}")
                 if {arrived, leaving} != set(disk_star.half_edges):
-                    raise NotLocallyTrivial(
-                        k,
-                        f"edge {e!r} crosses {v!r} at step {j} through an arc, "
-                        f"but star({v!r}) is branched",
-                    )
+                    raise NotLocallyTrivial(k, f"edge {e!r} crosses {v!r} at step {j} through an "
+                                               f"arc, but star({v!r}) is branched")
                 found.append(CrossingComponent(e, j))
         components[k] = tuple(found)
     return LocalBox(StarDisk(v), components)

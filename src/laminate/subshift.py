@@ -3,9 +3,11 @@
 A :class:`LanguageOracle` computes the legal words of each length once, as
 a sorted matrix of letter ranks whose rows view as fixed-width byte
 strings, so they sort and ``searchsorted`` like words at any length.  SFT
-and full-shift words grow one letter at a time over the trimmed blocks;
-substitution words are iterated until stable.  Strings are decoded once
-per length.  Languages are factor closed and every word extends both ways.
+and full-shift words grow one letter at a time over the trimmed blocks.
+Substitution words of length L are exact: the L-factors of the letter
+images, iterated until their state repeats (see ``_substitution_words``).
+Strings are decoded once per length.  Languages are factor closed and
+every word extends both ways.
 """
 
 from __future__ import annotations
@@ -103,15 +105,12 @@ class LanguageOracle:
                 raise ValueError(f"forbidden word {w!r} is not over the alphabet")
         self.forbidden = tuple(sorted(set(forbidden)))
         self.substitution = substitution
-        if substitution is not None:
-            primitive, power = substitution.primitivity()
-            if not primitive:
-                warnings.warn(
-                    "substitution is not primitive; the factor language is taken "
-                    "as the stabilized union over all letters",
-                    stacklevel=3,
-                )
-            self._stable_rounds = power if primitive else len(self.alphabet) + 2
+        if substitution is not None and not substitution.is_primitive:
+            warnings.warn(
+                "substitution is not primitive; the factor language is taken "
+                "over the eventual cycle of all letters' images",
+                stacklevel=3,
+            )
         # ranks start at 1, so that no row holds a NUL byte
         self.dtype = np.dtype(np.uint8 if len(self.alphabet) < 255 else ">u2")
         self._ranks = {ord(a): i for i, a in enumerate(self.alphabet, 1)}
@@ -120,7 +119,6 @@ class LanguageOracle:
         self._sorted: dict[int, list[str]] = {}
         self._words = {0: frozenset({""})}
         self._blocks = self._walks = None
-        self._powers: list[list[str]] = []
         self._lock = threading.RLock()
 
     @classmethod
@@ -246,30 +244,31 @@ class LanguageOracle:
             succ[order[w[:-1]], self._ranks[ord(w[-1])] - 1] = order[w[1:]]
         return rows, succ
 
-    def _substitution_words(self, length: int) -> set[str]:
-        factors: set[str] = set()
-        stable = 0
-        for n in range(400):
-            if n == len(self._powers):  # letter images under each power, kept
-                last = self._powers[-1] if self._powers else self.alphabet
-                self._powers.append([self.substitution.apply(w) for w in last])
-            words = self._powers[n]
-            new = {w[i : i + length] for w in words for i in range(len(w) - length + 1)}
-            if new == factors and new:
-                stable += 1
-                if stable >= self._stable_rounds:
-                    return factors
-            else:
-                stable = 0
-            factors = new
-            if max(map(len, words)) > 2_000_000:
-                break
-        if not factors:
-            raise ValueError(
-                f"substitution generates no words of length {length}; "
-                "its eventual language is empty"
-            )
-        return factors
+    def _substitution_words(self, length: int) -> frozenset[str]:
+        """The L-factors over the eventual cycle of the letter images' states.
+
+        The state of a set of words is (their L-factors, those shorter than
+        L).  An L-window of sigma(w) lies in sigma of an L-factor of w, so
+        each state fixes the next and the first repeated state closes a cycle.
+        """
+        def state(images) -> tuple[frozenset, frozenset]:
+            return (frozenset({w[i : i + length] for w in images if len(w) >= length
+                               for i in range(len(w) - length + 1)}),
+                    frozenset({w for w in images if len(w) < length}))
+
+        images = list(self.alphabet)  # any words whose state is the current one
+        seen, current = [], state(images)
+        while current not in seen:
+            seen.append(current)
+            if sum(map(len, images)) > length * (len(current[0]) + len(current[1])):
+                images = current[0] | current[1]  # the state's own words are shorter
+            images = [self.substitution.apply(w) for w in images]
+            current = state(images)
+        words = frozenset().union(*(factors for factors, _ in seen[seen.index(current):]))
+        if not words:
+            raise ValueError(f"substitution generates no words of length {length}; "
+                             "its eventual language is empty")
+        return words
 
 
 def fibonacci() -> Substitution:

@@ -15,38 +15,55 @@ from laminate.branched_graph import (
     identity_map,
     is_flattening,
     star,
-    validate_graph,
 )
 
 from helpers import cycle_branched, cycle_cover_map, random_rose_words, rose_map
 
 
 def test_circle_is_valid():
-    assert validate_graph(fixtures.circle()) == []
+    g = fixtures.circle()
+    assert g.sides == {"v": (frozenset({("e", "+")}), frozenset({("e", "-")}))}
+    assert g.branch_points() == []
 
 
 def test_figure_eight_is_valid_and_branched():
     g = fixtures.figure_eight()
-    assert validate_graph(g) == []
+    assert g.half_edges_at("w") == {(e, end) for e in "ab" for end in "+-"}
     assert g.branch_points() == ["w"]
 
 
 def test_duplicated_half_edge_is_a_violation():
-    g = BranchedGraph(
-        vertices={"v"},
-        edges={"e": ("v", "v")},
-        sides={"v": ({("e", "+"), ("e", "-")}, {("e", "-")})},
-    )
-    assert any("both sides" in p for p in validate_graph(g))
+    with pytest.raises(ValueError, match="both sides"):
+        BranchedGraph(
+            vertices={"v"},
+            edges={"e": ("v", "v")},
+            sides={"v": ({("e", "+"), ("e", "-")}, {("e", "-")})},
+        )
 
 
 def test_missing_half_edge_is_a_violation():
-    g = BranchedGraph(
-        vertices={"v"},
-        edges={"e": ("v", "v")},
-        sides={"v": ({("e", "+")}, set())},
-    )
-    assert any("missing" in p for p in validate_graph(g))
+    with pytest.raises(ValueError, match="missing"):
+        BranchedGraph(
+            vertices={"v"},
+            edges={"e": ("v", "v")},
+            sides={"v": ({("e", "+")}, set())},
+        )
+
+
+def test_half_edge_at_the_wrong_vertex_is_a_violation():
+    with pytest.raises(ValueError, match="belongs at vertex 'v'"):
+        BranchedGraph(
+            vertices={"u", "v"},
+            edges={"e": ("u", "v")},
+            sides={"u": ({("e", "-")}, set()), "v": (set(), {("e", "+")})},
+        )
+
+
+def test_views_are_read_only():
+    f = fixtures.figure_eight_double()
+    for view in (f.domain.edges, f.domain.sides, f.vertex_map, f.edge_map):
+        with pytest.raises(TypeError):
+            view["x"] = None
 
 
 def test_compose_with_identity():
@@ -176,7 +193,6 @@ def test_star_of_path_graph_middle_vertex():
             "w": ({("e2", "-")}, set()),
         },
     )
-    assert validate_graph(g) == []
     s = star(g, "v")
     assert s.edges == frozenset({"e1", "e2"})
     assert s.half_edges == frozenset({("e1", "-"), ("e2", "+")})
@@ -220,3 +236,11 @@ def test_invalid_path_rejected():
     h = fixtures.figure_eight()
     with pytest.raises(ValueError):
         CellularMap(g, h, {"v": "w"}, {"e": ()})
+
+
+@pytest.mark.parametrize("path", [(("c0", 1), ("c0", 1)), (("c1", 1),), (("c0", 1), ("c1", -1))])
+def test_image_path_must_walk_between_the_endpoint_images(path):
+    # on the 2-cycle c0: u0 -> u1, c1: u1 -> u0, c0's image must walk from u0 to u1
+    g = cycle_branched(2)
+    with pytest.raises(ValueError, match="edge 'c0': image path is not a walk"):
+        CellularMap(g, g, {"u0": "u0", "u1": "u1"}, {"c0": path, "c1": (("c1", 1),)})

@@ -408,3 +408,55 @@ def test_one_parser_serves_every_call(files, capsys):
         [sys.executable, "-m", "laminate.cli", *argv], capture_output=True, text=True, env=env,
     )
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, in_process.out, in_process.err)
+
+
+def test_half_edge_on_no_side_fails_at_load(tmp_path, capsys):
+    # b+ is on no side of w: the graph is malformed, not a non-lamination
+    system = tmp_path / "nosides.json"
+    system.write_text(json.dumps({"stationary": {
+        "graph": {"vertices": ["w"],
+                  "edges": [{"id": "a", "src": "w", "dst": "w"}, {"id": "b", "src": "w", "dst": "w"}],
+                  "sides": {"w": {"A": ["a+"], "B": ["a-", "b-"]}}},
+        "map": {"vertex_map": {"w": "w"}, "edge_map": {"a": ["a", "b"], "b": ["b", "a"]}},
+    }}))
+    argv = ["check-flatten", "--system", str(system)]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: half-edge ('b', '+') missing from the sides\n"
+
+
+def _rose_graph(edges, vertices=("w",)):
+    return {"vertices": list(vertices),
+            "edges": [{"id": e, "src": "w", "dst": "w"} for e in edges],
+            "sides": {"w": {"A": [f"{e}+" for e in edges], "B": [f"{e}-" for e in edges]}}}
+
+
+def _cover_tower(edges, vertices):
+    return {"base": {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"}]},
+            "levels": [{"total": {"vertices": list(vertices),
+                                  "edges": [{"id": e, "src": "0", "dst": "0"} for e in edges]},
+                        "vertex_map": {"0": "w"}, "edge_map": {e: "a" for e in edges}}]}
+
+
+REPEATS = {
+    "check-flatten": ({"stationary": {"graph": _rose_graph(["a", "a"]),
+                                      "map": {"vertex_map": {"w": "w"}, "edge_map": {"a": ["a", "a"]}}}},
+                      ["--system"], [], "edge id 'a'"),
+    "export-dot": (_rose_graph(["a"], ["w", "w"]), ["--graph"], [], "vertex id 'w'"),
+    "deck-group": (_cover_tower(["a0", "a0"], ["0"]), ["--tower"], ["--level", "1"], "edge id 'a0'"),
+    "rep": (_cover_tower(["a0"], ["0", "0"]), ["--tower"], ["--loop", "a"], "vertex id '0'"),
+    "metric": (_cover_tower(["a0", "a0"], ["0"]), ["--tower"], ["--x", "0", "--y", "1"], "edge id 'a0'"),
+    "local-model": ({"dimension": 1, "vertices": ["v", "v"], "edges": [["v", "v"]]},
+                    ["classes", "--tree"], ["--point", "0"], "vertex id 'v'"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPEATS))
+def test_repeated_ids_fail_at_load(command, tmp_path, capsys):
+    data, flag, rest, named = REPEATS[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [command, *flag, str(path), *rest]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: repeated {named}\n"

@@ -273,7 +273,20 @@ def test_random_primitive_substitutions_match_long_iterates():
         tried += 1
         oracle = LanguageOracle.from_substitution(subst)
         iterate = "a"
-        while len(iterate) < 5_000:
+        while len(iterate) < 20_000:
             iterate = subst.apply(iterate)
-        for L in (1, 2, 3, 5, 8):
+        for L in (1, 2, 3, 5, 8, 13, 20):
             assert oracle.words(L) == long_word_factors(rules, iterate, 0, L), (rules, L)
+
+
+def test_chacon_words_match_long_iterates():
+    # a -> aaba, b -> b is not primitive (b is fixed), yet its language is
+    # the factors of the fixed point, with complexity 2L - 1 from L = 2 on
+    chacon = Substitution(("a", "b"), {"a": "aaba", "b": "b"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        oracle = LanguageOracle.from_substitution(chacon)
+    for L in (1, 2, 3, 5, 8, 13, 20):
+        words = oracle.words(L)
+        assert words == long_word_factors(chacon.rules, "a", 9, L), L
+        assert len(words) == (2 if L == 1 else 2 * L - 1)
