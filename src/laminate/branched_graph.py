@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .coverings import Graph
+from .coverings import Graph, index_edges
 
 HalfEdge = tuple  # (edge_id, "+" | "-")
 SRC, DST = "+", "-"
@@ -62,36 +62,23 @@ class BranchedGraph(Graph):
     """
 
     def __init__(self, vertices, edges: Mapping, sides: Mapping):
-        vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
-        vidx = {v: i for i, v in enumerate(vertex_ids)}
-        home = [vidx.get(v, -1) for e in edge_ids for v in edges[e]]  # the vertex of every half-edge
-        if -1 in home:
-            e, end = edge_ids[home.index(-1) >> 1], home.index(-1) & 1
-            raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
-        # Graph's fields, set here: its constructor would re-check index ranges
-        self.vertex_ids, self.edge_ids, self._vindex, self._eindex = vertex_ids, edge_ids, vidx, None
-        self.half_vertex = ends = np.array(home, dtype=np.int64)
-        self.esrc, self.edst = ends[0::2], ends[1::2]
-        if set(sides) != set(vidx):
+        Graph.__init__(self, *index_edges(vertices, edges))
+        if set(sides) != set(self.vertex_ids):
             raise ValueError("sides must be given for exactly the vertex set")
-        index = dict(zip(itertools.product(edge_ids, (SRC, DST)), itertools.count()))
-        side, leader, vertex_leader = [-1] * len(home), [-1] * len(home), [-1] * len(home)
+        index = dict(zip(itertools.product(self.edge_ids, (SRC, DST)), itertools.count()))
+        home, side = self.half_vertex.tolist(), [-1] * len(index)
         for v, halves in sides.items():
-            at, first_at = vidx[v], -1  # the first half-edge at v, and on each side, stands in
             for bit, half_edges in enumerate(halves):
-                first = -1
                 for h in half_edges:
                     i = index.get(h, -1)
-                    if i < 0 or side[i] >= 0 or home[i] != at:
+                    if i < 0 or side[i] >= 0 or home[i] != self.vertex_index(v):
                         problem = ("of unknown edge" if i < 0 else "on both sides" if side[i] >= 0
-                                   else f"belongs at vertex {vertex_ids[home[i]]!r}")
+                                   else f"belongs at vertex {self.vertex_ids[home[i]]!r}")
                         raise ValueError(f"vertex {v!r}: half-edge {h!r} {problem}")
-                    first, first_at = (i if first < 0 else first), (i if first_at < 0 else first_at)
-                    side[i], leader[i], vertex_leader[i] = bit, first, first_at
+                    side[i] = bit
         if -1 in side:
             raise ValueError(f"half-edge {self.half_edge_label(side.index(-1))!r} missing from the sides")
         self.side = np.array(side, dtype=np.int8)
-        self._leader, self._vertex_leader = np.array(leader), np.array(vertex_leader)
 
     @classmethod
     def from_arrays(cls, vertex_ids: Sequence, edge_ids: Sequence, esrc, edst,
@@ -168,6 +155,14 @@ class BranchedGraph(Graph):
     @cached_property
     def _branched(self) -> np.ndarray:
         return (np.bincount(self._slot, minlength=2 * self.nv) > 1).reshape(-1, 2).any(axis=1)
+
+    def indexed_alike(self, other) -> bool:
+        """Whether ``other`` holds the same cells at the same indices.  Maps
+        are index arrays, so they join only graphs indexed alike; ``==``
+        compares labels, and a rank-indexed level equals its copy in
+        ``repr`` order."""
+        return self is other or (Graph.__eq__(self, other) and isinstance(other, BranchedGraph)
+                                 and _same(self.side, other.side))
 
     def __eq__(self, other):
         return self is other or (
@@ -331,8 +326,8 @@ def identity_map(g: BranchedGraph) -> CellularMap:
 
 def compose(g: CellularMap, f: CellularMap) -> CellularMap:
     """g after f; edge paths expand by concatenating g-images of f's steps."""
-    if g.domain is not f.codomain and g.domain != f.codomain:
-        raise ValueError("compose: domain of g must be the codomain of f")
+    if not g.domain.indexed_alike(f.codomain):
+        raise ValueError("compose: domain of g must be the codomain of f, indexed alike")
     edge, backward = f.steps >> 1, f.steps & 1
     lengths = np.diff(g.offsets)[edge]
     piece = np.concatenate([[0], np.cumsum(lengths)])
@@ -367,8 +362,8 @@ def germ_map(f: CellularMap) -> GermMap:
 
 def compose_germs(g: GermMap, f: GermMap) -> GermMap:
     """g after f, by the chain rule."""
-    if g.domain is not f.codomain and g.domain != f.codomain:
-        raise ValueError("compose_germs: domain of g must be the codomain of f")
+    if not g.domain.indexed_alike(f.codomain):
+        raise ValueError("compose_germs: domain of g must be the codomain of f, indexed alike")
     return GermMap(f.domain, g.codomain, g.image[f.image])
 
 

@@ -28,6 +28,19 @@ Step = tuple  # (edge_id, +1 | -1)
 _BLOCK = 1 << 17
 
 
+def index_edges(vertices, edges: Mapping) -> tuple:
+    """``(vertex_ids, edge_ids, esrc, edst)`` for labelled cells, ids in
+    ``repr`` order; a ValueError names an edge with an unknown endpoint."""
+    vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
+    vidx = {v: i for i, v in enumerate(vertex_ids)}
+    ends = [vidx.get(edges[e][end], -1) for e in edge_ids for end in (0, 1)]
+    if -1 in ends:
+        e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
+        raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return vertex_ids, edge_ids, ends[:, 0], ends[:, 1]
+
+
 class Graph:
     """Directed multigraph with indexed cells.
 
@@ -52,12 +65,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertices: Sequence, edges: Mapping) -> "Graph":
-        vertex_ids = tuple(sorted(vertices, key=repr))
-        vidx = {v: i for i, v in enumerate(vertex_ids)}
-        edge_ids = tuple(sorted(edges, key=repr))
-        esrc = np.array([vidx[edges[e][0]] for e in edge_ids] or [], dtype=np.int64)
-        edst = np.array([vidx[edges[e][1]] for e in edge_ids] or [], dtype=np.int64)
-        return cls(vertex_ids, edge_ids, esrc, edst)
+        return cls(*index_edges(vertices, edges))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":

@@ -7,7 +7,11 @@ from .branched_graph import BranchedGraph, CellularMap
 
 def circle() -> BranchedGraph:
     """One vertex, one loop e; sides {e+} / {e-}."""
-    return BranchedGraph({"v"}, {"e": ("v", "v")}, {"v": ({("e", "+")}, {("e", "-")})})
+    return BranchedGraph(
+        vertices={"v"},
+        edges={"e": ("v", "v")},
+        sides={"v": ({("e", "+")}, {("e", "-")})},
+    )
 
 
 def circle_double() -> CellularMap:
@@ -18,16 +22,34 @@ def circle_double() -> CellularMap:
 
 def figure_eight() -> BranchedGraph:
     """Wedge of two circles at w; sides {a+, b+} / {a-, b-}."""
-    return BranchedGraph({"w"}, {"a": ("w", "w"), "b": ("w", "w")},
-                         {"w": ({("a", "+"), ("b", "+")}, {("a", "-"), ("b", "-")})})
+    return BranchedGraph(
+        vertices={"w"},
+        edges={"a": ("w", "w"), "b": ("w", "w")},
+        sides={
+            "w": (
+                {("a", "+"), ("b", "+")},
+                {("a", "-"), ("b", "-")},
+            )
+        },
+    )
 
 
 def figure_eight_double() -> CellularMap:
     """Squaring on both petals: a -> aa, b -> bb.  Not flattening."""
     g = figure_eight()
-    return CellularMap(g, g, {"w": "w"}, {"a": (("a", 1), ("a", 1)), "b": (("b", 1), ("b", 1))})
+    return CellularMap(
+        g,
+        g,
+        {"w": "w"},
+        {"a": (("a", 1), ("a", 1)), "b": (("b", 1), ("b", 1))},
+    )
 
 
 def collapse_to_circle() -> CellularMap:
     """Figure-eight onto the circle, both petals to the loop.  Flattening."""
-    return CellularMap(figure_eight(), circle(), {"w": "v"}, {"a": (("e", 1),), "b": (("e", 1),)})
+    return CellularMap(
+        figure_eight(),
+        circle(),
+        {"w": "v"},
+        {"a": (("e", 1),), "b": (("e", 1),)},
+    )

@@ -138,9 +138,12 @@ def _edges_from_json(data: dict) -> dict:
 
 def branched_graph_from_json(data: dict) -> BranchedGraph:
     edges = _edges_from_json(data)
-    sides = {v: [{parse_half_edge(h) for h in (_field(ab, label, list, str) if label in ab else [])}
-                 for label in ("A", "B")]
-             for v, ab in _field(data, "sides", dict, dict).items()}
+    sides = {}
+    for v, ab in _field(data, "sides", dict, dict).items():
+        sides[v] = tuple(
+            {parse_half_edge(h) for h in (_field(ab, label, list, str) if label in ab else [])}
+            for label in ("A", "B")
+        )
     return BranchedGraph(_unique(_field(data, "vertices", list, _ID), "vertex"), edges, sides)
 
 
@@ -164,8 +167,13 @@ def branched_graph_to_json(g: BranchedGraph) -> dict:
 def cellular_map_from_json(data: dict, domain: BranchedGraph,
                            codomain: BranchedGraph) -> CellularMap:
     edge_map = _field(data, "edge_map", dict, list)
-    return CellularMap(domain, codomain, dict(_field(data, "vertex_map", dict, _ID)),
-                       {e: [parse_step(s) for s in _field(edge_map, e, list, str)] for e in edge_map})
+    return CellularMap(
+        domain,
+        codomain,
+        dict(_field(data, "vertex_map", dict, _ID)),
+        {e: tuple(parse_step(s) for s in _field(edge_map, e, list, str))
+         for e in edge_map},
+    )
 
 
 def cellular_map_to_json(f: CellularMap) -> dict:

@@ -109,7 +109,7 @@ class InverseSystem:
 
     @classmethod
     def stationary(cls, bond: CellularMap) -> "InverseSystem":
-        if bond.domain != bond.codomain:
+        if not bond.domain.indexed_alike(bond.codomain):
             raise ValueError("a stationary system needs a self-map")
         return cls(lambda k: bond.domain, lambda k: bond, stationary=True)
 
@@ -146,8 +146,7 @@ class InverseSystem:
                 return self._bonds[k]
         upper, lower = self.level(k + 1), self.level(k)
         f = self._bond_fn(k)
-        if ((f.domain is not upper and f.domain != upper)
-                or (f.codomain is not lower and f.codomain != lower)):
+        if not (f.domain.indexed_alike(upper) and f.codomain.indexed_alike(lower)):
             raise ValueError(f"bond {k} does not join levels {k + 1} -> {k}")
         on_vertices, on_edges = f.onto()
         if not on_vertices:
@@ -464,7 +463,9 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
             if len(set(images.values())) != len(images):
                 raise NotLocallyTrivial(k, f"star of {u!r} folds over {v!r}")
             if set(images.values()) != set(disk_star.half_edges):
-                raise NotLocallyTrivial(k, f"star of {u!r} misses directions of star({v!r})")
+                raise NotLocallyTrivial(
+                    k, f"star of {u!r} misses directions of star({v!r})"
+                )
             found.append(VertexComponent(u))
         for e in sorted(f.edge_map, key=repr):
             path = f.edge_map[e]
@@ -477,8 +478,11 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
                 if arrived == leaving:
                     raise NotLocallyTrivial(k, f"edge {e!r} folds at step {j} over {v!r}")
                 if {arrived, leaving} != set(disk_star.half_edges):
-                    raise NotLocallyTrivial(k, f"edge {e!r} crosses {v!r} at step {j} through an "
-                                               f"arc, but star({v!r}) is branched")
+                    raise NotLocallyTrivial(
+                        k,
+                        f"edge {e!r} crosses {v!r} at step {j} through an arc, "
+                        f"but star({v!r}) is branched",
+                    )
                 found.append(CrossingComponent(e, j))
         components[k] = tuple(found)
     return LocalBox(StarDisk(v), components)

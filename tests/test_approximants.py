@@ -287,3 +287,26 @@ def test_full_shift_bond_allocates_no_labels():
     gc.collect()
     assert len(gc.get_objects()) - before < 1000
     assert (bond.domain.ne, bond.codomain.ne) == (2 ** 17, 2 ** 15)
+
+
+def test_maps_join_only_graphs_indexed_alike():
+    from laminate.branched_graph import CellularMap, compose, compose_germs, germ_map, identity_map
+    from laminate.inverse_system import InverseSystem
+
+    oracle = SHIFTS["sft3"]()  # alphabet z, y, x: rank order is not repr order
+    bond, reference = bonding_map(oracle, 1), reference_approximant(oracle, 2)
+    level = bond.domain
+    assert level == reference and not level.indexed_alike(reference)
+    assert level.indexed_alike(build_approximant(oracle, 2).graph)
+    same_cells = ({v: v for v in level.vertex_ids}, {e: ((e, 1),) for e in level.edge_ids})
+    into_level, onto_reference = CellularMap(reference, level, *same_cells), identity_map(reference)
+    expected = reference_drop_one_letter(reference, reference_approximant(oracle, 1))
+    assert compose(bond, into_level).edge_map == expected.edge_map
+    for join in (lambda: compose(bond, onto_reference),
+                 lambda: compose_germs(germ_map(bond), germ_map(onto_reference))):
+        with pytest.raises(ValueError, match="indexed alike"):
+            join()
+    with pytest.raises(ValueError, match="does not join"):
+        InverseSystem.from_lists([bond.codomain, reference], [bond]).bond(0)
+    with pytest.raises(ValueError, match="self-map"):
+        InverseSystem.stationary(CellularMap(level, reference, *same_cells))
