@@ -44,11 +44,12 @@ def _same(x: np.ndarray, y: np.ndarray) -> bool:
     return x.tobytes() == y.tobytes()
 
 
-def _stand_ins(keys: np.ndarray, n: int) -> np.ndarray:
-    """For each position, one fixed position that holds the same key (< n)."""
-    first = np.empty(n, dtype=np.int64)
-    first[keys] = np.arange(len(keys))  # of repeated keys, one position wins
-    return first[keys]
+def _one_per_key(keys: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``values`` with the entries of each key (< n) replaced by one of them,
+    so equal to ``values`` exactly where every key holds a single value."""
+    table = np.empty(n, dtype=values.dtype)
+    table[keys] = values  # of repeated keys, one position wins
+    return table[keys]
 
 
 class BranchedGraph(Graph):
@@ -66,14 +67,15 @@ class BranchedGraph(Graph):
         if set(sides) != set(self.vertex_ids):
             raise ValueError("sides must be given for exactly the vertex set")
         index = dict(zip(itertools.product(self.edge_ids, (SRC, DST)), itertools.count()))
-        home, side = self.half_vertex.tolist(), [-1] * len(index)
+        ends, side = (self.esrc.tolist(), self.edst.tolist()), [-1] * len(index)
         for v, halves in sides.items():
+            at = self.vertex_index(v)
             for bit, half_edges in enumerate(halves):
                 for h in half_edges:
                     i = index.get(h, -1)
-                    if i < 0 or side[i] >= 0 or home[i] != self.vertex_index(v):
+                    if i < 0 or side[i] >= 0 or ends[i & 1][i >> 1] != at:
                         problem = ("of unknown edge" if i < 0 else "on both sides" if side[i] >= 0
-                                   else f"belongs at vertex {self.vertex_ids[home[i]]!r}")
+                                   else f"belongs at vertex {self.vertex_ids[ends[i & 1][i >> 1]]!r}")
                         raise ValueError(f"vertex {v!r}: half-edge {h!r} {problem}")
                     side[i] = bit
         if -1 in side:
@@ -96,7 +98,9 @@ class BranchedGraph(Graph):
     @cached_property
     def half_vertex(self) -> np.ndarray:
         """Vertex index of every half-edge."""
-        return np.stack([self.esrc, self.edst], axis=1).reshape(-1)
+        ends = np.empty(2 * self.ne, dtype=np.int64)
+        ends[0::2], ends[1::2] = self.esrc, self.edst
+        return ends
 
     @cached_property
     def _slot(self) -> np.ndarray:
@@ -106,12 +110,7 @@ class BranchedGraph(Graph):
     @cached_property
     def _leader(self) -> np.ndarray:
         """For each half-edge, one fixed half-edge on its side of its vertex."""
-        return _stand_ins(self._slot, 2 * self.nv)
-
-    @cached_property
-    def _vertex_leader(self) -> np.ndarray:
-        """For each half-edge, one fixed half-edge at its vertex."""
-        return _stand_ins(self.half_vertex, self.nv)
+        return _one_per_key(self._slot, np.arange(2 * self.ne), 2 * self.nv)
 
     def _half_edge_index(self, h: HalfEdge) -> int:
         try:
@@ -308,11 +307,12 @@ def validate_map(f: CellularMap) -> list[str]:
     # side coherence: side A's images lie on one side of the image vertex and
     # side B's on the other, so image side XOR side is constant per vertex
     turn = h.side[image] ^ g.side
-    if _same(turn[g._vertex_leader], turn):
+    one_turn = _one_per_key(g.half_vertex, turn, g.nv)
+    if _same(one_turn, turn):
         return []
     return [f"vertex {g.vertex_ids[v]!r}: sides A and B do not map onto opposite sides of "
             f"{f.vertex_map[g.vertex_ids[v]]!r}"
-            for v in np.unique(g.half_vertex[turn[g._vertex_leader] != turn]).tolist()]
+            for v in np.unique(g.half_vertex[one_turn != turn]).tolist()]
 
 
 def half_edge_image(f: CellularMap, h: HalfEdge) -> HalfEdge:

@@ -30,15 +30,15 @@ _BLOCK = 1 << 17
 
 def index_edges(vertices, edges: Mapping) -> tuple:
     """``(vertex_ids, edge_ids, esrc, edst)`` for labelled cells, ids in
-    ``repr`` order; a ValueError names an edge with an unknown endpoint."""
+    ``repr`` order and endpoints as lists of vertex indices; a ValueError
+    names an edge with an unknown endpoint."""
     vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
     vidx = {v: i for i, v in enumerate(vertex_ids)}
     ends = [vidx.get(edges[e][end], -1) for e in edge_ids for end in (0, 1)]
     if -1 in ends:
         e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
         raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    return vertex_ids, edge_ids, ends[:, 0], ends[:, 1]
+    return vertex_ids, edge_ids, ends[0::2], ends[1::2]
 
 
 class Graph:
