@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .coverings import Graph, index_edges
+from .coverings import Graph
 
 HalfEdge = tuple  # (edge_id, "+" | "-")
 SRC, DST = "+", "-"
@@ -63,7 +63,7 @@ class BranchedGraph(Graph):
     """
 
     def __init__(self, vertices, edges: Mapping, sides: Mapping):
-        Graph.__init__(self, *index_edges(vertices, edges))
+        self._set_labelled_cells(vertices, edges)
         if set(sides) != set(self.vertex_ids):
             raise ValueError("sides must be given for exactly the vertex set")
         index = dict(zip(itertools.product(self.edge_ids, (SRC, DST)), itertools.count()))
@@ -102,7 +102,7 @@ class BranchedGraph(Graph):
         ends[0::2], ends[1::2] = self.esrc, self.edst
         return ends
 
-    @cached_property
+    @property
     def _slot(self) -> np.ndarray:
         """2 * vertex + side bit of every half-edge."""
         return 2 * self.half_vertex + self.side

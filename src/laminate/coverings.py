@@ -28,19 +28,6 @@ Step = tuple  # (edge_id, +1 | -1)
 _BLOCK = 1 << 17
 
 
-def index_edges(vertices, edges: Mapping) -> tuple:
-    """``(vertex_ids, edge_ids, esrc, edst)`` for labelled cells, ids in
-    ``repr`` order and endpoints as lists of vertex indices; a ValueError
-    names an edge with an unknown endpoint."""
-    vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
-    vidx = {v: i for i, v in enumerate(vertex_ids)}
-    ends = [vidx.get(edges[e][end], -1) for e in edge_ids for end in (0, 1)]
-    if -1 in ends:
-        e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
-        raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
-    return vertex_ids, edge_ids, ends[0::2], ends[1::2]
-
-
 class Graph:
     """Directed multigraph with indexed cells.
 
@@ -51,21 +38,39 @@ class Graph:
 
     def __init__(self, vertex_ids: Sequence, edge_ids: Sequence,
                  esrc: np.ndarray, edst: np.ndarray):
-        self.vertex_ids = vertex_ids
-        self.edge_ids = edge_ids
-        self.esrc = np.asarray(esrc, dtype=np.int64)
-        self.edst = np.asarray(edst, dtype=np.int64)
+        self._set_cells(vertex_ids, edge_ids, esrc, edst)
         if len(self.esrc) != len(edge_ids) or len(self.edst) != len(edge_ids):
             raise ValueError("endpoint arrays must match the edge count")
         if len(edge_ids) and (self.esrc.max(initial=-1) >= len(vertex_ids)
                               or self.edst.max(initial=-1) >= len(vertex_ids)):
             raise ValueError("endpoint index out of range")
+
+    def _set_cells(self, vertex_ids: Sequence, edge_ids: Sequence, esrc, edst):
+        self.vertex_ids = vertex_ids
+        self.edge_ids = edge_ids
+        self.esrc = np.asarray(esrc, dtype=np.int64)
+        self.edst = np.asarray(edst, dtype=np.int64)
         self._vindex: Optional[dict] = None
         self._eindex: Optional[dict] = None
 
+    def _set_labelled_cells(self, vertices, edges: Mapping):
+        """Index labelled cells in ``repr`` order of their ids; a ValueError
+        names an edge with an unknown endpoint.  The endpoint indices come
+        from the vertex index, so they need no range check."""
+        vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
+        vidx = {v: i for i, v in enumerate(vertex_ids)}
+        ends = [vidx.get(edges[e][end], -1) for e in edge_ids for end in (0, 1)]
+        if -1 in ends:
+            e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
+            raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
+        self._set_cells(vertex_ids, edge_ids, ends[0::2], ends[1::2])
+        self._vindex = vidx
+
     @classmethod
     def from_edges(cls, vertices: Sequence, edges: Mapping) -> "Graph":
-        return cls(*index_edges(vertices, edges))
+        g = cls.__new__(cls)
+        g._set_labelled_cells(vertices, edges)
+        return g
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
