@@ -41,7 +41,7 @@ def _field(data, key: str, kind=object, each=None):
     if not isinstance(value, kind):
         raise ValueError(f"{key!r} must be {_KIND[kind]}")
     entries = value.values() if isinstance(value, dict) else value
-    if each is not None and not all(isinstance(x, each) for x in entries):
+    if each is not None and not all(issubclass(t, each) for t in set(map(type, entries))):
         raise ValueError(f"every entry of {key!r} must be {_KIND[each]}")
     return value
 
