@@ -26,7 +26,7 @@ from .inverse_system import (
     is_flattening_system,
 )
 from .local_model import glue_classes
-from .profinite import delta_infinity_rep, element_from_point, metric, profinite_pow
+from .profinite import delta_infinity_rep, metric, profinite_pow
 from .subshift import LanguageOracle
 from .transversal import Cylinder
 

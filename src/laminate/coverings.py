@@ -10,12 +10,14 @@ and every column for bijectivity in bulk.  Towers stack coverings over a
 fixed base, carry a coherent thread of base points, and expose the
 composite coverings whose deck groups feed the profinite layer.
 
-The cell data lives in numpy index arrays so that the cyclic towers used
-for metric experiments stay fast at six-digit sizes.
+The cell data lives in numpy index arrays.  Cyclic towers answer threads,
+holonomy and the group law in closed form, at any depth, and build a
+level's graph only when it is read.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -173,16 +175,25 @@ class GraphMap:
                         self.vmap[inner.vmap], self.emap[inner.emap])
 
 
-@dataclass(frozen=True)
 class DeckElement:
-    """Automorphism of the total graph commuting with the covering map."""
+    """Automorphism of the total graph commuting with the covering map.
 
-    vperm: np.ndarray
-    eperm: np.ndarray
+    Held as its vertex permutation; the edge permutation, fixed by it
+    because lifts are unique, is derived from the covering on first read
+    unless given.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vperm", np.asarray(self.vperm, dtype=np.int64))
-        object.__setattr__(self, "eperm", np.asarray(self.eperm, dtype=np.int64))
+    def __init__(self, vperm: np.ndarray, eperm: Optional[np.ndarray] = None, *,
+                 covering: Optional["GraphCovering"] = None):
+        self.vperm = np.asarray(vperm, dtype=np.int64)
+        self._eperm = None if eperm is None else np.asarray(eperm, dtype=np.int64)
+        self._covering = covering
+
+    @property
+    def eperm(self) -> np.ndarray:
+        if self._eperm is None:
+            self._eperm = self._covering._edge_images(self.vperm)
+        return self._eperm
 
     def compose(self, other: "DeckElement") -> "DeckElement":
         """self after other."""
@@ -211,6 +222,7 @@ class GraphCovering:
         self._problems: Optional[list[str]] = None
         self._transport: dict[tuple[int, int], np.ndarray] = {}
         self._trees: dict[int, list] = {}
+        self._edge_key: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def total(self) -> Graph:
@@ -311,57 +323,68 @@ class GraphCovering:
 
     # -- deck group --------------------------------------------------------
 
-    def _deck_elements(self, t0: int, images: np.ndarray) -> tuple[list[int], list[DeckElement]]:
-        """The candidates t0 -> images[i] that extend to deck transformations.
-
-        Returns the surviving images and their elements, in candidate order.
-        Candidates propagate in blocks of columns of an image matrix (one row
-        per total vertex), so temporaries stay within ``_BLOCK`` entries.
-        Raises ``ValueError`` when the map is not a covering, where a step
-        could have two lifts.
-        """
+    def require_covering(self):
+        """Raise ``ValueError`` naming the first failed covering axiom;
+        the axioms are checked once per covering."""
         if self._problems is None:
             self._problems = self.validate(allow_degree_one=True)
         if self._problems:
             raise ValueError(f"not a covering: {self._problems[0]}")
+
+    def _edge_images(self, vimg: np.ndarray) -> np.ndarray:
+        """Edge images under vertex images ``vimg`` (one column per candidate
+        when 2-D): each edge goes to the lift of its base edge at its source's
+        image, read from the edges sorted by (source, base edge)."""
+        nb = max(self.base.ne, 1)
+        if self._edge_key is None:
+            key = self.total.esrc * nb + self.map.emap
+            order = np.argsort(key)
+            self._edge_key = (key[order], order)
+        key, order = self._edge_key
+        emap = self.map.emap if vimg.ndim == 1 else self.map.emap[:, None]
+        return order[np.searchsorted(key, vimg[self.total.esrc] * nb + emap)]
+
+    def _deck_elements(self, t0: int, images: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """The candidates t0 -> images[i] that extend to deck transformations.
+
+        Returns the surviving images and their vertex permutations, one row
+        each, in candidate order.  Candidates propagate in blocks of columns
+        of an image matrix (one row per total vertex), so temporaries stay
+        within ``_BLOCK`` entries.  Raises ``ValueError`` when the map is not
+        a covering, where a step could have two lifts.
+        """
+        self.require_covering()
         total, emap = self.total, self.map.emap
         if t0 not in self._trees:
             self._trees[t0] = [(u, self._step_transport(int(emap[e]), sign), w)
                                for u, e, sign, w in total.spanning_tree(t0)]
         steps = self._trees[t0]
-        # edges sorted by (source, base edge): the lift of a base edge at a vertex
-        nb = max(self.base.ne, 1)
-        key = total.esrc * nb + emap
-        order = np.argsort(key)
-        key = key[order]
         images = np.asarray(images, dtype=np.int64)
         images = images[self.map.vmap[images] == self.map.vmap[t0]]
         block = max(1, _BLOCK // max(total.nv, total.ne, 1))
-        orbit, elements = [], []
+        orbit = []
+        vperms = np.empty((len(images), total.nv), dtype=np.int64)
         for lo in range(0, len(images), block):
             cand = images[lo:lo + block]
             img = np.empty((total.nv, len(cand)), dtype=np.int64)
             img[t0] = cand
             for u, transport, w in steps:
                 img[w] = transport[img[u]]
-            # each edge goes to the lift of its base edge at its source's
-            # image, which must end at its target's image
-            eimg = order[np.searchsorted(key, img[total.esrc] * nb + emap[:, None])]
-            ok = (total.edst[eimg] == img[total.edst]).all(axis=0)
+            # each edge's image must end at its target's image
+            ok = (total.edst[self._edge_images(img)] == img[total.edst]).all(axis=0)
             # vertex images must be bijective; lifts being unique, the edge
             # images then are too
             cols = np.arange(len(cand)) * total.nv
             hits = np.bincount((img + cols).ravel(), minlength=len(cand) * total.nv)
             ok &= (hits.reshape(len(cand), total.nv) == 1).all(axis=1)
-            vperms, eperms = img.T[ok], eimg.T[ok]
+            vperms[len(orbit):len(orbit) + int(ok.sum())] = img.T[ok]
             orbit.extend(cand[ok].tolist())
-            elements.extend(DeckElement(v, e) for v, e in zip(vperms, eperms))
-        return orbit, elements
+        return orbit, vperms[:len(orbit)]
 
     def deck_transformation_from(self, t0: int, image: int) -> Optional[DeckElement]:
         """The deck transformation sending t0 to image, or None."""
-        _, elements = self._deck_elements(t0, [image])
-        return elements[0] if elements else None
+        _, vperms = self._deck_elements(t0, [image])
+        return DeckElement(vperms[0], covering=self) if len(vperms) else None
 
     def deck_group(self, base_vi: int = 0) -> "DeckGroup":
         """All deck transformations: every fiber point is a candidate image
@@ -370,8 +393,8 @@ class GraphCovering:
         if not len(fiber):
             raise ValueError("empty fiber; the map is not onto this vertex")
         t0 = int(fiber[0])
-        orbit, elements = self._deck_elements(t0, fiber)
-        return DeckGroup(self, tuple(elements), fiber, t0, tuple(orbit))
+        orbit, vperms = self._deck_elements(t0, fiber)
+        return DeckGroup(self, vperms, fiber, t0, tuple(orbit))
 
     def is_regular(self, base_vi: int = 0) -> "RegularityReport":
         return self.deck_group(base_vi).regularity()
@@ -387,26 +410,33 @@ class RegularityReport:
 
 @dataclass(frozen=True)
 class DeckGroup:
-    """Deck transformations of one covering, with the inspected fiber."""
+    """Deck transformations of one covering, with the inspected fiber.
+
+    ``vperms`` holds one vertex permutation per element, one row each.
+    """
 
     covering: GraphCovering
-    elements: tuple[DeckElement, ...]
+    vperms: np.ndarray
     fiber: np.ndarray
     basepoint: int
     orbit: tuple
 
+    @property
+    def elements(self) -> tuple[DeckElement, ...]:
+        return tuple(DeckElement(v, covering=self.covering) for v in self.vperms)
+
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.vperms)
 
     def is_free_and_transitive(self) -> bool:
-        images = sorted(int(d.vperm[self.basepoint]) for d in self.elements)
+        images = sorted(self.vperms[:, self.basepoint].tolist())
         return images == sorted(int(u) for u in self.fiber)
 
     def regularity(self) -> RegularityReport:
         return RegularityReport(
-            regular=len(self.elements) == len(self.fiber),
+            regular=self.order() == len(self.fiber),
             degree=len(self.fiber),
-            deck_order=len(self.elements),
+            deck_order=self.order(),
             orbit=self.orbit,
         )
 
@@ -416,7 +446,10 @@ class CoveringTower:
 
     The thread starts at ``base_vertex`` (default: the least vertex) and
     lifts deterministically (least-index lifts); every fiber, deck group and
-    identification is relative to it.
+    identification is relative to it.  A transversal point at depth k is a
+    coherent thread of fiber points, fixed by its level-k vertex:
+    :meth:`thread` projects it down, :meth:`loop_endpoint` lifts a base loop
+    to one and :meth:`deck_power` moves one by a deck transformation.
     """
 
     def __init__(self, coverings: Sequence[GraphCovering], *, base_vertex=None):
@@ -427,12 +460,14 @@ class CoveringTower:
             if upper.base is not lower.total and upper.base != lower.total:
                 raise ValueError("consecutive coverings do not stack")
         self.base = self.coverings[0].base
-        x1 = 0 if base_vertex is None else self.base.vertex_index(base_vertex)
+        self._start(0 if base_vertex is None else self.base.vertex_index(base_vertex))
+
+    def _start(self, x1: int):
         self._thread = [x1]
         self._composites: dict[tuple[int, int], GraphMap] = {}
         self._composite_covers: dict[tuple[int, int], GraphCovering] = {}
         self._fibers: dict[int, np.ndarray] = {}
-        self._fiber_positions: dict[int, np.ndarray] = {}
+        self._fiber_positions: dict[int, Sequence[int]] = {}
 
     @property
     def depth(self) -> int:
@@ -443,6 +478,10 @@ class CoveringTower:
         if not 1 <= k <= self.depth:
             raise ValueError(f"level {k} is outside the tower's levels 1..{self.depth}")
 
+    def _check_bond(self, k: int):
+        if not 2 <= k <= self.depth:
+            raise ValueError(f"covering {k} is outside the tower's coverings 2..{self.depth}")
+
     def graph(self, k: int) -> Graph:
         self._check_level(k)
         if k == 1:
@@ -451,8 +490,7 @@ class CoveringTower:
 
     def covering(self, k: int) -> GraphCovering:
         """The bonding covering f_k : S_k -> S_{k-1}, for k >= 2."""
-        if not 2 <= k <= self.depth:
-            raise ValueError(f"covering {k} is outside the tower's coverings 2..{self.depth}")
+        self._check_bond(k)
         return self.coverings[k - 2]
 
     def composite_map(self, k: int, k0: int) -> GraphMap:
@@ -503,7 +541,7 @@ class CoveringTower:
             self._fibers[k] = fiber
         return self._fibers[k]
 
-    def fiber_position(self, k: int) -> np.ndarray:
+    def fiber_position(self, k: int) -> Sequence[int]:
         """Per level-k vertex, its index in ``fiber(k)``; -1 off the fiber."""
         if k not in self._fiber_positions:
             fiber = self.fiber(k)
@@ -513,20 +551,45 @@ class CoveringTower:
             self._fiber_positions[k] = pos
         return self._fiber_positions[k]
 
-    def deck_fiber_perm_from_point(self, k: int, target_vi: int) -> np.ndarray:
-        """Fiber action of the deck element of f_{k,1} sending x_k there.
+    def thread(self, k: int, top: int) -> tuple[int, ...]:
+        """Vertices at levels 1..k of the thread through the level-k vertex
+        ``top``, each the image of the one above under the bond; ``top``
+        must lie over x_1."""
+        self._check_level(k)
+        top = operator.index(top)
+        if not 0 <= top < self.graph(k).nv:
+            raise ValueError(f"vertex {top} is outside level {k}")
+        points = [top]
+        for j in range(k, 1, -1):
+            points.append(int(self.covering(j).map.vmap[points[-1]]))
+        if points[-1] != self.base_point(1):
+            raise ValueError(f"vertex {top} of level {k} does not lie over the base point")
+        return tuple(reversed(points))
 
-        Regularity makes the element unique; the permutation is returned
-        over fiber positions.
-        """
-        if k == 1:
-            return np.zeros(1, dtype=np.int64)
+    def loop_endpoint(self, loop: Sequence[Step], k: int) -> int:
+        """Where the lift of a base loop from x_k ends, lifted once through
+        f_{k,1}; raises ``ValueError`` when that composite is not a
+        covering."""
         cov = self.composite_covering(k, 1)
-        deck = cov.deck_transformation_from(self.base_point(k), target_vi)
+        cov.require_covering()
+        cov.check_loop(loop, self.base_point(1))
+        return int(cov.lift([self.base_point(k)], loop)[0])
+
+    def deck_power(self, k: int, target: int, n: int, point: int) -> int:
+        """Image of the level-k vertex ``point`` under g^n, where g is the
+        deck transformation of f_{k,1} sending x_k to ``target``; raises
+        ``ValueError`` when there is none."""
+        deck = self.composite_covering(k, 1).deck_transformation_from(self.base_point(k), target)
         if deck is None:
             raise ValueError("no deck element reaches that fiber point")
-        fiber = self.fiber(k)
-        return self.fiber_position(k)[deck.vperm[fiber]]
+        perm = deck.vperm if n >= 0 else np.argsort(deck.vperm)
+        n = abs(n)
+        while n:
+            if n & 1:
+                point = int(perm[point])
+            perm = perm[perm]
+            n >>= 1
+        return point
 
     def generator_monodromies(self, k: int) -> dict:
         """Monodromy fiber permutation of each base edge at level k."""
@@ -541,18 +604,24 @@ class CoveringTower:
         return self.composite_covering(k, 1).is_regular(self.base_point(1))
 
 
-def cyclic_tower(degrees: Sequence[int], **kw) -> "CyclicTower":
-    return CyclicTower(degrees, **kw)
+def cyclic_tower(degrees: Sequence[int]) -> "CyclicTower":
+    return CyclicTower(degrees)
 
 
 class CyclicTower(CoveringTower):
     """Tower of cycle graphs C_1 <- C_{d_1} <- C_{d_1 d_2} <- ...
 
-    Deck groups are rotation groups; the structural shortcuts below are
-    verified, not assumed (see :meth:`verify_rotation_witness`).
+    Closed form: vertex i of level k is the residue i mod n_k, bonds reduce
+    residues mod the order below, a base loop lifts by its winding number
+    and the deck transformations are the rotations.  Threads, holonomy and
+    the group law therefore cost O(K) integer operations at any depth.
+    Each level's cycle graph and bond is built on the first read of
+    :meth:`graph` or :meth:`covering`, once, and shared, so deck groups and
+    composites see real graphs; the closed form is verified on them, not
+    assumed (see :meth:`verify_rotation_witness`).
     """
 
-    def __init__(self, degrees: Sequence[int], **kw):
+    def __init__(self, degrees: Sequence[int]):
         degrees = list(degrees)
         if any(d < 1 for d in degrees):
             raise ValueError("covering degrees must be positive")
@@ -561,17 +630,65 @@ class CyclicTower(CoveringTower):
         for d in degrees:
             sizes.append(sizes[-1] * d)
         self.sizes = sizes  # sizes[k-1] = order of level k
-        graphs = [Graph.cycle(n) for n in sizes]  # one per level, shared by its bonds
-        coverings = []
-        for lower, upper in zip(graphs, graphs[1:]):
-            idx = np.arange(upper.nv, dtype=np.int64)
-            coverings.append(GraphCovering(GraphMap(upper, lower, idx % lower.nv, idx % lower.nv)))
-        super().__init__(coverings, **kw)
+        self._graphs: dict[int, Graph] = {}
+        self._bonds: dict[int, GraphCovering] = {}
+        self._start(0)
 
-    def deck_fiber_perm_from_point(self, k: int, target_vi: int) -> np.ndarray:
-        n = self.sizes[k - 1]
-        r = (target_vi - self.base_point(k)) % n
-        return (np.arange(n, dtype=np.int64) + r) % n
+    @property
+    def depth(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def base(self) -> Graph:
+        return self.graph(1)
+
+    def graph(self, k: int) -> Graph:
+        self._check_level(k)
+        if k not in self._graphs:
+            self._graphs[k] = Graph.cycle(self.sizes[k - 1])
+        return self._graphs[k]
+
+    def covering(self, k: int) -> GraphCovering:
+        self._check_bond(k)
+        if k not in self._bonds:
+            upper, lower = self.graph(k), self.graph(k - 1)
+            idx = np.arange(upper.nv, dtype=np.int64) % lower.nv
+            self._bonds[k] = GraphCovering(GraphMap(upper, lower, idx, idx))
+        return self._bonds[k]
+
+    def base_point(self, k: int) -> int:
+        """x_k: the least lift of x_{k-1} is x_{k-1} itself."""
+        self._check_level(k)
+        return self._thread[min(k, len(self._thread)) - 1]
+
+    def fiber(self, k: int) -> np.ndarray:
+        """Every vertex of level k, all over the one base vertex (read-only)."""
+        if k not in self._fibers:
+            self._check_level(k)
+            fiber = np.arange(self.sizes[k - 1], dtype=np.int64)
+            fiber.setflags(write=False)
+            self._fibers[k] = fiber
+        return self._fibers[k]
+
+    def fiber_position(self, k: int) -> Sequence[int]:
+        """The identity on level k's vertices, as a range."""
+        self._check_level(k)
+        return self._fiber_positions.setdefault(k, range(self.sizes[k - 1]))
+
+    def thread(self, k: int, top: int) -> tuple[int, ...]:
+        self._check_level(k)
+        top = operator.index(top)
+        if not 0 <= top < self.sizes[k - 1]:
+            raise ValueError(f"vertex {top} is outside level {k}")
+        return tuple(top % n for n in self.sizes[:k])
+
+    def loop_endpoint(self, loop: Sequence[Step], k: int) -> int:
+        for edge, _ in loop:
+            self.base.edge_index(edge)  # a KeyError names an unknown edge
+        return (self.base_point(k) + sum(sign for _, sign in loop)) % self.sizes[k - 1]
+
+    def deck_power(self, k: int, target: int, n: int, point: int) -> int:
+        return (point + n * (target - self.base_point(k))) % self.sizes[k - 1]
 
     def verify_rotation_witness(self, k: int) -> bool:
         """Check that rotation by 1 is deck and acts transitively at level k.
@@ -588,5 +705,5 @@ class CyclicTower(CoveringTower):
                        and np.array_equal(g.edst[rot], rot[g.edst]))
         commutes = (np.array_equal(m.vmap[rot], m.vmap)
                     and np.array_equal(m.emap[rot], m.emap))
-        transitive = len(self.fiber(k)) == n
+        transitive = int(np.count_nonzero(m.vmap == self.base_point(1))) == n
         return bool(automorphic and commutes and transitive)

@@ -1,15 +1,20 @@
 """Truncated profinite arithmetic on covering-tower transversals.
 
-An element of the transversal group at depth K is a coherent tuple of deck
-transformations of the composite coverings f_{k,1}, k = 1..K, stored as
-permutations of the base-point fiber.  Regularity makes that restriction
-faithful (the action is free and transitive), so composition, inversion
-and equality of components happen on fiber permutations, and the whole
-tuple is pinned down by the images of the base thread.
+A point of the transversal at depth K is a coherent thread of fiber points
+over the base point, one vertex per level 1..K.  The thread is fixed by its
+level-K point; each lower entry is the image of the one above under the
+bond, so an incoherent thread cannot be built.  A base loop acts by lifting
+once at level K and projecting down, which needs no deck group, so the
+monodromy representation and the metric answer on every covering tower.
+
+On a regular tower the threads form the profinite group: the deck
+transformation of f_{K,1} sending x_K to a thread's top point acts on the
+top points of the others, which gives products, inverses and powers.
+Cyclic towers answer all of this in closed form (see ``CyclicTower``).
 
 The transverse metric is the truncated product metric: sum over levels
-k >= 2 of 2^{-k} times the discrete distance between the level-k
-components, an exact rational with truncation error below 2^{-K}.
+k >= 2 of 2^{-k} times the discrete distance between the level-k entries,
+an exact rational with truncation error below 2^{-K}.
 """
 
 from __future__ import annotations
@@ -24,58 +29,40 @@ from .coverings import CoveringTower, Step
 
 
 class ProfiniteElement:
-    """Coherent tuple of deck elements, one per level 1..depth."""
+    """Coherent thread of fiber points through the level-``depth`` vertex
+    ``top``; raises ``ValueError`` when ``top`` is off the tower's fiber."""
 
-    def __init__(self, tower: CoveringTower, components: Sequence[np.ndarray],
-                 *, check: bool = True):
+    def __init__(self, tower: CoveringTower, depth: int, top: int):
         self.tower = tower
-        self.components = [np.asarray(c, dtype=np.int64) for c in components]
-        if check:
-            self.validate()
+        self.points = tower.thread(depth, top)
 
     @property
     def depth(self) -> int:
-        return len(self.components)
+        return len(self.points)
 
-    def component(self, k: int) -> np.ndarray:
-        """Fiber permutation of the level-k deck element (1-based)."""
-        return self.components[k - 1]
+    @property
+    def top(self) -> int:
+        return self.points[-1]
+
+    @property
+    def components(self) -> tuple[tuple[int], ...]:
+        """Per level, the one-entry tuple of its thread point."""
+        return tuple((p,) for p in self.points)
 
     def basepoint_image(self, k: int) -> int:
-        """Fiber position of the image of the thread point x_k."""
-        tower = self.tower
-        pos = tower.fiber_position(k)[tower.base_point(k)]
-        return int(self.component(k)[pos])
-
-    def validate(self):
-        tower = self.tower
-        for k in range(1, self.depth + 1):
-            fiber = tower.fiber(k)
-            if len(self.component(k)) != len(fiber):
-                raise ValueError(f"component {k} is not a fiber permutation")
-        # coherence: pushing the level-k image of x_k down one covering
-        # must land on the level-(k-1) image of x_{k-1}
-        for k in range(2, self.depth + 1):
-            here = tower.fiber(k)[self.basepoint_image(k)]
-            pushed = int(tower.covering(k).map.vmap[here])
-            below = tower.fiber(k - 1)[self.basepoint_image(k - 1)]
-            if pushed != below:
-                raise ValueError(f"components {k} and {k - 1} are incoherent")
+        """Fiber position of the level-k entry, the image of x_k."""
+        return int(self.tower.fiber_position(k)[self.points[k - 1]])
 
     def truncate(self, depth: int) -> "ProfiniteElement":
         if not 1 <= depth <= self.depth:
             raise ValueError("truncation depth out of range")
-        return ProfiniteElement(self.tower, self.components[:depth], check=False)
+        return ProfiniteElement(self.tower, depth, self.points[depth - 1])
 
     def __eq__(self, other):
         return (
             isinstance(other, ProfiniteElement)
             and self.tower is other.tower
-            and self.depth == other.depth
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.components, other.components)
-            )
+            and self.points == other.points
         )
 
     __hash__ = None
@@ -93,34 +80,27 @@ def _require_compatible(x: ProfiniteElement, y: ProfiniteElement):
 
 
 def profinite_id(tower: CoveringTower, depth: int) -> ProfiniteElement:
-    comps = [np.arange(len(tower.fiber(k))) for k in range(1, depth + 1)]
-    return ProfiniteElement(tower, comps, check=False)
+    return ProfiniteElement(tower, depth, tower.base_point(depth))
 
 
 def profinite_mul(x: ProfiniteElement, y: ProfiniteElement) -> ProfiniteElement:
-    """Componentwise composition (x after y)."""
+    """Composition x after y: x's deck transformation applied to y's thread.
+
+    Raises ``ValueError`` when no deck transformation of f_{K,1} reaches x's
+    top point, as on a tower that is not regular.
+    """
     _require_compatible(x, y)
-    comps = [a[b] for a, b in zip(x.components, y.components)]
-    return ProfiniteElement(x.tower, comps, check=False)
+    return ProfiniteElement(x.tower, x.depth, x.tower.deck_power(x.depth, x.top, 1, y.top))
 
 
 def profinite_inv(x: ProfiniteElement) -> ProfiniteElement:
-    return ProfiniteElement(
-        x.tower, [np.argsort(c) for c in x.components], check=False
-    )
+    tower, k = x.tower, x.depth
+    return ProfiniteElement(tower, k, tower.deck_power(k, x.top, -1, tower.base_point(k)))
 
 
 def profinite_pow(x: ProfiniteElement, n: int) -> ProfiniteElement:
-    if n < 0:
-        return profinite_pow(profinite_inv(x), -n)
-    out = profinite_id(x.tower, x.depth)
-    square = x
-    while n:
-        if n & 1:
-            out = profinite_mul(out, square)
-        square = profinite_mul(square, square)
-        n >>= 1
-    return out
+    tower, k = x.tower, x.depth
+    return ProfiniteElement(tower, k, tower.deck_power(k, x.top, n, tower.base_point(k)))
 
 
 @dataclass(frozen=True)
@@ -140,56 +120,37 @@ class TransverseMetricValue:
 
 
 def metric(x: ProfiniteElement, y: ProfiniteElement) -> TransverseMetricValue:
-    """Sum of 2^{-k} over the levels 2..K where the components differ.
+    """Sum of 2^{-k} over the levels 2..K where the thread entries differ.
 
-    Components are compared through their base-point images, which is
-    faithful because deck groups of regular coverings act freely on the
-    fiber.  Coherence makes the indicator monotone in k, so the true value
-    exceeds the partial sum by at most 2^{-K}.
+    Coherence makes the indicator monotone in k, so the true value exceeds
+    the partial sum by at most 2^{-K}.
     """
     _require_compatible(x, y)
     if x.depth < 2:
         raise ValueError("the metric needs depth at least 2")
-    total = Fraction(0)
-    for k in range(2, x.depth + 1):
-        if x.basepoint_image(k) != y.basepoint_image(k):
-            total += Fraction(1, 2 ** k)
-    return TransverseMetricValue(total, x.depth)
+    depth = x.depth
+    total = sum(1 << (depth - k) for k in range(2, depth + 1)
+                if x.points[k - 1] != y.points[k - 1])
+    return TransverseMetricValue(Fraction(total, 1 << depth), depth)
 
 
 def element_from_point(tower: CoveringTower, depth: int, fiber_pos: int) -> ProfiniteElement:
-    """The coherent element whose top component sends x_K to fiber_pos.
-
-    Lower components are forced: push the chosen fiber point down the
-    coverings and take the unique deck element reaching it.
-    """
-    points = {depth: int(tower.fiber(depth)[fiber_pos])}
-    for k in range(depth, 1, -1):
-        points[k - 1] = int(tower.covering(k).map.vmap[points[k]])
-    comps = [
-        tower.deck_fiber_perm_from_point(k, points.get(k, tower.base_point(1)))
-        for k in range(1, depth + 1)
-    ]
-    return ProfiniteElement(tower, comps)
+    """The thread whose level-``depth`` point is the fiber point at fiber_pos."""
+    return ProfiniteElement(tower, depth, tower.fiber(depth)[fiber_pos])
 
 
 def delta_infinity_rep(tower: CoveringTower, loop: Sequence[Step], depth: int) -> ProfiniteElement:
-    """Monodromy representation of a base loop as a coherent deck tuple.
+    """Monodromy representation of a base loop as a coherent thread.
 
-    At each level the loop lifts from the thread point; the deck element
-    reaching the lift's endpoint is the level-k component.  Concatenation
-    of loops goes to composition, so words in base loops represent the
-    dense finitely-generated subgroup of the transversal group.
+    The loop lifts once from x_K at level K, and the thread through the
+    lift's endpoint is the representation.  Concatenation of loops goes to
+    composition on regular towers, so words in base loops represent the
+    dense finitely-generated subgroup of the transversal group.  Raises
+    ``ValueError`` when f_{K,1} is not a covering.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    comps = []
-    for k in range(1, depth + 1):
-        cov = tower.composite_covering(k, 1)
-        cov.check_loop(loop, tower.base_point(1))
-        endpoint = int(cov.lift([tower.base_point(k)], loop)[0])
-        comps.append(tower.deck_fiber_perm_from_point(k, endpoint))
-    return ProfiniteElement(tower, comps)
+    return ProfiniteElement(tower, depth, tower.loop_endpoint(loop, depth))
 
 
 class QuotientHom:
@@ -207,15 +168,11 @@ class QuotientHom:
         self.tower = tower
         self.k = k
 
-    def apply_fiber_perm(self, perm: np.ndarray) -> np.ndarray:
-        tower, k = self.tower, self.k
-        pos = tower.fiber_position(k)[tower.base_point(k)]
-        here = int(tower.fiber(k)[perm[pos]])
-        pushed = int(tower.covering(k).map.vmap[here])
-        return tower.deck_fiber_perm_from_point(k - 1, pushed)
-
-    def apply(self, x: ProfiniteElement) -> np.ndarray:
-        return self.apply_fiber_perm(x.component(self.k))
+    def apply(self, x: ProfiniteElement) -> ProfiniteElement:
+        """The image of x, at depth at least k, as an element of depth k-1."""
+        if x.depth < self.k:
+            raise ValueError(f"the element needs depth at least {self.k}")
+        return x.truncate(self.k - 1)
 
     def verify(self) -> dict:
         """Check hom/surjectivity/kernel on both enumerated deck groups.
@@ -231,8 +188,7 @@ class QuotientHom:
         upper = tower.composite_covering(k, 1).deck_group(tower.base_point(1))
         lower = tower.composite_covering(k - 1, 1).deck_group(tower.base_point(1))
         xu, xl = tower.base_point(k), tower.base_point(k - 1)
-        vu = np.array([d.vperm for d in upper.elements])
-        vl = np.array([d.vperm for d in lower.elements])
+        vu, vl = upper.vperms, lower.vperms
         up, low = vu[:, xu], vl[:, xl]  # each element's image of the base point
         upper_at = -np.ones(tower.graph(k).nv, dtype=np.int64)
         upper_at[up] = np.arange(len(vu))

@@ -1,6 +1,7 @@
 """The traced benchmark patches library names; they must all still exist."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from laminate import approximants, coverings, profinite
@@ -42,3 +43,18 @@ def test_traced_bond_builds_no_validated_cellular_map():
     assert "inverse_system.bond" in tracer.ids and "approximants.build" in tracer.ids
     assert "branched_graph.cellular_map" not in tracer.ids
     assert tracer.counts["approximants.cells_built"] == (16 + 32) + (64 + 128)
+
+
+def test_traced_rep_stores_one_int_per_level(tmp_path, capsys):
+    from laminate import cli
+
+    tower = tmp_path / "dyadic.json"
+    tower.write_text(json.dumps({"circle_degrees": [2] * 19}))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["rep", "--tower", str(tower), "--loop", "0 0 -0", "--depth", "20"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.endswith(f"orbit {[0] + [1] * 19}\n")
+    assert tracer.counts["profinite.component_ints"] == 20

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -386,6 +391,76 @@ def test_cyclic_tower_commands_never_compare_graphs(files, monkeypatch, capsys):
         "d(x, y) = 15/256 (truncated at depth 8, tail below 1/256)",
         "level 6: degree 32, deck order 32, regular: True",
     ]
+
+
+def _cyclic_metric(sizes, x, y):
+    total = sum((Fraction(1, 2 ** k) for k in range(2, len(sizes) + 1) if (x - y) % sizes[k - 1]),
+                Fraction(0))
+    return formats.format_fraction(total)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rep_and_metric_at_depth_60(d, tmp_path):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"circle_degrees": [d] * 59}))
+    report = tmp_path / "report.json"
+    sizes = [d ** (k - 1) for k in range(1, 61)]
+    rng = Random(d)
+
+    def ask(*argv):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--report", str(report), *argv, "--tower", str(tower), "--depth", "60"]) == 0
+        assert time.perf_counter() - start < 0.05
+        return json.loads(report.read_text())["data"]
+
+    for _ in range(4):
+        word = [rng.choice(["0", "-0"]) for _ in range(rng.randrange(1, 9))]
+        w = word.count("0") - word.count("-0")
+        assert ask("rep", f"--loop={' '.join(word)}")["orbit"] == [w % n for n in sizes]
+        x = rng.randrange(-(d ** 70), d ** 70)
+        y = x + rng.randrange(1, 100) * d ** rng.randrange(60)
+        data = ask("metric", f"--x={x}", f"--y={y}")
+        assert data["metric"] == _cyclic_metric(sizes, x, y) != "0"
+        assert data["error_bound"] == f"1/{2 ** 60}"
+
+
+def test_rep_and_metric_build_no_level_graph(tmp_path, monkeypatch, capsys):
+    from laminate.coverings import Graph
+
+    original = Graph.cycle.__func__
+
+    def refuse(cls, n):
+        if n > 1:
+            raise AssertionError(f"cycle graph of {n} vertices built")
+        return original(cls, n)
+
+    monkeypatch.setattr(Graph, "cycle", classmethod(refuse))
+    tower = tmp_path / "dyadic.json"
+    tower.write_text(json.dumps({"circle_degrees": [2] * 19}))
+    assert main(["rep", "--tower", str(tower), "--loop", "0 0 0", "--depth", "20"]) == 0
+    assert main(["metric", "--tower", str(tower), "--x", "3", "--y", "11", "--depth", "20"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"representation of loop '0 0 0': base-point orbit {[0, 1] + [3] * 18}",
+        f"d(x, y) = {_cyclic_metric([2 ** k for k in range(20)], 3, 11)} "
+        f"(truncated at depth 20, tail below 1/{2 ** 20})",
+    ]
+
+
+def test_rep_refuses_a_tower_that_is_not_a_covering(tmp_path, capsys):
+    # vertex 0 has two out-edges over the base loop a, vertex 1 none
+    level = {"total": {"vertices": ["0", "1"], "edges": [{"id": "a0", "src": "0", "dst": "0"},
+                                                       {"id": "a1", "src": "0", "dst": "1"}]},
+             "vertex_map": {"0": "w", "1": "w"}, "edge_map": {"a0": "a", "a1": "a"}}
+    tower = tmp_path / "tower.json"
+    base = {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"}]}
+    tower.write_text(json.dumps({"base": base, "levels": [level]}))
+    report = tmp_path / "report.json"
+    assert main(["--report", str(report), "rep", "--tower", str(tower), "--loop", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a covering: two out-edges at one vertex share a base edge\n"
+    assert json.loads(report.read_text())["data"]["error"].startswith("not a covering: ")
 
 
 def test_one_parser_serves_every_call(files, capsys):

@@ -413,10 +413,12 @@ def test_cyclic_tower_builds_one_graph_per_level(monkeypatch):
 
     monkeypatch.setattr(Graph, "cycle", classmethod(counting))
     tower = cyclic_tower([2] * 6)
-    assert built == [2 ** i for i in range(7)]
+    assert built == []  # construction builds no level
     for k in range(3, tower.depth + 1):
         assert tower.covering(k).base is tower.covering(k - 1).total
         assert tower.graph(k) is tower.covering(k).total
+    assert tower.graph(1) is tower.base is tower.covering(2).base
+    assert sorted(built) == [2 ** i for i in range(7)]  # each level built once
 
 
 def test_tower_graph_and_covering_bounds():

@@ -94,11 +94,19 @@ def test_mixed_tower_matches_mixed_moduli(mixed):
 
 
 def test_coherence_validated(dyadic):
-    gen = generator(dyadic, 6)
-    broken = [c.copy() for c in profinite_pow(gen, 3).components]
-    broken[5] = np.roll(broken[5], 1)
-    with pytest.raises(ValueError):
-        ProfiniteElement(dyadic, broken)
+    # a thread is fixed by its top point, so an out-of-range top is all that
+    # can be wrong
+    assert profinite_pow(generator(dyadic, 6), 3).points == (0, 1, 3, 3, 3, 3)
+    for top in (-1, 32, 10 ** 30):
+        with pytest.raises(ValueError, match="outside level 6"):
+            ProfiniteElement(dyadic, 6, top)
+    idx = np.arange(4) % 2
+    over_a_cycle = CoveringTower([GraphCovering(GraphMap(Graph.cycle(4), Graph.cycle(2), idx, idx))])
+    assert ProfiniteElement(over_a_cycle, 2, 2).points == (0, 2)
+    with pytest.raises(ValueError, match="does not lie over the base point"):
+        ProfiniteElement(over_a_cycle, 2, 1)
+    with pytest.raises(ValueError, match="outside level 2"):
+        ProfiniteElement(over_a_cycle, 2, 4)
 
 
 def test_element_from_point_round_trip(dyadic):
@@ -116,8 +124,11 @@ def test_quotient_hom_is_reduction_mod_lower_order(dyadic):
     for m in range(10):
         x = profinite_pow(gen, m)
         image = hom.apply(x)
-        pos = dyadic.fiber_position(4)[dyadic.base_point(4)]
-        assert image[pos] == m % dyadic.sizes[3]
+        assert image.depth == 4
+        assert image.basepoint_image(4) == m % dyadic.sizes[3]
+        assert image == profinite_pow(generator(dyadic, 4), m)
+    with pytest.raises(ValueError):
+        hom.apply(generator(dyadic, 4))
 
 
 def test_quotient_hom_verifies(dyadic):
@@ -317,6 +328,39 @@ def test_non_closed_loop_rejected_by_rep():
     # the level-2 edge ids are not base edges; a bogus token fails
     with pytest.raises((ValueError, KeyError)):
         delta_infinity_rep(tower, (("nope", 1),), 2)
+
+
+def test_rep_and_metric_answer_on_a_non_regular_tower():
+    from test_coverings import non_normal_degree3_cover
+
+    cov = non_normal_degree3_cover()
+    tower = CoveringTower([cov])
+    assert not tower.verify_regular(2).regular
+    total = cov.total
+
+    def brute_lift(word):
+        v = tower.base_point(2)
+        for edge, sign in word:
+            (v,) = [int((total.edst if sign == 1 else total.esrc)[e]) for e in range(total.ne)
+                    if total.edge_ids[e][0] == edge and (total.esrc if sign == 1 else total.edst)[e] == v]
+        return v
+
+    rng = Random(31)
+    letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+    ends, ident = set(), profinite_id(tower, 2)
+    for _ in range(60):
+        word = tuple(rng.choice(letters) for _ in range(rng.randrange(7)))
+        x = delta_infinity_rep(tower, word, 2)
+        end = brute_lift(word)
+        ends.add(end)
+        assert x.points == (tower.base_point(1), end)
+        assert x.basepoint_image(2) == int(np.flatnonzero(tower.fiber(2) == end)[0])
+        assert metric(x, ident).partial_sum == (F(1, 4) if end != tower.base_point(2) else 0)
+    assert ends == {0, 1, 2}
+    moved = delta_infinity_rep(tower, (("a", 1),), 2)
+    assert moved.top != tower.base_point(2)
+    with pytest.raises(ValueError, match="no deck element"):
+        profinite_mul(moved, moved)
 
 
 # -- suspension action ------------------------------------------------------------------------
