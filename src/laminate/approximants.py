@@ -14,6 +14,7 @@ labelled by the radius-k window around the mark.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,7 +77,7 @@ def build_approximant(oracle: LanguageOracle, k: int) -> CollaredComplex:
     """The radius-k collared complex; k = 0 is the rose of letters."""
     if k < 0:
         raise ValueError("collar radius must be nonnegative")
-    vertices, edges = oracle.rows(2 * k), oracle.rows(2 * k + 1)
+    edges, vertices = oracle.rows(2 * k + 1), oracle.rows(2 * k)  # the longer first
     src, dst = word_ranks(vertices, edges[:, :-1]), word_ranks(vertices, edges[:, 1:])
     if min(src.min(), dst.min()) < 0:
         raise ValueError(f"the language is not factor-closed at length {2 * k}")
@@ -171,6 +172,11 @@ def separation_depth(
                 f"marked word of length {len(word)} cannot supply windows up "
                 f"to radius {max_k}"
             )
+    # the widest windows first, so that the oracle builds each language
+    # once; an error is left to the loop, which meets it at its own radius
+    with contextlib.suppress(ValueError):
+        for word, mark in ((x_word, x_mark), (y_word, y_mark)):
+            oracle.is_legal(word[mark - max_k : mark + max_k + 1])
     for k in range(max_k + 1):
         cx = quotient_cell(oracle, k, x_word, x_mark)
         cy = quotient_cell(oracle, k, y_word, y_mark)

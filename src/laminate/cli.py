@@ -95,7 +95,8 @@ def cmd_approximants(args, report: RunReport) -> int:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     oracle = formats.load_oracle(args.input)
-    complexes = [build_approximant(oracle, k) for k in range(args.k + 1)]
+    # the widest level first, so that the others read prefixes of its words
+    complexes = [build_approximant(oracle, k) for k in range(args.k, -1, -1)][::-1]
     counts = [
         {"k": c.k, "vertices": len(c.vertices), "edges": len(c.edges)}
         for c in complexes

@@ -174,11 +174,6 @@ def glue_classes(tree: BranchTree, x: Sequence[Fraction]) -> list[frozenset]:
     return sorted((frozenset(b) for b in blocks.values()), key=lambda b: sorted(map(repr, b)))
 
 
-def projection(point: LocalModelPoint) -> Vector:
-    """Quotient of the first-coordinate projection; constant on glue classes."""
-    return point.coordinates
-
-
 def class_count_profile(tree: BranchTree, sample: Iterable[Sequence[Fraction]]) -> list[int]:
     """Number of glue classes at each sample point, in order."""
     return [len(glue_classes(tree, x)) for x in sample]

@@ -99,7 +99,10 @@ def profinite_inv(x: ProfiniteElement) -> ProfiniteElement:
 
 
 def profinite_pow(x: ProfiniteElement, n: int) -> ProfiniteElement:
+    """x^n; the zeroth power is the base-point thread on every tower."""
     tower, k = x.tower, x.depth
+    if n == 0:
+        return profinite_id(tower, k)
     return ProfiniteElement(tower, k, tower.deck_power(k, x.top, n, tower.base_point(k)))
 
 

@@ -6,8 +6,12 @@ strings, so they sort and ``searchsorted`` like words at any length.  SFT
 and full-shift words grow one letter at a time over the trimmed blocks.
 Substitution words of length L are exact: the L-factors of the letter
 images, iterated until their state repeats (see ``_substitution_words``).
-Strings are decoded once per length.  Languages are factor closed and
-every word extends both ways.
+Languages are factor closed and, for SFTs and primitive substitutions,
+every word extends both ways, so a length shorter than one already
+computed is read off as its distinct prefixes, and each language is built
+once, at the longest length asked first.  On SFTs and full shifts a single
+word is tested by walking the block graph, which builds no language.
+Strings are decoded once per length.
 """
 
 from __future__ import annotations
@@ -89,7 +93,15 @@ def word_ranks(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class LanguageOracle:
     """Legal words of a subshift, computed once per length: ``rows(L)``
     (letter ranks from 1, sorted), ``sorted_words(L)`` (the same words as
-    strings, in that order) and ``words(L)`` (their frozenset)."""
+    strings, in that order) and ``words(L)`` (their frozenset).
+
+    ``rows(L)`` takes the distinct L-prefixes of the nearest longer length
+    already computed; the prefixes of sorted rows are sorted, and they are
+    the whole language because every legal word extends to the right.  Only
+    a length longer than all computed ones is computed from scratch (and
+    every length of a non-primitive substitution, whose words need not
+    extend).  ``is_legal`` on SFTs and full shifts walks the block graph
+    where the word's length has no word set yet."""
 
     def __init__(self, alphabet: Sequence[str], forbidden: Sequence[str] = (),
                  substitution: Optional[Substitution] = None):
@@ -105,7 +117,9 @@ class LanguageOracle:
                 raise ValueError(f"forbidden word {w!r} is not over the alphabet")
         self.forbidden = tuple(sorted(set(forbidden)))
         self.substitution = substitution
-        if substitution is not None and not substitution.is_primitive:
+        # shorter lengths are prefixes of longer ones where every word extends
+        self._extends = substitution is None or substitution.is_primitive
+        if not self._extends:
             warnings.warn(
                 "substitution is not primitive; the factor language is taken "
                 "over the eventual cycle of all letters' images",
@@ -118,7 +132,9 @@ class LanguageOracle:
         self._rows = {0: np.zeros((1, 0), self.dtype)}
         self._sorted: dict[int, list[str]] = {}
         self._words = {0: frozenset({""})}
-        self._blocks = self._walks = None
+        # blocks are one letter shorter than the longest forbidden word
+        self._width = max(map(len, self.forbidden), default=1) - 1
+        self._succ = self._walks = None
         self._lock = threading.RLock()
 
     @classmethod
@@ -140,11 +156,16 @@ class LanguageOracle:
         if length < 0:
             raise ValueError("length must be nonnegative")
         with self._lock:
+            if length not in self._rows and self.substitution is None:
+                self._grow(length)  # every length from the blocks' up to this one
             if length not in self._rows:
-                if self.substitution is None:
-                    self._rows[length] = self._grow(length)
+                longer = [n for n in self._rows if n > length] if self._extends else ()
+                if longer:
+                    prefixes = self._rows[min(longer)][:, :length]
+                    self._rows[length] = prefixes[np.unique(word_keys(prefixes), return_index=True)[1]]
                 else:  # the strings come first
-                    self._sorted[length], self._rows[length] = self._encode(self.words(length))
+                    self._sorted[length], self._rows[length] = self._encode(
+                        self._substitution_words(length))
             return self._rows[length]
 
     def sorted_words(self, length: int) -> list[str]:
@@ -162,14 +183,22 @@ class LanguageOracle:
                 raise ValueError("length must be nonnegative")
             with self._lock:
                 if length not in self._words:
-                    self._words[length] = frozenset(
-                        self.sorted_words(length) if self.substitution is None
-                        else self._substitution_words(length)
-                    )
+                    self._words[length] = frozenset(self.sorted_words(length))
                 words = self._words[length]
         return words
 
     def is_legal(self, word: str) -> bool:
+        """Membership in ``words(len(word))``; on SFTs and full shifts, where
+        that set is not built, a walk on the block graph instead: the word
+        is legal when each of its windows one letter longer than a block is
+        a step, as in the walks that ``rows`` grows."""
+        words = self._words.get(len(word))
+        if words is not None:
+            return word in words
+        step = self._width + 1
+        if self.substitution is None and len(word) > step:
+            steps = self.words(step)
+            return all(word[i : i + step] in steps for i in range(len(word) - step + 1))
         return word in self.words(len(word))
 
     def extensions(self, word: str, radius: int) -> frozenset[str]:
@@ -198,32 +227,29 @@ class LanguageOracle:
         text = codes.tobytes().decode("utf-32-le", "surrogatepass")
         return [text[i : i + length] for i in range(0, n * length, length)]
 
-    def _grow(self, length: int) -> np.ndarray:
+    def _grow(self, length: int) -> None:
         """SFT words: walks on the trimmed blocks, grown one letter at a time
-        from the longest walks so far, keeping every length on the way."""
-        if self._blocks is None:
-            self._blocks = self._block_graph()
-        blocks, succ = self._blocks
-        width = blocks.shape[1]
-        if length <= width:
-            prefixes = blocks[:, :length]
-            return prefixes[np.unique(word_keys(prefixes), return_index=True)[1]]
-        n, rows, state = self._walks or (width, blocks, np.arange(len(blocks)))
+        from the longest walks so far, keeping every length from the blocks'
+        own on the way."""
+        if self._walks is None:
+            blocks, self._succ = self._block_graph()
+            self._rows[self._width] = blocks
+            self._walks = self._width, blocks, np.arange(len(blocks))
+        n, rows, state = self._walks
         while n < length:
-            after = succ[state]
+            after = self._succ[state]
             word, letter = np.nonzero(after >= 0)
             rows = np.column_stack([rows[word], (letter + 1).astype(self.dtype)])
             n, state = n + 1, after[word, letter]
             self._rows[n] = rows
         self._walks = n, rows, state
-        return rows
 
     def _block_graph(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted blocks on bi-infinite forbidden-free paths, one letter
         shorter than the longest forbidden word, and ``succ[b, c]``: the
         block after block b and letter c, or -1 where that is forbidden."""
         bad = set(self.forbidden)
-        block = max(map(len, bad), default=1) - 1
+        block = self._width
         # a step is a forbidden-free word one letter longer than a block; it
         # joins its prefix block to its suffix block
         steps = [w for w in map("".join, itertools.product(self.alphabet, repeat=block + 1))

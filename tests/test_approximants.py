@@ -310,3 +310,30 @@ def test_maps_join_only_graphs_indexed_alike():
         InverseSystem.from_lists([bond.codomain, reference], [bond]).bond(0)
     with pytest.raises(ValueError, match="self-map"):
         InverseSystem.stationary(CellularMap(level, reference, *same_cells))
+
+
+def test_full_shift_separation_builds_no_language_above_one_letter():
+    oracle = LanguageOracle.full_shift(["0", "1"])
+    x, y = "0110100110010110", "0110100110010111"
+    assert separation_depth(oracle, x, 7, y, 7, 7) is None
+    assert separation_depth(oracle, x, 8, y, 8, 7) == 7
+    # each window of length up to 15 is tested letter by letter against the
+    # one-letter language, the steps of the full shift's block graph
+    assert max(oracle._rows) == 1 and max(oracle._words) == 1
+
+
+def test_substitution_approximants_compute_one_language(tmp_path, monkeypatch, capsys):
+    import json
+
+    from laminate.cli import main
+
+    calls = []
+    original = LanguageOracle._substitution_words
+    monkeypatch.setattr(LanguageOracle, "_substitution_words",
+                        lambda self, length: calls.append(length) or original(self, length))
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}}))
+    assert main(["approximants", "--input", str(path), "--k", "20"]) == 0
+    assert calls == [41]
+    assert capsys.readouterr().out.splitlines() == [
+        f"k={k}: {2 * k + 1} vertices, {2 * k + 2} edges" for k in range(21)]

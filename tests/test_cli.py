@@ -447,6 +447,28 @@ def test_rep_and_metric_build_no_level_graph(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_zeroth_power_metric_answers_on_a_non_regular_tower(tmp_path, capsys):
+    from test_coverings import non_normal_degree3_cover
+
+    cov = non_normal_degree3_cover()
+    total = cov.total
+    ids = [f"{letter}{i}" for letter, i in total.edge_ids]
+    level = {"total": {"vertices": [str(v) for v in total.vertex_ids],
+                       "edges": [{"id": e, "src": str(total.vertex_ids[int(s)]),
+                                  "dst": str(total.vertex_ids[int(t)])}
+                                 for e, s, t in zip(ids, total.esrc, total.edst)]},
+             "vertex_map": {str(v): "w" for v in total.vertex_ids},
+             "edge_map": {e: e[0] for e in ids}}
+    tower = tmp_path / "non_normal.json"
+    tower.write_text(json.dumps({"base": formats.plain_graph_to_json(cov.base), "levels": [level]}))
+    # b lifts to a loop at the base point, a to a path off it
+    for x, y, d in (("0", "b", "0"), ("0", "a", "1/4")):
+        assert main(["metric", "--tower", str(tower), f"--x={x}", f"--y={y}", "--depth", "2"]) == 0
+        assert capsys.readouterr().out == f"d(x, y) = {d} (truncated at depth 2, tail below 1/4)\n"
+    assert main(["metric", "--tower", str(tower), "--x=1", "--y=b", "--depth", "2"]) == 1
+    assert "no deck element" in capsys.readouterr().err
+
+
 def test_rep_refuses_a_tower_that_is_not_a_covering(tmp_path, capsys):
     # vertex 0 has two out-edges over the base loop a, vertex 1 none
     level = {"total": {"vertices": ["0", "1"], "edges": [{"id": "a0", "src": "0", "dst": "0"},

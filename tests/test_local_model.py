@@ -10,7 +10,6 @@ from laminate.local_model import (
     Sector,
     class_count_profile,
     glue_classes,
-    projection,
     sector_contains,
 )
 
@@ -97,16 +96,16 @@ def test_class_count_profile_path_tree_all_empty_sectors():
 
 def test_projection_returns_coordinates_and_is_injective_per_vertex():
     p = LocalModelPoint((F(1, 2), F(0)), "v")
-    assert projection(p) == (F(1, 2), F(0))
+    assert p.coordinates == (F(1, 2), F(0))
     q = LocalModelPoint((F(1, 3), F(0)), "v")
-    assert projection(p) != projection(q)
+    assert p.coordinates != q.coordinates
 
 
 def test_projection_constant_on_glue_classes():
     t = three_vertex_tree()
     x = (F(-1, 2), F(1, 2))
     for block in glue_classes(t, x):
-        values = {projection(LocalModelPoint(x, v)) for v in block}
+        values = {LocalModelPoint(x, v).coordinates for v in block}
         assert len(values) == 1
 
 

@@ -361,6 +361,9 @@ def test_rep_and_metric_answer_on_a_non_regular_tower():
     assert moved.top != tower.base_point(2)
     with pytest.raises(ValueError, match="no deck element"):
         profinite_mul(moved, moved)
+    assert profinite_pow(moved, 0) == ident
+    with pytest.raises(ValueError, match="no deck element"):
+        profinite_pow(moved, 1)
 
 
 # -- suspension action ------------------------------------------------------------------------

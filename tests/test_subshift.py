@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from random import Random
 
@@ -290,3 +291,81 @@ def test_chacon_words_match_long_iterates():
         words = oracle.words(L)
         assert words == long_word_factors(chacon.rules, "a", 9, L), L
         assert len(words) == (2 if L == 1 else 2 * L - 1)
+
+
+def _random_sfts(rng, count):
+    """(alphabet, forbidden) over 2-3 letters, forbidden words of length 2-3,
+    whose language is not empty by the DP oracle."""
+    out = []
+    while len(out) < count:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 3)))
+                     for _ in range(rng.randint(1, 4))]
+        if brute_sft_words(alphabet, forbidden, 1, margin=12):
+            out.append((alphabet, forbidden))
+    return out
+
+
+def _random_primitive_substitutions(rng, count):
+    out = []
+    while len(out) < count:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        rules = {a: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                 for a in alphabet}
+        subst = Substitution(tuple(alphabet), rules)
+        if subst.is_primitive and any(len(w) > 1 for w in rules.values()):
+            out.append(subst)
+    return out
+
+
+def _random_oracles(seed):
+    """Factories of fresh oracles: random SFTs and primitive substitutions."""
+    rng = Random(seed)
+    sfts = [lambda a=a, f=f: LanguageOracle.from_forbidden(list(a), f) for a, f in _random_sfts(rng, 20)]
+    substs = [lambda s=s: LanguageOracle.from_substitution(s)
+              for s in _random_primitive_substitutions(rng, 12)]
+    return sfts + substs
+
+
+def test_shorter_lengths_read_as_prefixes_equal_an_ascending_computation():
+    rng, top = Random(8), 9
+    for make in _random_oracles(29):
+        ascending = make()
+        expected = [(ascending.rows(L), ascending.sorted_words(L)) for L in range(top + 1)]
+        oracle = make()
+        shorter = list(range(top))
+        rng.shuffle(shorter)
+        got = {L: oracle.rows(L) for L in [top, *shorter]}
+        for L, (rows, strings) in enumerate(expected):
+            assert got[L].dtype == rows.dtype and np.array_equal(got[L], rows), (oracle.alphabet, L)
+            assert oracle.sorted_words(L) == strings and oracle.words(L) == ascending.words(L)
+            if oracle.substitution is None:
+                assert oracle.words(L) == frozenset(
+                    brute_sft_words(oracle.alphabet, oracle.forbidden, L, margin=12))
+
+
+def test_walk_legality_agrees_with_the_language():
+    top = 6
+    for make in _random_oracles(31):
+        reference, oracle = make(), make()
+        letters = [*oracle.alphabet, "#"]  # and one foreign letter
+        for L in range(top + 1):
+            language = reference.words(L)
+            for letters_of in itertools.product(letters, repeat=L):
+                word = "".join(letters_of)
+                assert oracle.is_legal(word) == (word in language), (oracle.alphabet, word)
+        if oracle.substitution is None:
+            # a block and one letter: the longest language the walks read
+            step = max(map(len, oracle.forbidden))
+            assert max(oracle._rows) == step and max(oracle._words) == step
+
+
+def test_non_primitive_lengths_are_not_read_as_prefixes():
+    # under a -> ba, b -> b the word ba ends every image and extends to no
+    # longer word, so the 2-prefixes of the 3-words miss it
+    subst = Substitution(("a", "b"), {"a": "ba", "b": "b"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        oracle = LanguageOracle.from_substitution(subst)
+    assert oracle.words(3) == {"bba", "bbb"}
+    assert oracle.words(2) == {"ba", "bb"} == long_word_factors(subst.rules, "a", 9, 2)
