@@ -39,14 +39,6 @@ class CollaredComplex:
     src: np.ndarray
     dst: np.ndarray
 
-    @property
-    def vertex_words(self) -> frozenset:
-        return self.oracle.words(2 * self.k)
-
-    @property
-    def edge_words(self) -> frozenset:
-        return self.oracle.words(2 * self.k + 1)
-
     @cached_property
     def graph(self) -> BranchedGraph:
         """The level indexed by word rank; side A holds the incoming
@@ -126,8 +118,6 @@ def approximant_system(oracle: LanguageOracle) -> InverseSystem:
 
 def pattern_clopen(oracle: LanguageOracle, word: str, mark: int) -> ClopenSet:
     """Transversal points whose window around the marked tile reads ``word``."""
-    if not oracle.is_legal(word):
-        raise ValueError(f"word {word!r} is not legal")
     return ClopenSet.from_cylinder(oracle, Cylinder(word, mark))
 
 

@@ -20,7 +20,7 @@ from .coverings import CoveringTower, Graph, GraphCovering, GraphMap, cyclic_tow
 from .inverse_system import InverseSystem
 from .local_model import BranchTree, HalfSpace, Sector
 from .subshift import LanguageOracle, Substitution
-from .transversal import ClopenSet, Cylinder
+from .transversal import ClopenSet, Cylinder, canonicalize
 
 
 # -- shape checks ----------------------------------------------------------
@@ -244,11 +244,11 @@ def load_oracle(path: Union[str, Path]) -> LanguageOracle:
 # -- clopen sets ----------------------------------------------------------------
 
 def clopen_from_json(data: dict, oracle: LanguageOracle) -> ClopenSet:
+    radius = _field(data, "radius", int) if "radius" in data else 0
+    if isinstance(radius, bool) or radius < 0:
+        raise ValueError("'radius' must be a nonnegative integer")
     cylinders = [Cylinder.parse(text) for text in _field(data, "cylinders", list, str)]
     out = ClopenSet.from_cylinders(oracle, cylinders)
-    from .transversal import canonicalize
-
-    radius = int(data.get("radius", out.radius))
     return canonicalize(out, max(radius, out.radius))
 
 

@@ -201,13 +201,6 @@ class LanguageOracle:
             return all(word[i : i + step] in steps for i in range(len(word) - step + 1))
         return word in self.words(len(word))
 
-    def extensions(self, word: str, radius: int) -> frozenset[str]:
-        """Legal words of length len(word) + 2*radius with ``word`` centered."""
-        target = len(word) + 2 * radius
-        return frozenset(
-            u for u in self.words(target) if u[radius : radius + len(word)] == word
-        )
-
     # -- computation ----------------------------------------------------
 
     def _encode(self, words) -> tuple[list[str], np.ndarray]:

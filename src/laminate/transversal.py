@@ -1,20 +1,24 @@
 """Exact clopen-set algebra on subshift transversals, and shift holonomy.
 
 A transversal point is a bi-infinite legal sequence marked at a tile; a
-cylinder pins a finite window around the mark.  Clopen sets are finite
-unions of cylinders kept in canonical form at a common radius r: every
-member cylinder is expanded to the full set of legal centered windows of
-length 2r+1.  At a fixed radius distinct windows denote disjoint
-cylinders, so set operations on the window sets are exact set semantics.
-Holonomy at this symbolic level is generated by the one-tile shifts.
+cylinder pins a finite window around the mark.  A clopen set is kept at a
+radius r as one flag per legal window of length 2r+1, an edge of the
+radius-r approximant; distinct windows are disjoint cylinders, so set
+operations on flags are exact.  Refining, shifting and expanding a
+cylinder pull flags back through the ranks of a slice of longer windows,
+never re-testing legality.  Holonomy is generated by the one-tile shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 from typing import Iterable, Sequence
 
-from .subshift import LanguageOracle
+import numpy as np
+
+from .subshift import LanguageOracle, word_ranks
 
 
 @dataclass(frozen=True)
@@ -45,53 +49,60 @@ class Cylinder:
 
 
 class ClopenSet:
-    """Finite union of cylinders over one language oracle, canonicalized."""
+    """Finite union of cylinders over one oracle: ``mask`` flags the legal windows
+    given, in ``oracle.rows`` order; ``windows`` is decoded from it on first read."""
 
     def __init__(self, oracle: LanguageOracle, radius: int, windows: Iterable[str]):
-        self.oracle = oracle
-        self.radius = radius
         width = 2 * radius + 1
         windows = frozenset(windows)
         for w in windows:
             if len(w) != width:
                 raise ValueError(f"window {w!r} does not have radius {radius}")
-        self.windows = frozenset(w for w in windows if oracle.is_legal(w))
+        words = oracle.sorted_words(width)
+        self._fill(oracle, radius, np.array([w in windows for w in words], bool))
+
+    @classmethod
+    def _from_mask(cls, oracle: LanguageOracle, radius: int, mask: np.ndarray) -> "ClopenSet":
+        return cls.__new__(cls)._fill(oracle, radius, mask)
+
+    def _fill(self, oracle: LanguageOracle, radius: int, mask: np.ndarray) -> "ClopenSet":
+        mask.flags.writeable = False
+        self.oracle, self.radius, self.mask, self._windows = oracle, radius, mask, None
+        return self
+
+    @property
+    def windows(self) -> frozenset[str]:
+        if self._windows is None:
+            words = self.oracle.sorted_words(2 * self.radius + 1)
+            self._windows = frozenset(compress(words, self.mask))
+        return self._windows
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def empty(cls, oracle: LanguageOracle) -> "ClopenSet":
-        return cls(oracle, 0, ())
+        return cls._from_mask(oracle, 0, np.zeros(len(oracle.rows(1)), bool))
 
     @classmethod
     def whole(cls, oracle: LanguageOracle) -> "ClopenSet":
-        return cls(oracle, 0, oracle.words(1))
+        return cls._from_mask(oracle, 0, np.ones(len(oracle.rows(1)), bool))
 
     @classmethod
     def from_cylinder(cls, oracle: LanguageOracle, cylinder: Cylinder) -> "ClopenSet":
         if not oracle.is_legal(cylinder.word):
             raise ValueError(f"cylinder word {cylinder.word!r} is not legal")
-        r = cylinder.radius
-        width = 2 * r + 1
-        left = r - cylinder.mark
-        windows = {
-            u
-            for u in oracle.words(width)
-            if u[left : left + len(cylinder.word)] == cylinder.word
-        }
-        return cls(oracle, r, windows)
+        r, n = cylinder.radius, len(cylinder.word)
+        ranks = [oracle.alphabet.index(c) + 1 for c in cylinder.word]  # as in oracle.rows
+        return _pull_back(oracle, (oracle.rows(n) == ranks).all(axis=1), n, r, r - cylinder.mark)
 
     @classmethod
     def from_cylinders(cls, oracle: LanguageOracle, cylinders: Sequence[Cylinder]) -> "ClopenSet":
-        out = cls.empty(oracle)
-        for cyl in cylinders:
-            out = union(out, cls.from_cylinder(oracle, cyl))
-        return out
+        return reduce(union, [cls.from_cylinder(oracle, c) for c in cylinders], cls.empty(oracle))
 
     # -- basic queries ----------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.windows
+        return not self.mask.any()
 
     def cylinders(self) -> list[Cylinder]:
         return [Cylinder(w, self.radius) for w in sorted(self.windows)]
@@ -106,20 +117,21 @@ class ClopenSet:
     __hash__ = None
 
 
+def _pull_back(oracle: LanguageOracle, flags: np.ndarray, length: int, radius: int,
+               lo: int) -> ClopenSet:
+    """Windows whose letters from ``lo`` read a flagged ``length``-word; rank -1 is outside."""
+    windows = oracle.rows(2 * radius + 1)  # the longer language first, so it is built once
+    at = word_ranks(oracle.rows(length), windows[:, lo : lo + length])
+    return ClopenSet._from_mask(oracle, radius, (at >= 0) & flags[at])
+
+
 def canonicalize(s: ClopenSet, radius: int) -> ClopenSet:
     """Re-express at a larger radius; set semantics are unchanged."""
     if radius < s.radius:
         raise ValueError("canonicalization radius may only grow")
     if radius == s.radius:
         return s
-    pad = radius - s.radius
-    inner = 2 * s.radius + 1
-    windows = {
-        u
-        for u in s.oracle.words(2 * radius + 1)
-        if u[pad : pad + inner] in s.windows
-    }
-    return ClopenSet(s.oracle, radius, windows)
+    return _pull_back(s.oracle, s.mask, 2 * s.radius + 1, radius, radius - s.radius)
 
 
 def _common(a: ClopenSet, b: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
@@ -131,31 +143,30 @@ def _common(a: ClopenSet, b: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
 
 def union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     a, b = _common(a, b)
-    return ClopenSet(a.oracle, a.radius, a.windows | b.windows)
+    return ClopenSet._from_mask(a.oracle, a.radius, a.mask | b.mask)
 
 
 def intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     a, b = _common(a, b)
-    return ClopenSet(a.oracle, a.radius, a.windows & b.windows)
+    return ClopenSet._from_mask(a.oracle, a.radius, a.mask & b.mask)
 
 
 def subtract(a: ClopenSet, b: ClopenSet) -> ClopenSet:
     a, b = _common(a, b)
-    return ClopenSet(a.oracle, a.radius, a.windows - b.windows)
+    return ClopenSet._from_mask(a.oracle, a.radius, a.mask & ~b.mask)
 
 
 def complement(a: ClopenSet) -> ClopenSet:
-    return subtract(canonicalize(ClopenSet.whole(a.oracle), a.radius), a)
+    return ClopenSet._from_mask(a.oracle, a.radius, ~a.mask)
 
 
 def is_subset(a: ClopenSet, b: ClopenSet) -> bool:
-    a, b = _common(a, b)
-    return a.windows <= b.windows
+    return subtract(a, b).is_empty()
 
 
 def is_equal(a: ClopenSet, b: ClopenSet) -> bool:
     a, b = _common(a, b)
-    return a.windows == b.windows
+    return np.array_equal(a.mask, b.mask)
 
 
 def shift_set(s: ClopenSet, steps: int) -> ClopenSet:
@@ -167,15 +178,7 @@ def shift_set(s: ClopenSet, steps: int) -> ClopenSet:
     if steps == 0:
         return s
     n = abs(steps)
-    r = s.radius
-    width = 2 * r + 1
-    lo = 0 if steps > 0 else 2 * n
-    windows = {
-        u
-        for u in s.oracle.words(2 * (r + n) + 1)
-        if u[lo : lo + width] in s.windows
-    }
-    return ClopenSet(s.oracle, r + n, windows)
+    return _pull_back(s.oracle, s.mask, 2 * s.radius + 1, s.radius + n, 0 if steps > 0 else 2 * n)
 
 
 @dataclass(frozen=True)
@@ -219,12 +222,9 @@ def compose_holonomy(words: Sequence[HolonomyWord]) -> HolonomyWord:
     """Apply left to right; the domain shrinks to where every prefix runs."""
     if not words:
         raise ValueError("nothing to compose")
-    oracle = words[0].domain.oracle
-    steps: tuple[int, ...] = ()
-    domain = ClopenSet.whole(oracle)
+    domain = ClopenSet.whole(words[0].domain.oracle)
     travelled = 0
     for w in words:
         domain = intersect(domain, shift_set(w.domain, -travelled))
-        steps = steps + w.steps
         travelled += w.displacement
-    return HolonomyWord(steps, domain)
+    return HolonomyWord(sum((w.steps for w in words), ()), domain)

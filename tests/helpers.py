@@ -133,6 +133,68 @@ def brute_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
     return {w for w, s in pairs if extends(s, margin)}
 
 
+class StringClopens:
+    """Clopen sets as (radius, frozenset of windows), by set comprehensions
+    over a language given as ``words(length) -> set of strings``; the
+    reference for the flags of ``laminate.transversal``."""
+
+    def __init__(self, words: Callable[[int], set]):
+        self.words = words
+
+    def make(self, radius: int, windows) -> tuple:
+        return radius, frozenset(windows) & frozenset(self.words(2 * radius + 1))
+
+    def cylinder(self, word: str, mark: int) -> tuple:
+        r = max(mark, len(word) - 1 - mark)
+        left = r - mark
+        return self.make(r, (u for u in self.words(2 * r + 1)
+                             if u[left : left + len(word)] == word))
+
+    def canonicalize(self, s: tuple, radius: int) -> tuple:
+        r, windows = s
+        pad = radius - r
+        return self.make(radius, (u for u in self.words(2 * radius + 1)
+                                  if u[pad : pad + 2 * r + 1] in windows))
+
+    def common(self, a: tuple, b: tuple) -> tuple:
+        r = max(a[0], b[0])
+        return r, self.canonicalize(a, r)[1], self.canonicalize(b, r)[1]
+
+    def union(self, a, b):
+        r, x, y = self.common(a, b)
+        return self.make(r, x | y)
+
+    def intersect(self, a, b):
+        r, x, y = self.common(a, b)
+        return self.make(r, x & y)
+
+    def subtract(self, a, b):
+        r, x, y = self.common(a, b)
+        return self.make(r, x - y)
+
+    def complement(self, a):
+        return self.subtract(self.canonicalize(self.make(0, self.words(1)), a[0]), a)
+
+    def is_subset(self, a, b) -> bool:
+        _, x, y = self.common(a, b)
+        return x <= y
+
+    def shift(self, s: tuple, steps: int) -> tuple:
+        r, windows = s
+        n = abs(steps)
+        lo = 0 if steps > 0 else 2 * n
+        return self.make(r + n, (u for u in self.words(2 * (r + n) + 1)
+                                 if u[lo : lo + 2 * r + 1] in windows))
+
+    def compose_domain(self, words: list) -> tuple:
+        """The domain of a composite of (displacement, domain) shift words."""
+        domain, travelled = self.make(0, self.words(1)), 0
+        for displacement, d in words:
+            domain = self.intersect(domain, self.shift(d, -travelled))
+            travelled += displacement
+        return domain
+
+
 def reference_approximant(oracle, k: int) -> BranchedGraph:
     """Approximant level k built word by word from strings."""
     vertices = oracle.words(2 * k)

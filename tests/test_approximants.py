@@ -39,8 +39,8 @@ def test_fibonacci_k0_is_figure_eight(fib):
 
 def test_fibonacci_k1_cells(fib):
     c = build_approximant(fib, 1)
-    assert c.vertex_words == frozenset({"aa", "ab", "ba"})
-    assert c.edge_words == frozenset({"aab", "aba", "baa", "bab"})
+    assert fib.words(2 * c.k) == frozenset({"aa", "ab", "ba"})
+    assert fib.words(2 * c.k + 1) == frozenset({"aab", "aba", "baa", "bab"})
     g = c.graph  # its labels pass the validating constructor
     assert BranchedGraph(g.vertices, g.edges, g.sides) == g
 

@@ -58,3 +58,26 @@ def test_traced_rep_stores_one_int_per_level(tmp_path, capsys):
         tracer.uninstall()
     assert capsys.readouterr().out.endswith(f"orbit {[0] + [1] * 19}\n")
     assert tracer.counts["profinite.component_ints"] == 20
+
+
+def test_traced_clopen_counts_the_windows_it_returns():
+    from laminate import transversal
+    from laminate.subshift import fibonacci
+
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        fib = LanguageOracle.from_substitution(fibonacci())
+        s = transversal.ClopenSet.from_cylinders(fib, [transversal.Cylinder("ab", 0)])
+        moved = transversal.shift_set(s, 1)
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("transversal.shift") == 1
+    # from_cylinders, its from_cylinder and union, and the union's two
+    # canonicalizations: of the empty set and of the cylinder's own set
+    assert spans.count("transversal.clopen") == 5
+    empty = transversal.canonicalize(transversal.ClopenSet.empty(fib), s.radius)
+    returned = [s, s, s, empty, s, moved]
+    assert tracer.counts["transversal.windows_out"] == sum(len(x.windows) for x in returned)
+    assert tracer.counts["transversal.windows_out"] == 4 * 2 + 3

@@ -110,6 +110,13 @@ def test_clopen_round_trip():
     assert is_equal(again, s)
 
 
+@pytest.mark.parametrize("radius", [2.9, "2", True, -3, [1], None])
+def test_clopen_radius_must_be_a_nonnegative_integer(radius):
+    oracle = LanguageOracle.from_substitution(fibonacci())
+    with pytest.raises(ValueError, match="'radius'"):
+        formats.clopen_from_json({"radius": radius, "cylinders": ["ab@0"]}, oracle)
+
+
 def test_tower_shorthand_and_files(tmp_path):
     short = formats.tower_from_json({"circle_degrees": [2, 3]})
     assert short.sizes == [1, 2, 6]

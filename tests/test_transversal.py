@@ -1,8 +1,12 @@
+import functools
 from random import Random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from laminate.subshift import LanguageOracle, fibonacci
+from helpers import StringClopens, brute_sft_words, long_word_factors
+from laminate.subshift import LanguageOracle, Substitution, fibonacci
 from laminate.transversal import (
     ClopenSet,
     Cylinder,
@@ -18,6 +22,7 @@ from laminate.transversal import (
     shift_set,
     subtract,
     union,
+    _pull_back,
 )
 
 
@@ -207,3 +212,113 @@ def test_composed_domains_track_where_prefixes_run(fib):
     combined = compose_holonomy([w1, w2])
     assert combined.displacement == 2
     assert is_equal(combined.domain, ClopenSet.from_cylinder(fib, Cylinder("ab", 0)))
+
+
+# -- flags against the string algebra ------------------------------------------
+
+def _systems(rng):
+    """(oracle, words) pairs: random SFTs with the DP oracle's words, random
+    primitive substitutions and a non-primitive one with the factors of a
+    long iterate."""
+    out = []
+    while len(out) < 5:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 3)))
+                     for _ in range(rng.randint(1, 4))]
+        if brute_sft_words(alphabet, forbidden, 1, margin=12):
+            out.append((LanguageOracle.from_forbidden(list(alphabet), forbidden),
+                        lambda L, a=alphabet, f=forbidden: brute_sft_words(a, f, L, margin=12)))
+    substitutions = []
+    while len(substitutions) < 4:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        rules = {a: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                 for a in alphabet}
+        subst = Substitution(tuple(alphabet), rules)
+        if subst.is_primitive and any(len(w) > 1 for w in rules.values()):
+            substitutions.append(subst)
+    for subst in substitutions:
+        iterate = "a"
+        while len(iterate) < 5_000:
+            iterate = subst.apply(iterate)
+        out.append((LanguageOracle.from_substitution(subst),
+                    lambda L, r=subst.rules, w=iterate: long_word_factors(r, w, 0, L)))
+    rules = {"a": "ba", "b": "b"}  # a's images b...ba never grow a factor ab
+    with pytest.warns(UserWarning):
+        out.append((LanguageOracle.from_substitution(Substitution(("a", "b"), rules)),
+                    lambda L: long_word_factors(rules, "a", 40, L)))
+    return [(oracle, functools.cache(words)) for oracle, words in out]
+
+
+def _as_pair(s: ClopenSet) -> tuple:
+    return s.radius, s.windows
+
+
+def test_flags_match_the_string_algebra():
+    rng = Random(47)
+    for oracle, words in _systems(rng):
+        ref = StringClopens(words)
+        letters = [*oracle.alphabet, "#"]  # and one foreign letter
+
+        def draw():
+            r = rng.randint(0, 2)
+            legal = sorted(words(2 * r + 1))
+            stray = ["".join(rng.choice(letters) for _ in range(2 * r + 1)) for _ in range(3)]
+            windows = [w for w in legal if rng.random() < 0.5] + stray
+            s = ClopenSet(oracle, r, windows)
+            assert _as_pair(s) == ref.make(r, windows), (oracle.alphabet, windows)
+            return s, ref.make(r, windows)
+
+        for word in sorted(words(3) | words(4)):
+            for mark in range(len(word)):
+                got = ClopenSet.from_cylinder(oracle, Cylinder(word, mark))
+                assert _as_pair(got) == ref.cylinder(word, mark), (word, mark)
+        for _ in range(6):
+            (x, rx), (y, ry) = draw(), draw()
+            for op, ref_op in ((union, ref.union), (intersect, ref.intersect),
+                               (subtract, ref.subtract)):
+                assert _as_pair(op(x, y)) == ref_op(rx, ry), op.__name__
+            assert _as_pair(complement(x)) == ref.complement(rx)
+            assert is_subset(x, y) == ref.is_subset(rx, ry)
+            assert is_equal(x, y) == (ref.is_subset(rx, ry) and ref.is_subset(ry, rx))
+            assert x.is_empty() == (not rx[1])
+            for grow in (1, 2):
+                assert _as_pair(canonicalize(x, x.radius + grow)) == ref.canonicalize(rx, rx[0] + grow)
+            for steps in (1, -1, 2, -2):
+                assert _as_pair(shift_set(x, steps)) == ref.shift(rx, steps), steps
+            s1, s2 = rng.choice((1, -1, 2, -2)), rng.choice((1, -1, 2, -2))
+            composite = compose_holonomy([shift(x, s1)[1], shift(y, s2)[1]])
+            assert composite.displacement == s1 + s2
+            assert _as_pair(composite.domain) == ref.compose_domain([(s1, rx), (s2, ry)])
+
+
+def test_constructor_drops_illegal_and_foreign_windows_and_checks_lengths(fib):
+    s = ClopenSet(fib, 1, ["aba", "bbb", "a#a", "bab"])
+    assert s.windows == frozenset({"aba", "bab"})
+    with pytest.raises(ValueError):
+        ClopenSet(fib, 1, ["aba", "ab"])
+    with pytest.raises(ValueError):
+        ClopenSet(fib, 0, ["#a"])
+
+
+def test_a_slice_outside_the_shorter_language_is_outside_the_set():
+    # rank -1 must not read the last flag: rows of length 1 hold only "a",
+    # and the middle letter of the only 3-word is not among them
+    rows = {1: np.array([[1]], np.uint8), 3: np.array([[1, 2, 1]], np.uint8)}
+    oracle = SimpleNamespace(rows=rows.__getitem__)
+    assert _pull_back(oracle, np.array([True]), 1, 1, 1).mask.tolist() == [False]
+    assert _pull_back(oracle, np.array([True]), 1, 1, 0).mask.tolist() == [True]
+
+
+def test_a_clopen_question_tests_legality_once_per_cylinder(monkeypatch):
+    # the bench's clopen question, in small: three cylinders, their boolean
+    # algebra and a shift out and back
+    fresh = LanguageOracle.from_substitution(fibonacci())
+    calls = []
+    is_legal = LanguageOracle.is_legal
+    monkeypatch.setattr(LanguageOracle, "is_legal",
+                        lambda self, word: calls.append(word) or is_legal(self, word))
+    a, b, c = (ClopenSet.from_cylinder(fresh, Cylinder.parse(text))
+               for text in ("aba@1", "ab@0", "baab@2"))
+    mixed = complement(intersect(union(a, b), c))
+    assert is_equal(shift_set(shift_set(mixed, 1), -1), mixed)
+    assert len(calls) <= 3
