@@ -69,7 +69,7 @@ class BranchedGraph(Graph):
         index = dict(zip(itertools.product(self.edge_ids, (SRC, DST)), itertools.count()))
         ends, side = (self.esrc.tolist(), self.edst.tolist()), [-1] * len(index)
         for v, halves in sides.items():
-            at = self.vertex_index(v)
+            at = self.vindex[v]
             for bit, half_edges in enumerate(halves):
                 for h in half_edges:
                     i = index.get(h, -1)
@@ -115,7 +115,7 @@ class BranchedGraph(Graph):
     def _half_edge_index(self, h: HalfEdge) -> int:
         try:
             e, end = h
-            return 2 * self.edge_index(e) + (SRC, DST).index(end)
+            return 2 * self.eindex[e] + (SRC, DST).index(end)
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"half-edge {h!r} of unknown edge") from None
 
@@ -146,7 +146,7 @@ class BranchedGraph(Graph):
         return frozenset().union(*self.sides[v])
 
     def is_branch_point(self, v) -> bool:
-        return bool(self._branched[self.vertex_index(v)])
+        return bool(self._branched[self.vindex[v]])
 
     def branch_points(self) -> list:
         return [self.vertex_ids[i] for i in np.flatnonzero(self._branched).tolist()]
@@ -226,7 +226,7 @@ class CellularMap:
         if set(edge_map) != set(domain.edge_ids):
             raise ValueError("edge_map must cover exactly the domain edges")
         try:
-            vmap = [codomain.vertex_index(vertex_map[v]) for v in domain.vertex_ids]
+            vmap = [codomain.vindex[vertex_map[v]] for v in domain.vertex_ids]
         except KeyError:
             v = next(v for v in domain.vertex_ids if vertex_map[v] not in codomain.vertex_ids)
             raise ValueError(f"vertex {v!r} maps to unknown vertex {vertex_map[v]!r}") from None
@@ -375,7 +375,7 @@ def germ_flattens(d: GermMap) -> bool:
 def germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
     """Image germ, with the image half-edges sorted back into their sides."""
     g, h, image = f.domain, f.codomain, germ_map(f).image
-    v = g.vertex_index(germ.vertex)
+    v = g.vindex[germ.vertex]
     slots = [None, None]
     for h_edge in (germ.a, germ.b):
         if h_edge is None:

@@ -10,16 +10,19 @@ and every column for bijectivity in bulk.  Towers stack coverings over a
 fixed base, carry a coherent thread of base points, and expose the
 composite coverings whose deck groups feed the profinite layer.
 
-The cell data lives in numpy index arrays.  Cyclic towers answer threads,
-holonomy and the group law in closed form, at any depth, and build a
-level's graph only when it is read.
+The cell data lives in numpy index arrays.  A tower builds a level only
+when a question reads it, through one hook; a tower read from a file has
+each level checked against the star axioms as it is built.  Cyclic towers
+answer threads, holonomy and the group law in closed form, at any depth.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +55,6 @@ class Graph:
         self.edge_ids = edge_ids
         self.esrc = np.asarray(esrc, dtype=np.int64)
         self.edst = np.asarray(edst, dtype=np.int64)
-        self._vindex: Optional[dict] = None
-        self._eindex: Optional[dict] = None
 
     def _set_labelled_cells(self, vertices, edges: Mapping):
         """Index labelled cells in ``repr`` order of their ids; a ValueError
@@ -61,12 +62,12 @@ class Graph:
         from the vertex index, so they need no range check."""
         vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
         vidx = {v: i for i, v in enumerate(vertex_ids)}
-        ends = [vidx.get(edges[e][end], -1) for e in edge_ids for end in (0, 1)]
+        ends = list(map(vidx.get, chain(*map(edges.__getitem__, edge_ids)), repeat(-1)))
         if -1 in ends:
             e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
             raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
         self._set_cells(vertex_ids, edge_ids, ends[0::2], ends[1::2])
-        self._vindex = vidx
+        self.vindex = vidx
 
     @classmethod
     def from_edges(cls, vertices: Sequence, edges: Mapping) -> "Graph":
@@ -88,15 +89,15 @@ class Graph:
     def ne(self) -> int:
         return len(self.edge_ids)
 
-    def vertex_index(self, v) -> int:
-        if self._vindex is None:
-            self._vindex = {w: i for i, w in enumerate(self.vertex_ids)}
-        return self._vindex[v]
+    @cached_property
+    def vindex(self) -> dict:
+        """Vertex id -> vertex index."""
+        return {v: i for i, v in enumerate(self.vertex_ids)}
 
-    def edge_index(self, e) -> int:
-        if self._eindex is None:
-            self._eindex = {d: i for i, d in enumerate(self.edge_ids)}
-        return self._eindex[e]
+    @cached_property
+    def eindex(self) -> dict:
+        """Edge id -> edge index."""
+        return {e: i for i, e in enumerate(self.edge_ids)}
 
     def spanning_tree(self, root: int) -> list[tuple[int, int, int, int]]:
         """Steps (u, edge, sign, w) of a spanning tree of root's component.
@@ -157,15 +158,9 @@ class GraphMap:
     @classmethod
     def from_dicts(cls, domain: Graph, codomain: Graph,
                    vertex_map: Mapping, edge_map: Mapping) -> "GraphMap":
-        vmap = np.array(
-            [codomain.vertex_index(vertex_map[v]) for v in domain.vertex_ids],
-            dtype=np.int64,
-        )
-        emap = np.array(
-            [codomain.edge_index(edge_map[e]) for e in domain.edge_ids],
-            dtype=np.int64,
-        )
-        return cls(domain, codomain, vmap, emap)
+        vindex, eindex = codomain.vindex, codomain.eindex
+        return cls(domain, codomain, [vindex[vertex_map[v]] for v in domain.vertex_ids],
+                   [eindex[edge_map[e]] for e in domain.edge_ids])
 
     def compose(self, inner: "GraphMap") -> "GraphMap":
         """self after inner."""
@@ -255,21 +250,25 @@ class GraphCovering:
             problems.append("not surjective on edges")
         if base.nv and not (vsizes == vsizes[0]).all():
             problems.append("fiber sizes are not constant")
-        # star bijectivity: out- and in-edges at u inject into those at vmap[u]
-        # with matching counts
-        for direction, ends in (("out", total.esrc), ("in", total.edst)):
-            key = ends * max(base.ne, 1) + m.emap
-            if len(np.unique(key)) != total.ne:
-                problems.append(f"two {direction}-edges at one vertex share a base edge")
-        base_out = np.bincount(base.esrc, minlength=base.nv)
-        base_in = np.bincount(base.edst, minlength=base.nv)
-        tot_out = np.bincount(total.esrc, minlength=total.nv)
-        tot_in = np.bincount(total.edst, minlength=total.nv)
-        if not (np.array_equal(tot_out, base_out[m.vmap])
-                and np.array_equal(tot_in, base_in[m.vmap])):
-            problems.append("some vertex star does not match its image star")
+        problems += self.star_problems()
         if not allow_degree_one and not problems and self.degree() < 2:
             problems.append("degree 1 covering (homeomorphism) not allowed here")
+        return problems
+
+    def star_problems(self) -> list[str]:
+        """Star-bijectivity violations: the out-edges (in-edges) at a total vertex
+        u meet each base edge leaving (entering) vmap[u] once, so sorted (u, base
+        edge) keys repeat none, and u has as many of them as vmap[u]."""
+        problems, stars_match = [], True
+        total, base, m = self.total, self.base, self.map
+        for direction, ends, base_ends in ("out", total.esrc, base.esrc), ("in", total.edst, base.edst):
+            key = np.sort(ends * max(base.ne, 1) + m.emap)
+            if (key[1:] == key[:-1]).any():
+                problems.append(f"two {direction}-edges at one vertex share a base edge")
+            stars_match &= np.array_equal(np.bincount(ends, minlength=total.nv),
+                                          np.bincount(base_ends, minlength=base.nv)[m.vmap])
+        if not stars_match:
+            problems.append("some vertex star does not match its image star")
         return problems
 
     # -- lifting ----------------------------------------------------------
@@ -290,7 +289,7 @@ class GraphCovering:
     def check_loop(self, loop: Sequence[Step], base_vi: int = 0):
         cur = base_vi
         for edge_id, sign in loop:
-            ei = self.base.edge_index(edge_id)
+            ei = self.base.eindex[edge_id]
             s, t = int(self.base.esrc[ei]), int(self.base.edst[ei])
             start, end = (s, t) if sign == 1 else (t, s)
             if start != cur:
@@ -303,7 +302,7 @@ class GraphCovering:
         """End vertex indices of the lifts of a base edge path, one per start."""
         cur = np.asarray(starts, dtype=np.int64)
         for edge_id, sign in path:
-            cur = self._step_transport(self.base.edge_index(edge_id), sign)[cur]
+            cur = self._step_transport(self.base.eindex[edge_id], sign)[cur]
             if (cur < 0).any():
                 raise ValueError("loop does not lift; the map is not a covering here")
         return cur
@@ -323,13 +322,14 @@ class GraphCovering:
 
     # -- deck group --------------------------------------------------------
 
-    def require_covering(self):
-        """Raise ``ValueError`` naming the first failed covering axiom;
-        the axioms are checked once per covering."""
-        if self._problems is None:
+    def require_covering(self, stars_only: bool = False):
+        """Raise ``ValueError`` naming the first failed covering axiom (star
+        axiom with ``stars_only``); the full check runs once per covering."""
+        if self._problems is None and not stars_only:
             self._problems = self.validate(allow_degree_one=True)
-        if self._problems:
-            raise ValueError(f"not a covering: {self._problems[0]}")
+        problems = self.star_problems() if stars_only else self._problems
+        if problems:
+            raise ValueError(f"not a covering: {problems[0]}")
 
     def _edge_images(self, vimg: np.ndarray) -> np.ndarray:
         """Edge images under vertex images ``vimg`` (one column per candidate
@@ -450,29 +450,45 @@ class CoveringTower:
     coherent thread of fiber points, fixed by its level-k vertex:
     :meth:`thread` projects it down, :meth:`loop_endpoint` lifts a base loop
     to one and :meth:`deck_power` moves one by a deck transformation.
+    Levels are cached as built, each by the one hook :meth:`_build` when
+    first read; a tower given as its list of coverings starts fully built.
     """
 
     def __init__(self, coverings: Sequence[GraphCovering], *, base_vertex=None):
+        coverings = list(coverings)
         if not coverings:
             raise ValueError("a tower needs at least one covering")
-        self.coverings = list(coverings)
-        for lower, upper in zip(self.coverings, self.coverings[1:]):
+        for lower, upper in zip(coverings, coverings[1:]):
             if upper.base is not lower.total and upper.base != lower.total:
                 raise ValueError("consecutive coverings do not stack")
-        self.base = self.coverings[0].base
-        self._start(0 if base_vertex is None else self.base.vertex_index(base_vertex))
+        self._open(len(coverings) + 1, dict(enumerate([coverings[0].base, *coverings], 1)), base_vertex)
 
-    def _start(self, x1: int):
-        self._thread = [x1]
+    @classmethod
+    def on_read(cls, base: Graph, depth: int, build: Callable, *, base_vertex=None) -> "CoveringTower":
+        """A tower of ``depth`` levels over ``base`` whose bond f_k is
+        ``build(k, graph(k - 1))``, called when level k is first read."""
+        tower = cls.__new__(cls)
+        tower._bond_builder = build
+        tower._open(depth, {1: base}, base_vertex)
+        return tower
+
+    def _open(self, depth: int, built: dict, base_vertex=None):
+        self.depth = depth  # largest level index (levels are 1-based)
+        self._built = built  # 1: the base graph; k >= 2: the bond f_k
+        self._thread = [0 if base_vertex is None else self.base.vindex[base_vertex]]
         self._composites: dict[tuple[int, int], GraphMap] = {}
         self._composite_covers: dict[tuple[int, int], GraphCovering] = {}
         self._fibers: dict[int, np.ndarray] = {}
         self._fiber_positions: dict[int, Sequence[int]] = {}
 
-    @property
-    def depth(self) -> int:
-        """Largest level index (levels are 1-based)."""
-        return len(self.coverings) + 1
+    def _build(self, k: int):
+        """The one hook that builds level k: the base graph, or the bond f_k."""
+        return self._bond_builder(k, self.graph(k - 1))
+
+    def _level(self, k: int):
+        if k not in self._built:
+            self._built[k] = self._build(k)
+        return self._built[k]
 
     def _check_level(self, k: int):
         if not 1 <= k <= self.depth:
@@ -482,16 +498,18 @@ class CoveringTower:
         if not 2 <= k <= self.depth:
             raise ValueError(f"covering {k} is outside the tower's coverings 2..{self.depth}")
 
+    @property
+    def base(self) -> Graph:
+        return self._level(1)
+
     def graph(self, k: int) -> Graph:
         self._check_level(k)
-        if k == 1:
-            return self.base
-        return self.coverings[k - 2].total
+        return self.base if k == 1 else self._level(k).total
 
     def covering(self, k: int) -> GraphCovering:
         """The bonding covering f_k : S_k -> S_{k-1}, for k >= 2."""
         self._check_bond(k)
-        return self.coverings[k - 2]
+        return self._level(k)
 
     def composite_map(self, k: int, k0: int) -> GraphMap:
         """The composite covering map from level k down to level k0 <= k.
@@ -615,10 +633,10 @@ class CyclicTower(CoveringTower):
     residues mod the order below, a base loop lifts by its winding number
     and the deck transformations are the rotations.  Threads, holonomy and
     the group law therefore cost O(K) integer operations at any depth.
-    Each level's cycle graph and bond is built on the first read of
-    :meth:`graph` or :meth:`covering`, once, and shared, so deck groups and
-    composites see real graphs; the closed form is verified on them, not
-    assumed (see :meth:`verify_rotation_witness`).
+    Each level's cycle graph and bond is built by :meth:`_build` on the
+    first read of :meth:`graph` or :meth:`covering`, once, and shared, so
+    deck groups and composites see real graphs; the closed form is verified
+    on them, not assumed (see :meth:`verify_rotation_witness`).
     """
 
     def __init__(self, degrees: Sequence[int]):
@@ -630,31 +648,14 @@ class CyclicTower(CoveringTower):
         for d in degrees:
             sizes.append(sizes[-1] * d)
         self.sizes = sizes  # sizes[k-1] = order of level k
-        self._graphs: dict[int, Graph] = {}
-        self._bonds: dict[int, GraphCovering] = {}
-        self._start(0)
+        self._open(len(sizes), {})
 
-    @property
-    def depth(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def base(self) -> Graph:
-        return self.graph(1)
-
-    def graph(self, k: int) -> Graph:
-        self._check_level(k)
-        if k not in self._graphs:
-            self._graphs[k] = Graph.cycle(self.sizes[k - 1])
-        return self._graphs[k]
-
-    def covering(self, k: int) -> GraphCovering:
-        self._check_bond(k)
-        if k not in self._bonds:
-            upper, lower = self.graph(k), self.graph(k - 1)
-            idx = np.arange(upper.nv, dtype=np.int64) % lower.nv
-            self._bonds[k] = GraphCovering(GraphMap(upper, lower, idx, idx))
-        return self._bonds[k]
+    def _build(self, k: int):
+        g = Graph.cycle(self.sizes[k - 1])
+        if k == 1:
+            return g
+        idx = np.arange(g.nv, dtype=np.int64) % self.sizes[k - 2]
+        return GraphCovering(GraphMap(g, self.graph(k - 1), idx, idx))
 
     def base_point(self, k: int) -> int:
         """x_k: the least lift of x_{k-1} is x_{k-1} itself."""
@@ -684,7 +685,7 @@ class CyclicTower(CoveringTower):
 
     def loop_endpoint(self, loop: Sequence[Step], k: int) -> int:
         for edge, _ in loop:
-            self.base.edge_index(edge)  # a KeyError names an unknown edge
+            self.base.eindex[edge]  # a KeyError names an unknown edge
         return (self.base_point(k) + sum(sign for _, sign in loop)) % self.sizes[k - 1]
 
     def deck_power(self, k: int, target: int, n: int, point: int) -> int:

@@ -247,7 +247,11 @@ def clopen_from_json(data: dict, oracle: LanguageOracle) -> ClopenSet:
     radius = _field(data, "radius", int) if "radius" in data else 0
     if isinstance(radius, bool) or radius < 0:
         raise ValueError("'radius' must be a nonnegative integer")
-    cylinders = [Cylinder.parse(text) for text in _field(data, "cylinders", list, str)]
+    texts = _field(data, "cylinders", list, str)
+    try:
+        cylinders = list(map(Cylinder.parse, texts))
+    except ValueError as exc:
+        raise ValueError(f"'cylinders': {exc}") from None
     out = ClopenSet.from_cylinders(oracle, cylinders)
     return canonicalize(out, max(radius, out.radius))
 
@@ -280,14 +284,41 @@ def _keyed(mapping: dict, key):
     return mapping[str(key)]
 
 
+class _Level(dict):
+    """A tower level's object, as ``_level_from_json`` returns it."""
+
+
+def _level_from_json(data: dict, base_dir: Optional[Path]) -> _Level:
+    """A tower level with its total graph read from its file, the kind of
+    every field checked and no cell id repeated; nothing is indexed."""
+    if isinstance(data, _Level):
+        return data
+    total = _resolve(_field(data, "total"), base_dir)
+    _unique(_field(total, "vertices", list, _ID), "vertex")
+    try:
+        _unique([e["id"] for e in _field(total, "edges", list, dict)], "edge")
+    except (KeyError, TypeError):
+        _edges_from_json(total)  # raises, naming what every entry needs
+    _field(data, "vertex_map", dict, _ID), _field(data, "edge_map", dict, _ID)
+    return _Level(data, total=total)
+
+
 def covering_from_json(data: dict, base: Graph,
                        base_dir: Optional[Path] = None) -> GraphCovering:
-    total = plain_graph_from_json(_resolve(_field(data, "total"), base_dir))
-    vmap, emap = _field(data, "vertex_map", dict, _ID), _field(data, "edge_map", dict, _ID)
-    vertex_map = {v: _keyed(vmap, v) for v in total.vertex_ids}
-    edge_map = {e: _keyed(emap, e) for e in total.edge_ids}
-    gmap = GraphMap.from_dicts(total, base, vertex_map, edge_map)
-    return GraphCovering(gmap)
+    """One tower level over ``base``, indexed in one pass: the total graph's
+    ids in ``repr`` order, each map read with one lookup per id against the
+    index of ``base``; a ValueError names a failed star axiom."""
+    data = _level_from_json(data, base_dir)
+    total = Graph.from_edges(data["total"]["vertices"], _edges_from_json(data["total"]))
+    vmap, emap = data["vertex_map"], data["edge_map"]
+    try:
+        gmap = GraphMap.from_dicts(total, base, vmap, emap)
+    except KeyError:  # an integer id under its string key, or a missing id: name it
+        gmap = GraphMap.from_dicts(total, base, {v: _keyed(vmap, v) for v in total.vertex_ids},
+                                   {e: _keyed(emap, e) for e in total.edge_ids})
+    cov = GraphCovering(gmap)
+    cov.require_covering(stars_only=True)
+    return cov
 
 
 def covering_to_json(c: GraphCovering) -> dict:
@@ -306,19 +337,17 @@ def covering_to_json(c: GraphCovering) -> dict:
 
 
 def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTower:
+    """A tower whose levels are checked now and built when first read."""
     if isinstance(data, dict) and "circle_degrees" in data:
         return cyclic_tower(_field(data, "circle_degrees", list, int))
     base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
-    coverings = []
-    current = base
-    for node in _field(data, "levels", list):
-        cov = covering_from_json(_resolve(node, base_dir), current, base_dir)
-        coverings.append(cov)
-        current = cov.total
-    kwargs = {}
-    if "base_vertex" in data:
-        kwargs["base_vertex"] = data["base_vertex"]
-    return CoveringTower(coverings, **kwargs)
+    levels = [_level_from_json(_resolve(node, base_dir), base_dir)
+              for node in _field(data, "levels", list)]
+    if not levels:
+        raise ValueError("a tower needs at least one covering")
+    return CoveringTower.on_read(base, len(levels) + 1,
+                                 lambda k, below: covering_from_json(levels[k - 2], below),
+                                 base_vertex=data.get("base_vertex"))
 
 
 def load_tower(path: Union[str, Path]) -> CoveringTower:

@@ -43,7 +43,7 @@ class Cylinder:
     @classmethod
     def parse(cls, text: str) -> "Cylinder":
         word, _, mark = text.rpartition("@")
-        if not word:
+        if not (word and mark.isascii() and mark.isdigit()):
             raise ValueError(f"cylinder literal must look like 'word@index': {text!r}")
         return cls(word, int(mark))
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -427,3 +429,94 @@ def random_permutation_cover(rng: Random, max_degree: int = 6) -> GraphCovering:
         cov = permutation_cover(perms)
         if cov.validate(allow_degree_one=True) == []:
             return cov
+
+
+# -- tower files -----------------------------------------------------------------
+
+# labels whose repr order differs from list order and from str order
+LABELS = ["b", "a10", "a9", "it's", 'say "x"', "ä", "Z", "-", "w w", "0", "01", "10", "2"]
+
+
+def _labels(rng: Random, n: int, integers: bool) -> list:
+    if integers:
+        return rng.sample(range(-3, 3 * n + 3), n)
+    pool = [f"{rng.choice(LABELS)}{i:03d}" for i in range(n)]  # distinct below 1000 cells
+    rng.shuffle(pool)
+    return pool
+
+
+def random_tower_json(rng: Random, depth: int, integers: bool = False, max_degree: int = 3) -> dict:
+    """A tower file (docs/formats.md) of random permutation covers, each
+    level over the one below, with shuffled labels; ``integers`` makes every
+    cell id an integer, which JSON object keys turn into strings."""
+    base = rng.choice([
+        {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"},
+                                      {"id": "b", "src": "w", "dst": "w"}]},
+        {"vertices": ["p", "q"], "edges": [{"id": "a", "src": "p", "dst": "q"},
+                                           {"id": "b", "src": "q", "dst": "p"},
+                                           {"id": "c", "src": "p", "dst": "p"}]},
+    ])
+    below, levels = base, []
+    for _ in range(depth - 1):
+        d = rng.randint(1, max_degree)
+        cells = [(v, i) for v in below["vertices"] for i in range(d)]
+        vid = dict(zip(cells, _labels(rng, len(cells), integers)))
+        ends = {e["id"]: (e["src"], e["dst"]) for e in below["edges"]}
+        lifts = [(e, i) for e in ends for i in range(d)]
+        eid = dict(zip(lifts, _labels(rng, len(lifts), integers)))
+        perms = {e: rng.sample(range(d), d) for e in ends}
+        edges = [{"id": eid[(e, i)], "src": vid[(ends[e][0], i)], "dst": vid[(ends[e][1], perms[e][i])]}
+                 for e, i in lifts]
+        rng.shuffle(edges)
+        total = {"vertices": rng.sample(list(vid.values()), len(vid)), "edges": edges}
+        levels.append({"total": total,
+                       "vertex_map": {str(vid[c]): c[0] for c in cells},
+                       "edge_map": {str(eid[(e, i)]): e for e, i in lifts}})
+        below = total
+    return json.loads(json.dumps({"base": base, "levels": levels}))
+
+
+def cayley_tower_json(orders: list[tuple[int, int]]) -> dict:
+    """Tower of Cayley graphs of Z/m x Z/n over the two-petal rose, one level
+    per (m, n); each order must divide the one after it."""
+    rose = {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"},
+                                         {"id": "b", "src": "w", "dst": "w"}]}
+    levels, below = [], None
+    for m, n in orders:
+        cells = [(i, j) for i in range(m) for j in range(n)]
+        edges = [{"id": f"{g}{i}.{j}", "src": f"{i}.{j}", "dst": f"{(i + (g == 'a')) % m}.{(j + (g == 'b')) % n}"}
+                 for i, j in cells for g in "ab"]
+        down = (lambda i, j: "w") if below is None else (lambda i, j: f"{i % below[0]}.{j % below[1]}")
+        levels.append({"total": {"vertices": [f"{i}.{j}" for i, j in cells], "edges": edges},
+                       "vertex_map": {f"{i}.{j}": down(i, j) for i, j in cells},
+                       "edge_map": {f"{g}{i}.{j}": g if below is None else g + down(i, j)
+                                    for i, j in cells for g in "ab"}})
+        below = (m, n)
+    return {"base": rose, "levels": levels}
+
+
+def reference_tower_levels(data: dict, base_dir: Optional[Path] = None) -> list:
+    """The base graph and every bond of a tower file, built eagerly: each
+    graph by ``Graph.from_edges``, each map by ``GraphMap.from_dicts``, an
+    integer id found under its string key; no star axiom is checked."""
+    def read(node):
+        if isinstance(node, str):
+            path = Path(node)
+            return json.loads((path if path.is_absolute() or base_dir is None else base_dir / path).read_text())
+        return node
+
+    def graph(g):
+        return Graph.from_edges(g["vertices"], {e["id"]: (e["src"], e["dst"]) for e in g["edges"]})
+
+    def keyed(mapping, key):
+        return mapping[key] if key in mapping else mapping[str(key)]
+
+    below = graph(read(data["base"]))
+    levels = [below]
+    for node in map(read, data["levels"]):
+        total = graph(read(node["total"]))
+        vertex_map = {v: keyed(node["vertex_map"], v) for v in total.vertex_ids}
+        edge_map = {e: keyed(node["edge_map"], e) for e in total.edge_ids}
+        levels.append(GraphCovering(GraphMap.from_dicts(total, below, vertex_map, edge_map)))
+        below = total
+    return levels

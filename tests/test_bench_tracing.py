@@ -81,3 +81,33 @@ def test_traced_clopen_counts_the_windows_it_returns():
     returned = [s, s, s, empty, s, moved]
     assert tracer.counts["transversal.windows_out"] == sum(len(x.windows) for x in returned)
     assert tracer.counts["transversal.windows_out"] == 4 * 2 + 3
+
+
+def test_traced_tower_questions_build_levels_inside_their_readers(tmp_path, monkeypatch, capsys):
+    from helpers import cayley_tower_json
+
+    from laminate import cli, formats
+
+    path = tmp_path / "cayley.json"
+    path.write_text(json.dumps(cayley_tower_json([(2, 1), (2, 2), (4, 2), (4, 4), (8, 4), (8, 8)])))
+    tracer = load_tracing().Tracer()
+    built, original = [], formats.covering_from_json
+
+    def recording(*args):
+        built.append([tracer.names[tracer.name[i]] for i in tracer.stack])
+        return original(*args)
+
+    monkeypatch.setattr(formats, "covering_from_json", recording)
+    try:
+        tracer.install()
+        perms = formats.load_tower(path).generator_monodromies(4)
+        assert cli.main(["deck-group", "--tower", str(path), "--level", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    assert sorted(len(p) for p in perms.values()) == [8, 8]
+    assert capsys.readouterr().out == "level 5: degree 16, deck order 16, regular: True\n"
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("formats.load") == 2 and "coverings.composite_map" in spans
+    # levels 2..4, then 2..5: each built on first read, never while loading
+    assert len(built) == 3 + 4
+    assert all("coverings.composite_map" in stack and "formats.load" not in stack for stack in built)

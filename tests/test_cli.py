@@ -557,3 +557,42 @@ def test_repeated_ids_fail_at_load(command, tmp_path, capsys):
     _fails_cleanly(argv, tmp_path, capsys)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: repeated {named}\n"
+
+
+NON_COVERING_ASKS = [
+    ("THREE_EDGES", ["deck-group", "--level", "2"]),
+    ("THREE_EDGES", ["rep", "--loop", "a"]),
+    ("THREE_EDGES", ["metric", "--x=1", "--y=a", "--depth", "2"]),
+    ("BAD_TOP", ["deck-group", "--level", "3"]),
+    ("BAD_TOP", ["rep", "--loop", "a"]),
+    ("BAD_TOP", ["metric", "--x=0", "--y=a", "--depth", "3"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", NON_COVERING_ASKS)
+def test_questions_on_a_level_that_is_not_a_covering_fail_cleanly(name, argv, tmp_path, capsys):
+    import test_formats
+
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps(getattr(test_formats, name)))
+    argv = [argv[0], "--tower", str(tower), *argv[1:]]
+    _fails_cleanly(argv, tmp_path, capsys)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["data"]["error"] == test_formats.NOT_A_COVERING
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {test_formats.NOT_A_COVERING}\n"
+
+
+def test_questions_below_a_level_that_is_not_a_covering_answer(tmp_path, capsys):
+    from test_formats import BAD_TOP
+
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps(BAD_TOP))
+    for argv in (["deck-group", "--level", "2"], ["rep", "--loop", "a", "--depth", "2"],
+                 ["metric", "--x=0", "--y=a", "--depth", "2"]):
+        assert main([argv[0], "--tower", str(tower), *argv[1:]]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "level 2: degree 2, deck order 2, regular: True",
+        "representation of loop 'a': base-point orbit [0, 1]",
+        "d(x, y) = 1/4 (truncated at depth 2, tail below 1/4)",
+    ]
