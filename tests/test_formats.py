@@ -8,7 +8,7 @@ import pytest
 from helpers import cayley_tower_json, random_tower_json, reference_tower_levels
 
 from laminate import fixtures, formats
-from laminate.coverings import GraphCovering, cyclic_tower
+from laminate.coverings import cyclic_tower
 from laminate.profinite import QuotientHom
 from laminate.local_model import glue_classes
 from laminate.subshift import LanguageOracle, fibonacci
