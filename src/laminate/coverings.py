@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -322,14 +322,13 @@ class GraphCovering:
 
     # -- deck group --------------------------------------------------------
 
-    def require_covering(self, stars_only: bool = False):
-        """Raise ``ValueError`` naming the first failed covering axiom (star
-        axiom with ``stars_only``); the full check runs once per covering."""
-        if self._problems is None and not stars_only:
+    def require_covering(self):
+        """Raise ``ValueError`` naming the first failed covering axiom;
+        the axioms are checked once per covering."""
+        if self._problems is None:
             self._problems = self.validate(allow_degree_one=True)
-        problems = self.star_problems() if stars_only else self._problems
-        if problems:
-            raise ValueError(f"not a covering: {problems[0]}")
+        if self._problems:
+            raise ValueError(f"not a covering: {self._problems[0]}")
 
     def _edge_images(self, vimg: np.ndarray) -> np.ndarray:
         """Edge images under vertex images ``vimg`` (one column per candidate
@@ -451,7 +450,7 @@ class CoveringTower:
     :meth:`thread` projects it down, :meth:`loop_endpoint` lifts a base loop
     to one and :meth:`deck_power` moves one by a deck transformation.
     Levels are cached as built, each by the one hook :meth:`_build` when
-    first read; a tower given as its list of coverings starts fully built.
+    first read, in ascending order; a tower given its coverings starts built.
     """
 
     def __init__(self, coverings: Sequence[GraphCovering], *, base_vertex=None):
@@ -461,20 +460,11 @@ class CoveringTower:
         for lower, upper in zip(coverings, coverings[1:]):
             if upper.base is not lower.total and upper.base != lower.total:
                 raise ValueError("consecutive coverings do not stack")
-        self._open(len(coverings) + 1, dict(enumerate([coverings[0].base, *coverings], 1)), base_vertex)
+        self._open(len(coverings) + 1, [coverings[0].base, *coverings], base_vertex)
 
-    @classmethod
-    def on_read(cls, base: Graph, depth: int, build: Callable, *, base_vertex=None) -> "CoveringTower":
-        """A tower of ``depth`` levels over ``base`` whose bond f_k is
-        ``build(k, graph(k - 1))``, called when level k is first read."""
-        tower = cls.__new__(cls)
-        tower._bond_builder = build
-        tower._open(depth, {1: base}, base_vertex)
-        return tower
-
-    def _open(self, depth: int, built: dict, base_vertex=None):
+    def _open(self, depth: int, built: list, base_vertex=None):
         self.depth = depth  # largest level index (levels are 1-based)
-        self._built = built  # 1: the base graph; k >= 2: the bond f_k
+        self._built = built  # [k - 1]: the base graph for k = 1, else the bond f_k
         self._thread = [0 if base_vertex is None else self.base.vindex[base_vertex]]
         self._composites: dict[tuple[int, int], GraphMap] = {}
         self._composite_covers: dict[tuple[int, int], GraphCovering] = {}
@@ -482,13 +472,13 @@ class CoveringTower:
         self._fiber_positions: dict[int, Sequence[int]] = {}
 
     def _build(self, k: int):
-        """The one hook that builds level k: the base graph, or the bond f_k."""
-        return self._bond_builder(k, self.graph(k - 1))
+        """The hook that builds level k once the levels below it are built."""
+        raise NotImplementedError  # a tower given its coverings starts built
 
     def _level(self, k: int):
-        if k not in self._built:
-            self._built[k] = self._build(k)
-        return self._built[k]
+        while len(self._built) < k:
+            self._built.append(self._build(len(self._built) + 1))
+        return self._built[k - 1]
 
     def _check_level(self, k: int):
         if not 1 <= k <= self.depth:
@@ -648,7 +638,7 @@ class CyclicTower(CoveringTower):
         for d in degrees:
             sizes.append(sizes[-1] * d)
         self.sizes = sizes  # sizes[k-1] = order of level k
-        self._open(len(sizes), {})
+        self._open(len(sizes), [])
 
     def _build(self, k: int):
         g = Graph.cycle(self.sizes[k - 1])

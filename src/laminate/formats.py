@@ -277,22 +277,19 @@ def plain_graph_to_json(g: Graph) -> dict:
     }
 
 
-def _keyed(mapping: dict, key):
-    """JSON object keys are strings; tolerate integer cell ids."""
-    if key in mapping:
-        return mapping[key]
-    return mapping[str(key)]
+class _Keys(dict):
+    """A JSON object read by cell id: object keys are strings, so an
+    integer id is looked up under its string."""
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            raise KeyError(key)
+        return self[str(key)]
 
 
-class _Level(dict):
-    """A tower level's object, as ``_level_from_json`` returns it."""
-
-
-def _level_from_json(data: dict, base_dir: Optional[Path]) -> _Level:
+def _level_from_json(data: dict, base_dir: Optional[Path]) -> dict:
     """A tower level with its total graph read from its file, the kind of
     every field checked and no cell id repeated; nothing is indexed."""
-    if isinstance(data, _Level):
-        return data
     total = _resolve(_field(data, "total"), base_dir)
     _unique(_field(total, "vertices", list, _ID), "vertex")
     try:
@@ -300,25 +297,25 @@ def _level_from_json(data: dict, base_dir: Optional[Path]) -> _Level:
     except (KeyError, TypeError):
         _edges_from_json(total)  # raises, naming what every entry needs
     _field(data, "vertex_map", dict, _ID), _field(data, "edge_map", dict, _ID)
-    return _Level(data, total=total)
+    return dict(data, total=total)
+
+
+def _covering_from_level(level: dict, base: Graph) -> GraphCovering:
+    """A level read by ``_level_from_json``, over ``base``, indexed in one
+    pass: the total graph's ids in ``repr`` order, each map read with one
+    lookup per id against the index of ``base``; a ValueError names a
+    failed star axiom."""
+    total = Graph.from_edges(level["total"]["vertices"], _edges_from_json(level["total"]))
+    cov = GraphCovering(GraphMap.from_dicts(total, base, _Keys(level["vertex_map"]), _Keys(level["edge_map"])))
+    problems = cov.star_problems()
+    if problems:
+        raise ValueError(f"not a covering: {problems[0]}")
+    return cov
 
 
 def covering_from_json(data: dict, base: Graph,
                        base_dir: Optional[Path] = None) -> GraphCovering:
-    """One tower level over ``base``, indexed in one pass: the total graph's
-    ids in ``repr`` order, each map read with one lookup per id against the
-    index of ``base``; a ValueError names a failed star axiom."""
-    data = _level_from_json(data, base_dir)
-    total = Graph.from_edges(data["total"]["vertices"], _edges_from_json(data["total"]))
-    vmap, emap = data["vertex_map"], data["edge_map"]
-    try:
-        gmap = GraphMap.from_dicts(total, base, vmap, emap)
-    except KeyError:  # an integer id under its string key, or a missing id: name it
-        gmap = GraphMap.from_dicts(total, base, {v: _keyed(vmap, v) for v in total.vertex_ids},
-                                   {e: _keyed(emap, e) for e in total.edge_ids})
-    cov = GraphCovering(gmap)
-    cov.require_covering(stars_only=True)
-    return cov
+    return _covering_from_level(_level_from_json(data, base_dir), base)
 
 
 def covering_to_json(c: GraphCovering) -> dict:
@@ -336,18 +333,25 @@ def covering_to_json(c: GraphCovering) -> dict:
     }
 
 
+class _FileTower(CoveringTower):
+    """A tower read from a file: level k is indexed and checked against the
+    star axioms the first time it is read."""
+
+    def __init__(self, base: Graph, levels: list, base_vertex=None):
+        self._levels = levels  # from _level_from_json; level k is levels[k - 2]
+        self._open(len(levels) + 1, [base], base_vertex)
+
+    def _build(self, k: int) -> GraphCovering:
+        return _covering_from_level(self._levels[k - 2], self.graph(k - 1))
+
+
 def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTower:
     """A tower whose levels are checked now and built when first read."""
     if isinstance(data, dict) and "circle_degrees" in data:
         return cyclic_tower(_field(data, "circle_degrees", list, int))
     base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
-    levels = [_level_from_json(_resolve(node, base_dir), base_dir)
-              for node in _field(data, "levels", list)]
-    if not levels:
-        raise ValueError("a tower needs at least one covering")
-    return CoveringTower.on_read(base, len(levels) + 1,
-                                 lambda k, below: covering_from_json(levels[k - 2], below),
-                                 base_vertex=data.get("base_vertex"))
+    levels = [_level_from_json(_resolve(node, base_dir), base_dir) for node in _field(data, "levels", list)]
+    return _FileTower(base, levels, data.get("base_vertex"))
 
 
 def load_tower(path: Union[str, Path]) -> CoveringTower:

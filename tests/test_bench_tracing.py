@@ -91,13 +91,13 @@ def test_traced_tower_questions_build_levels_inside_their_readers(tmp_path, monk
     path = tmp_path / "cayley.json"
     path.write_text(json.dumps(cayley_tower_json([(2, 1), (2, 2), (4, 2), (4, 4), (8, 4), (8, 8)])))
     tracer = load_tracing().Tracer()
-    built, original = [], formats.covering_from_json
+    built, original = [], formats._covering_from_level
 
     def recording(*args):
         built.append([tracer.names[tracer.name[i]] for i in tracer.stack])
         return original(*args)
 
-    monkeypatch.setattr(formats, "covering_from_json", recording)
+    monkeypatch.setattr(formats, "_covering_from_level", recording)
     try:
         tracer.install()
         perms = formats.load_tower(path).generator_monodromies(4)

@@ -421,6 +421,14 @@ def test_cyclic_tower_builds_one_graph_per_level(monkeypatch):
     assert sorted(built) == [2 ** i for i in range(7)]  # each level built once
 
 
+def test_a_deep_level_read_first_builds_the_levels_below_in_a_loop():
+    # 400 levels of degree 1: building them by recursion would pass Python's frame limit
+    tower = cyclic_tower([1] * 399)
+    assert tower.graph(400).nv == 1
+    assert tower.covering(400).base is tower.graph(399)
+    assert cyclic_tower([1] * 399).verify_rotation_witness(400)
+
+
 def test_tower_graph_and_covering_bounds():
     tower = cyclic_tower([2, 2, 2])
     for k in (0, -1, 5):

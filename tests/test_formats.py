@@ -273,14 +273,14 @@ CAYLEY_ORDERS = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4), (8, 8), (16, 8), (16, 1
 
 def test_tower_builds_only_the_levels_read(monkeypatch):
     built = []
-    original = formats.covering_from_json
+    original = formats._covering_from_level
 
-    def counting(data, base, base_dir=None):
-        cov = original(data, base, base_dir)
+    def counting(level, base):
+        cov = original(level, base)
         built.append(cov.total.nv)
         return cov
 
-    monkeypatch.setattr(formats, "covering_from_json", counting)
+    monkeypatch.setattr(formats, "_covering_from_level", counting)
     tower = formats.tower_from_json(cayley_tower_json(CAYLEY_ORDERS))
     assert tower.depth == 10
     assert built == []
@@ -292,6 +292,12 @@ def test_tower_builds_only_the_levels_read(monkeypatch):
     assert built == [2, 4]
     tower.covering(5)
     assert built == [2, 4, 8, 16]
+
+
+def test_a_deep_level_of_a_file_tower_read_first_builds_in_a_loop():
+    tower = formats.tower_from_json(cayley_tower_json([(1, 1)] * 399))
+    assert tower.depth == 400
+    assert tower.covering(400).degree() == 1 and tower.graph(400).vertex_ids == ("0.0",)
 
 
 def _same_level(lazy, ref):
@@ -420,6 +426,14 @@ def test_non_covering_level_is_refused_where_read(data, k):
         tower = formats.tower_from_json(data)
         assert tower.generator_monodromies(2)["a"].tolist() == [1, 0]
         assert QuotientHom(tower, 2).verify() == {"upper_order": 2, "lower_order": 1, "kernel_order": 2}
+
+
+def test_a_tower_of_no_levels_is_its_base():
+    for data in ({"base": THREE_EDGES["base"], "levels": []}, {"circle_degrees": []}):
+        tower = formats.tower_from_json(data)
+        assert tower.depth == 1 and tower.graph(1).nv == 1
+        with pytest.raises(ValueError, match=re.escape("coverings 2..1")):
+            tower.covering(2)
 
 
 def _brute_star_problem(data: dict):
