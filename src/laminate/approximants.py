@@ -8,13 +8,14 @@ rows and edge endpoints as ranks, and their branched graphs and bonds are
 index arrays over those ranks; words are decoded only where a label is
 read.  The bonding map drops one letter from each end, which is
 independent of how the window extends -- that is exactly why every
-bonding map is flattening.  Quotient maps send a marked word to the edge
-labelled by the radius-k window around the mark.
+bonding map is flattening, and one prefix search reads it off.  Quotient
+maps send a marked word to the edge labelled by the radius-k window around
+the mark; languages are factor closed, so windows inside legal ones are
+legal and separate by string compare.
 """
 
 from __future__ import annotations
 
-import contextlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,11 +80,17 @@ def build_approximant(oracle: LanguageOracle, k: int) -> CollaredComplex:
 def _drop_one_letter(upper: CollaredComplex, lower: CollaredComplex) -> CellularMap:
     """The bond from approximant k+1 onto approximant k, given both levels.
 
+    A trimmed word ends its prefix and starts its suffix, so one search of
+    the upper vertices' prefixes among the lower edges maps both: a vertex
+    to its prefix's end, an edge to its end's prefix.  Only levels of two
+    languages can miss a prefix; their vertices are then searched trimmed.
     Each edge maps to one forward step, so these checks on the rank arrays
     are all of ``validate_map``: side A (in) lands on A, side B (out) on B.
     """
-    vmap = word_ranks(lower.vertices, upper.vertices[:, 1:-1])
-    emap = word_ranks(lower.edges, upper.edges[:, 1:-1])
+    prefix = word_ranks(lower.edges, upper.vertices[:, :-1])
+    vmap, emap = lower.dst[prefix], prefix[upper.dst]
+    if (prefix < 0).any():
+        vmap = word_ranks(lower.vertices, upper.vertices[:, 1:-1])
     k = lower.k
     if min(vmap.min(), emap.min()) < 0:
         raise ValueError(f"bond {k}: a trimmed word is not legal")
@@ -110,8 +117,7 @@ def approximant_system(oracle: LanguageOracle) -> InverseSystem:
     complexes: dict[int, CollaredComplex] = {}
 
     def level(k: int) -> BranchedGraph:
-        complexes[k] = build_approximant(oracle, k)
-        return complexes[k].graph
+        return complexes.setdefault(k, build_approximant(oracle, k)).graph
 
     return InverseSystem(level, lambda k: _drop_one_letter(complexes[k + 1], complexes[k]))
 
@@ -162,14 +168,16 @@ def separation_depth(
                 f"marked word of length {len(word)} cannot supply windows up "
                 f"to radius {max_k}"
             )
-    # the widest windows first, so that the oracle builds each language
-    # once; an error is left to the loop, which meets it at its own radius
-    with contextlib.suppress(ValueError):
-        for word, mark in ((x_word, x_mark), (y_word, y_mark)):
-            oracle.is_legal(word[mark - max_k : mark + max_k + 1])
+    # windows inside legal widest ones are legal, so their strings decide;
+    # otherwise, or if the test raises, each radius meets its own error
+    try:
+        legal = all(oracle.is_legal(word[mark - max_k : mark + max_k + 1])
+                    for word, mark in ((x_word, x_mark), (y_word, y_mark)))
+    except ValueError:
+        legal = False
     for k in range(max_k + 1):
-        cx = quotient_cell(oracle, k, x_word, x_mark)
-        cy = quotient_cell(oracle, k, y_word, y_mark)
+        cx, cy = (word[mark - k : mark + k + 1] if legal else quotient_cell(oracle, k, word, mark)
+                  for word, mark in ((x_word, x_mark), (y_word, y_mark)))
         if cx != cy:
             return k
     return None

@@ -55,6 +55,7 @@ class Graph:
         self.edge_ids = edge_ids
         self.esrc = np.asarray(esrc, dtype=np.int64)
         self.edst = np.asarray(edst, dtype=np.int64)
+        self._trees: dict[int, list] = {}  # spanning trees walked so far, by root
 
     def _set_labelled_cells(self, vertices, edges: Mapping):
         """Index labelled cells in ``repr`` order of their ids; a ValueError
@@ -102,10 +103,12 @@ class Graph:
     def spanning_tree(self, root: int) -> list[tuple[int, int, int, int]]:
         """Steps (u, edge, sign, w) of a spanning tree of root's component.
 
-        One depth-first pass over the edges read as undirected: each step
-        reaches the new vertex w from u, which an earlier step reached;
+        One depth-first pass per root over the edges read as undirected: each
+        step reaches the new vertex w from u, which an earlier step reached;
         sign is +1 when the edge runs u -> w and -1 when it runs w -> u.
         """
+        if root in self._trees:
+            return self._trees[root]
         ends = np.concatenate([self.esrc, self.edst])
         order = np.argsort(ends, kind="stable")
         starts = np.searchsorted(ends[order], np.arange(self.nv + 1)).tolist()
@@ -122,10 +125,15 @@ class Graph:
                     seen[w] = 1
                     stack.append(w)
                     steps.append((u, h, 1, w) if h < self.ne else (u, h - self.ne, -1, w))
+        self._trees[root] = steps
         return steps
 
     def is_connected(self) -> bool:
-        return self.nv <= 1 or len(self.spanning_tree(0)) == self.nv - 1
+        """Whether a spanning tree, from any root already walked, has nv - 1 steps."""
+        if self.nv <= 1:
+            return True
+        tree = next(iter(self._trees.values())) if self._trees else self.spanning_tree(0)
+        return len(tree) == self.nv - 1
 
     def __eq__(self, other):
         return (

@@ -10,7 +10,6 @@ disks into product components.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -88,7 +87,7 @@ class InverseSystem:
     map from level k+1 onto level k.  Bonds are validated on first use:
     their endpoints must match the adjacent levels and they must be onto on
     vertices and edges.  ``max_depth`` bounds the materializable range
-    (None = unbounded, e.g. stationary systems).
+    (None = unbounded, e.g. stationary systems).  Caches fill by ``setdefault``.
     """
 
     def __init__(
@@ -105,7 +104,6 @@ class InverseSystem:
         self.max_depth = max_depth
         self._levels: dict[int, BranchedGraph] = {}
         self._bonds: dict[int, CellularMap] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def stationary(cls, bond: CellularMap) -> "InverseSystem":
@@ -133,17 +131,15 @@ class InverseSystem:
 
     def level(self, k: int) -> BranchedGraph:
         self._check_depth(k)
-        with self._lock:
-            if k not in self._levels:
-                self._levels[k] = self._level_fn(k)
-            return self._levels[k]
+        if k not in self._levels:  # racing fills keep whichever landed first
+            self._levels.setdefault(k, self._level_fn(k))
+        return self._levels[k]
 
     def bond(self, k: int) -> CellularMap:
         """Bonding map from level k+1 onto level k."""
         self._check_depth(k + 1)
-        with self._lock:
-            if k in self._bonds:
-                return self._bonds[k]
+        if k in self._bonds:
+            return self._bonds[k]
         upper, lower = self.level(k + 1), self.level(k)
         f = self._bond_fn(k)
         if not (f.domain.indexed_alike(upper) and f.codomain.indexed_alike(lower)):
@@ -153,9 +149,7 @@ class InverseSystem:
             raise ValueError(f"bond {k} is not onto on vertices")
         if not on_edges:
             raise ValueError(f"bond {k} is not onto on edges")
-        with self._lock:
-            # racing fills converge on whichever landed first
-            return self._bonds.setdefault(k, f)
+        return self._bonds.setdefault(k, f)
 
     def composite(self, k: int, k0: int) -> CellularMap:
         """The composite bonding map from level k down to level k0."""

@@ -8,16 +8,16 @@ Substitution words of length L are exact: the L-factors of the letter
 images, iterated until their state repeats (see ``_substitution_words``).
 Languages are factor closed and, for SFTs and primitive substitutions,
 every word extends both ways, so a length shorter than one already
-computed is read off as its distinct prefixes, and each language is built
-once, at the longest length asked first.  On SFTs and full shifts a single
-word is tested by walking the block graph, which builds no language.
-Strings are decoded once per length.
+computed is read off as its distinct prefixes, adjacent in sorted rows,
+and each language is built once, at the longest length asked first.  On
+SFTs and full shifts a single word is tested by walking the block graph,
+which builds no language.  Strings are decoded once per length.  Caches
+hold pure functions of the length, filled by dict stores: no lock.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -135,7 +135,6 @@ class LanguageOracle:
         # blocks are one letter shorter than the longest forbidden word
         self._width = max(map(len, self.forbidden), default=1) - 1
         self._succ = self._walks = None
-        self._lock = threading.RLock()
 
     @classmethod
     def full_shift(cls, alphabet: Sequence[str]) -> "LanguageOracle":
@@ -155,36 +154,29 @@ class LanguageOracle:
         """The legal words of one length as a sorted matrix of ranks."""
         if length < 0:
             raise ValueError("length must be nonnegative")
-        with self._lock:
-            if length not in self._rows and self.substitution is None:
-                self._grow(length)  # every length from the blocks' up to this one
-            if length not in self._rows:
-                longer = [n for n in self._rows if n > length] if self._extends else ()
-                if longer:
-                    prefixes = self._rows[min(longer)][:, :length]
-                    self._rows[length] = prefixes[np.unique(word_keys(prefixes), return_index=True)[1]]
-                else:  # the strings come first
-                    self._sorted[length], self._rows[length] = self._encode(
-                        self._substitution_words(length))
-            return self._rows[length]
+        if length not in self._rows and self.substitution is None:
+            self._grow(length)  # every length from the blocks' up to this one
+        if length not in self._rows:
+            longer = [n for n in list(self._rows) if n > length] if self._extends else ()
+            if longer:  # equal prefixes of sorted rows are adjacent
+                prefixes = self._rows[min(longer)][:, :length]
+                self._rows[length] = prefixes[np.r_[True, (prefixes[1:] != prefixes[:-1]).any(axis=1)]]
+            else:  # the strings come first
+                self._sorted[length], self._rows[length] = self._encode(
+                    self._substitution_words(length))
+        return self._rows[length]
 
     def sorted_words(self, length: int) -> list[str]:
         """The legal words of one length as strings, in the order of ``rows``."""
-        with self._lock:
-            rows = self.rows(length)
-            if length not in self._sorted:
-                self._sorted[length] = self._decode(rows)
-            return self._sorted[length]
+        rows = self.rows(length)
+        if length not in self._sorted:
+            self._sorted[length] = self._decode(rows)
+        return self._sorted[length]
 
     def words(self, length: int) -> frozenset[str]:
         words = self._words.get(length)
-        if words is None:
-            if length < 0:
-                raise ValueError("length must be nonnegative")
-            with self._lock:
-                if length not in self._words:
-                    self._words[length] = frozenset(self.sorted_words(length))
-                words = self._words[length]
+        if words is None:  # rows refuses a negative length
+            words = self._words[length] = frozenset(self.sorted_words(length))
         return words
 
     def is_legal(self, word: str) -> bool:

@@ -4,9 +4,9 @@ A transversal point is a bi-infinite legal sequence marked at a tile; a
 cylinder pins a finite window around the mark.  A clopen set is kept at a
 radius r as one flag per legal window of length 2r+1, an edge of the
 radius-r approximant; distinct windows are disjoint cylinders, so set
-operations on flags are exact.  Refining, shifting and expanding a
-cylinder pull flags back through the ranks of a slice of longer windows,
-never re-testing legality.  Holonomy is generated by the one-tile shifts.
+operations on flags are exact.  A cylinder flags the windows whose slice
+reads its word; refining and shifting pull flags back through the ranks
+of a slice of longer windows.  Holonomy is generated by one-tile shifts.
 """
 
 from __future__ import annotations
@@ -89,11 +89,15 @@ class ClopenSet:
 
     @classmethod
     def from_cylinder(cls, oracle: LanguageOracle, cylinder: Cylinder) -> "ClopenSet":
-        if not oracle.is_legal(cylinder.word):
+        """The windows reading the word, found legal in ``rows(n)`` (a foreign
+        letter has rank 0) before the longer windows are read, as ``is_legal``."""
+        r, n, lo = cylinder.radius, len(cylinder.word), cylinder.radius - cylinder.mark
+        row = np.array([oracle.alphabet.index(c) + 1 if c in oracle.alphabet else 0
+                        for c in cylinder.word], oracle.dtype)
+        if word_ranks(oracle.rows(n), row[None])[0] < 0:
             raise ValueError(f"cylinder word {cylinder.word!r} is not legal")
-        r, n = cylinder.radius, len(cylinder.word)
-        ranks = [oracle.alphabet.index(c) + 1 for c in cylinder.word]  # as in oracle.rows
-        return _pull_back(oracle, (oracle.rows(n) == ranks).all(axis=1), n, r, r - cylinder.mark)
+        windows = oracle.rows(2 * r + 1)[:, lo : lo + n]
+        return cls._from_mask(oracle, r, (windows == row).all(axis=1))
 
     @classmethod
     def from_cylinders(cls, oracle: LanguageOracle, cylinders: Sequence[Cylinder]) -> "ClopenSet":

@@ -17,10 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from laminate.approximants import quotient_cell
 from laminate.branched_graph import BranchedGraph, CellularMap
 from laminate.coverings import DeckElement, Graph, GraphCovering, GraphMap
 from laminate.inverse_system import InverseSystem
 from laminate.local_model import BranchTree, HalfSpace, Sector, sector_contains
+from laminate.subshift import LanguageOracle, Substitution, word_keys, word_ranks
 
 
 # -- local model -------------------------------------------------------------
@@ -135,6 +137,40 @@ def brute_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
     return {w for w, s in pairs if extends(s, margin)}
 
 
+def random_sfts(rng: Random, count: int) -> list[tuple[str, list]]:
+    """(alphabet, forbidden) over 2-3 letters, forbidden words of length 2-3,
+    whose language is not empty by the DP oracle."""
+    out = []
+    while len(out) < count:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 3)))
+                     for _ in range(rng.randint(1, 4))]
+        if brute_sft_words(alphabet, forbidden, 1, margin=12):
+            out.append((alphabet, forbidden))
+    return out
+
+
+def random_primitive_substitutions(rng: Random, count: int) -> list[Substitution]:
+    out = []
+    while len(out) < count:
+        alphabet = "abc"[: rng.randint(2, 3)]
+        rules = {a: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                 for a in alphabet}
+        subst = Substitution(tuple(alphabet), rules)
+        if subst.is_primitive and any(len(w) > 1 for w in rules.values()):
+            out.append(subst)
+    return out
+
+
+def random_oracles(seed: int) -> list[Callable[[], LanguageOracle]]:
+    """Factories of fresh oracles: random SFTs and primitive substitutions."""
+    rng = Random(seed)
+    sfts = [lambda a=a, f=f: LanguageOracle.from_forbidden(list(a), f) for a, f in random_sfts(rng, 20)]
+    substs = [lambda s=s: LanguageOracle.from_substitution(s)
+              for s in random_primitive_substitutions(rng, 12)]
+    return sfts + substs
+
+
 class StringClopens:
     """Clopen sets as (radius, frozenset of windows), by set comprehensions
     over a language given as ``words(length) -> set of strings``; the
@@ -215,6 +251,59 @@ def reference_drop_one_letter(upper: BranchedGraph, lower: BranchedGraph) -> Cel
     vmap = {w: w[1:-1] for w in upper.vertices}
     emap = {w: ((w[1:-1], 1),) for w in upper.edges}
     return CellularMap(upper, lower, vmap, emap)
+
+
+# -- the subshift layer by search and re-test --------------------------------------
+# The paths the library ran before it read ranks and legality off the sorted,
+# factor-closed rows; answers and error messages must equal them.
+
+def searched_drop_one_letter(upper, lower) -> CellularMap:
+    """The bond between two collared complexes by two middle-slice searches."""
+    vmap = word_ranks(lower.vertices, upper.vertices[:, 1:-1])
+    emap = word_ranks(lower.edges, upper.edges[:, 1:-1])
+    k = lower.k
+    if min(vmap.min(), emap.min()) < 0:
+        raise ValueError(f"bond {k}: a trimmed word is not legal")
+    if not (np.array_equal(lower.src[emap], vmap[upper.src])
+            and np.array_equal(lower.dst[emap], vmap[upper.dst])):
+        raise ValueError(f"bond {k}: edge images do not join vertex images")
+    f = CellularMap.edgewise(upper.graph, lower.graph, vmap, emap)
+    if not all(f.onto()):
+        raise ValueError(f"bond {k} is not onto")
+    return f
+
+
+def checked_separation_depth(oracle, x_word: str, x_mark: int, y_word: str, y_mark: int,
+                             max_k: int) -> Optional[int]:
+    """separation_depth testing both quotient cells' legality at every radius."""
+    if max_k < 0:
+        raise ValueError(f"max_k must be nonnegative, got {max_k}")
+    for word, mark in ((x_word, x_mark), (y_word, y_mark)):
+        if mark - max_k < 0 or mark + max_k + 1 > len(word):
+            raise ValueError(f"marked word of length {len(word)} cannot supply windows up "
+                             f"to radius {max_k}")
+    for k in range(max_k + 1):
+        if quotient_cell(oracle, k, x_word, x_mark) != quotient_cell(oracle, k, y_word, y_mark):
+            return k
+    return None
+
+
+def pulled_back_cylinder(oracle, word: str, mark: int) -> tuple[int, np.ndarray]:
+    """(radius, window flags) of a cylinder by ``is_legal``, then the ranks of
+    the windows' slices among the word's length."""
+    if not oracle.is_legal(word):
+        raise ValueError(f"cylinder word {word!r} is not legal")
+    r, n = max(mark, len(word) - 1 - mark), len(word)
+    flags = (oracle.rows(n) == [oracle.alphabet.index(c) + 1 for c in word]).all(axis=1)
+    windows = oracle.rows(2 * r + 1)
+    at = word_ranks(oracle.rows(n), windows[:, r - mark : r - mark + n])
+    return r, (at >= 0) & flags[at]
+
+
+def unique_prefix_rows(rows: np.ndarray, length: int) -> np.ndarray:
+    """The distinct length-prefixes of a sorted word matrix, by a string sort."""
+    prefixes = rows[:, :length]
+    return prefixes[np.unique(word_keys(prefixes), return_index=True)[1]]
 
 
 # -- random systems -------------------------------------------------------------

@@ -337,3 +337,29 @@ def test_substitution_approximants_compute_one_language(tmp_path, monkeypatch, c
     assert calls == [41]
     assert capsys.readouterr().out.splitlines() == [
         f"k={k}: {2 * k + 1} vertices, {2 * k + 2} edges" for k in range(21)]
+
+
+def test_a_legal_separation_tests_the_widest_windows_only(monkeypatch):
+    # two legal windows of length 21 that differ only in their end letters
+    words = LanguageOracle.from_substitution(fibonacci()).sorted_words(21)
+    x, y = next((u, v) for u in words for v in words if u < v and u[1:-1] == v[1:-1])
+    calls = {"is_legal": 0, "_decode": 0}
+    for name in calls:
+        original = getattr(LanguageOracle, name)
+        monkeypatch.setattr(LanguageOracle, name, lambda self, arg, name=name, original=original:
+                            calls.__setitem__(name, calls[name] + 1) or original(self, arg))
+    depth = separation_depth(LanguageOracle.from_substitution(fibonacci()), x, 10, y, 10, 10)
+    # both windows of length 21 are legal, so every narrower one is, and the
+    # language they are looked up in comes from the strings, not decoded rows
+    assert calls == {"is_legal": 2, "_decode": 0}
+    assert depth == 10
+
+
+def test_a_full_shift_bond_searches_once(monkeypatch):
+    import laminate.approximants as approximants
+    from laminate.subshift import word_ranks
+
+    calls = []
+    monkeypatch.setattr(approximants, "word_ranks", lambda *rows: calls.append(1) or word_ranks(*rows))
+    approximant_system(LanguageOracle.full_shift(["0", "1"])).bond(4)
+    assert len(calls) == 5  # edge ends at levels 4 and 5, and vertex prefixes for the bond

@@ -143,6 +143,19 @@ def test_connectivity_and_spanning_tree_match_a_closure():
             assert ends == ((u, w) if sign == 1 else (w, u))
             reached.add(w)
         assert g.is_connected() == (len(reached) == nv)
+        # a tree from any root answers connectivity, and each root is walked once
+        fresh = Graph.from_edges(range(nv), edges)
+        assert fresh.spanning_tree(root) == steps and fresh.spanning_tree(root) is fresh.spanning_tree(root)
+        assert fresh.is_connected() == _closure_connected(g) and list(fresh._trees) == [root]
+
+
+def test_a_deck_question_walks_one_spanning_tree():
+    elements, mul = dihedral(6)
+    cov = cayley_cover(elements, mul, {"a": (1, 0), "b": (0, 1)})
+    group = cov.deck_group()
+    # the covering check and the deck propagation share the tree from vertex 0
+    assert group.basepoint == 0 and list(cov.total._trees) == [0]
+    assert sorted(group.orbit) == list(range(12)) == sorted(reference_deck_group(cov)[1])
 
 
 # -- deck groups ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from laminate.subshift import LanguageOracle, Substitution, fibonacci, thue_morse, word_ranks
 
-from helpers import brute_sft_words, enumerated_sft_words, long_word_factors
+from helpers import brute_sft_words, enumerated_sft_words, long_word_factors, random_oracles
 
 # Sturmian complexity: the Fibonacci language has exactly L+1 factors of
 # length L.  Thue-Morse complexity is the classical 2, 4, 6, 10, 12, ...
@@ -293,43 +293,9 @@ def test_chacon_words_match_long_iterates():
         assert len(words) == (2 if L == 1 else 2 * L - 1)
 
 
-def _random_sfts(rng, count):
-    """(alphabet, forbidden) over 2-3 letters, forbidden words of length 2-3,
-    whose language is not empty by the DP oracle."""
-    out = []
-    while len(out) < count:
-        alphabet = "abc"[: rng.randint(2, 3)]
-        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(2, 3)))
-                     for _ in range(rng.randint(1, 4))]
-        if brute_sft_words(alphabet, forbidden, 1, margin=12):
-            out.append((alphabet, forbidden))
-    return out
-
-
-def _random_primitive_substitutions(rng, count):
-    out = []
-    while len(out) < count:
-        alphabet = "abc"[: rng.randint(2, 3)]
-        rules = {a: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
-                 for a in alphabet}
-        subst = Substitution(tuple(alphabet), rules)
-        if subst.is_primitive and any(len(w) > 1 for w in rules.values()):
-            out.append(subst)
-    return out
-
-
-def _random_oracles(seed):
-    """Factories of fresh oracles: random SFTs and primitive substitutions."""
-    rng = Random(seed)
-    sfts = [lambda a=a, f=f: LanguageOracle.from_forbidden(list(a), f) for a, f in _random_sfts(rng, 20)]
-    substs = [lambda s=s: LanguageOracle.from_substitution(s)
-              for s in _random_primitive_substitutions(rng, 12)]
-    return sfts + substs
-
-
 def test_shorter_lengths_read_as_prefixes_equal_an_ascending_computation():
     rng, top = Random(8), 9
-    for make in _random_oracles(29):
+    for make in random_oracles(29):
         ascending = make()
         expected = [(ascending.rows(L), ascending.sorted_words(L)) for L in range(top + 1)]
         oracle = make()
@@ -346,7 +312,7 @@ def test_shorter_lengths_read_as_prefixes_equal_an_ascending_computation():
 
 def test_walk_legality_agrees_with_the_language():
     top = 6
-    for make in _random_oracles(31):
+    for make in random_oracles(31):
         reference, oracle = make(), make()
         letters = [*oracle.alphabet, "#"]  # and one foreign letter
         for L in range(top + 1):
