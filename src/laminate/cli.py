@@ -95,23 +95,19 @@ def cmd_approximants(args, report: RunReport) -> int:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
     oracle = formats.load_oracle(args.input)
-    # the widest level first, so that the others read prefixes of its words
-    complexes = [build_approximant(oracle, k) for k in range(args.k, -1, -1)][::-1]
-    counts = [
-        {"k": c.k, "vertices": len(c.vertices), "edges": len(c.edges)}
-        for c in complexes
-    ]
+    # level k has the legal 2k-words as vertices and (2k+1)-words as edges; the
+    # longest length first, so that the shorter ones read prefixes of its words
+    sizes = [len(oracle.rows(n)) for n in range(2 * args.k + 1, -1, -1)][::-1]
+    counts = [{"k": k, "vertices": sizes[2 * k], "edges": sizes[2 * k + 1]} for k in range(args.k + 1)]
     for row in counts:
         print(f"k={row['k']}: {row['vertices']} vertices, {row['edges']} edges")
     report.data["counts"] = counts
-    top = complexes[-1]
-    if args.emit == "dot":
-        text = formats.export_dot(top.graph, name=f"approximant_{top.k}")
-    elif args.emit == "json":
-        text = json.dumps(formats.branched_graph_to_json(top.graph), indent=2) + "\n"
-    else:
-        text = None
-    if text is not None:
+    if args.emit is not None:
+        top = build_approximant(oracle, args.k)
+        if args.emit == "dot":
+            text = formats.export_dot(top.graph, name=f"approximant_{top.k}")
+        else:
+            text = json.dumps(formats.branched_graph_to_json(top.graph), indent=2) + "\n"
         if args.out:
             Path(args.out).write_text(text)
         else:
@@ -135,17 +131,15 @@ def cmd_separation(args, report: RunReport) -> int:
 
 def cmd_deck_group(args, report: RunReport) -> int:
     tower = formats.load_tower(args.tower)
-    group = tower.composite_covering(args.level, 1).deck_group(tower.base_point(1))
-    reg = group.regularity()
-    print(
-        f"level {args.level}: degree {reg.degree}, deck order {reg.deck_order}, "
-        f"regular: {reg.regular}"
-    )
-    report.data["degree"] = reg.degree
-    report.data["deck_order"] = reg.deck_order
-    report.data["regular"] = reg.regular
-    report.data["orbit"] = [int(u) for u in reg.orbit]
-    report.data["free_transitive"] = group.is_free_and_transitive()
+    group = tower.deck_group(args.level)
+    degree, order = len(group.fiber), group.order()
+    print(f"level {args.level}: degree {degree}, deck order {order}, regular: {group.regular}")
+    report.data["degree"] = degree
+    report.data["deck_order"] = order
+    report.data["regular"] = group.regular
+    report.data["orbit"] = list(group.orbit)
+    # the orbit is the whole fiber exactly when the group is regular
+    report.data["free_transitive"] = group.regular
     return EXIT_OK
 
 

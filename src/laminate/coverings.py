@@ -2,13 +2,15 @@
 
 Graphs here are plain directed multigraphs standing in for 1-manifolds and
 roses; coverings are graph maps that are bijections on every vertex star.
-Deck transformations are computed by path lifting, for every candidate at
-once: the candidate images of a fiber base point fill one column each of an
-image matrix, which propagates down a spanning tree of the total graph by
-one lift gather per tree step; then every edge is checked for consistency
-and every column for bijectivity in bulk.  Towers stack coverings over a
-fixed base, carry a coherent thread of base points, and expose the
-composite coverings whose deck groups feed the profinite layer.
+A deck transformation is held as its vertex permutation, which fixes it
+because lifts are unique, and a deck group as the rows of one array.  They
+are computed by path lifting, for every candidate at once: the candidate
+images of a fiber base point fill one column each of an image matrix, which
+propagates down a spanning tree of the total graph by one lift gather per
+tree step; then every edge is checked for consistency and every column for
+bijectivity in bulk.  Towers stack coverings over a fixed base, carry a
+coherent thread of base points, and expose the composite coverings whose
+deck groups feed the profinite layer.
 
 The cell data lives in numpy index arrays.  A tower builds a level only
 when a question reads it, through one hook; a tower read from a file has
@@ -178,45 +180,6 @@ class GraphMap:
                         self.vmap[inner.vmap], self.emap[inner.emap])
 
 
-class DeckElement:
-    """Automorphism of the total graph commuting with the covering map.
-
-    Held as its vertex permutation; the edge permutation, fixed by it
-    because lifts are unique, is derived from the covering on first read
-    unless given.
-    """
-
-    def __init__(self, vperm: np.ndarray, eperm: Optional[np.ndarray] = None, *,
-                 covering: Optional["GraphCovering"] = None):
-        self.vperm = np.asarray(vperm, dtype=np.int64)
-        self._eperm = None if eperm is None else np.asarray(eperm, dtype=np.int64)
-        self._covering = covering
-
-    @property
-    def eperm(self) -> np.ndarray:
-        if self._eperm is None:
-            self._eperm = self._covering._edge_images(self.vperm)
-        return self._eperm
-
-    def compose(self, other: "DeckElement") -> "DeckElement":
-        """self after other."""
-        return DeckElement(self.vperm[other.vperm], self.eperm[other.eperm])
-
-    def is_identity(self) -> bool:
-        return bool(
-            np.array_equal(self.vperm, np.arange(len(self.vperm)))
-            and np.array_equal(self.eperm, np.arange(len(self.eperm)))
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, DeckElement) and np.array_equal(
-            self.vperm, other.vperm
-        ) and np.array_equal(self.eperm, other.eperm)
-
-    def __hash__(self):
-        return hash(self.vperm.tobytes())
-
-
 class GraphCovering:
     """A graph map asserted (and checkable) to be a covering."""
 
@@ -243,7 +206,7 @@ class GraphCovering:
         sizes = np.bincount(self.map.vmap, minlength=self.base.nv)
         return int(sizes[0]) if self.base.nv else 0
 
-    def validate(self, allow_degree_one: bool = False) -> list[str]:
+    def validate(self) -> list[str]:
         """Covering-axiom violations, as strings; [] means a covering."""
         problems = []
         total, base, m = self.total, self.base, self.map
@@ -258,10 +221,7 @@ class GraphCovering:
             problems.append("not surjective on edges")
         if base.nv and not (vsizes == vsizes[0]).all():
             problems.append("fiber sizes are not constant")
-        problems += self.star_problems()
-        if not allow_degree_one and not problems and self.degree() < 2:
-            problems.append("degree 1 covering (homeomorphism) not allowed here")
-        return problems
+        return problems + self.star_problems()
 
     def star_problems(self) -> list[str]:
         """Star-bijectivity violations: the out-edges (in-edges) at a total vertex
@@ -334,22 +294,21 @@ class GraphCovering:
         """Raise ``ValueError`` naming the first failed covering axiom;
         the axioms are checked once per covering."""
         if self._problems is None:
-            self._problems = self.validate(allow_degree_one=True)
+            self._problems = self.validate()
         if self._problems:
             raise ValueError(f"not a covering: {self._problems[0]}")
 
     def _edge_images(self, vimg: np.ndarray) -> np.ndarray:
-        """Edge images under vertex images ``vimg`` (one column per candidate
-        when 2-D): each edge goes to the lift of its base edge at its source's
-        image, read from the edges sorted by (source, base edge)."""
+        """Edge images under vertex images ``vimg``, one column per candidate:
+        each edge goes to the lift of its base edge at its source's image,
+        read from the edges sorted by (source, base edge)."""
         nb = max(self.base.ne, 1)
         if self._edge_key is None:
             key = self.total.esrc * nb + self.map.emap
             order = np.argsort(key)
             self._edge_key = (key[order], order)
         key, order = self._edge_key
-        emap = self.map.emap if vimg.ndim == 1 else self.map.emap[:, None]
-        return order[np.searchsorted(key, vimg[self.total.esrc] * nb + emap)]
+        return order[np.searchsorted(key, vimg[self.total.esrc] * nb + self.map.emap[:, None])]
 
     def _deck_elements(self, t0: int, images: np.ndarray) -> tuple[list[int], np.ndarray]:
         """The candidates t0 -> images[i] that extend to deck transformations.
@@ -388,10 +347,11 @@ class GraphCovering:
             orbit.extend(cand[ok].tolist())
         return orbit, vperms[:len(orbit)]
 
-    def deck_transformation_from(self, t0: int, image: int) -> Optional[DeckElement]:
-        """The deck transformation sending t0 to image, or None."""
+    def deck_transformation_from(self, t0: int, image: int) -> Optional[np.ndarray]:
+        """The vertex permutation of the deck transformation sending t0 to
+        image, or None."""
         _, vperms = self._deck_elements(t0, [image])
-        return DeckElement(vperms[0], covering=self) if len(vperms) else None
+        return vperms[0] if len(vperms) else None
 
     def deck_group(self, base_vi: int = 0) -> "DeckGroup":
         """All deck transformations: every fiber point is a candidate image
@@ -401,51 +361,31 @@ class GraphCovering:
             raise ValueError("empty fiber; the map is not onto this vertex")
         t0 = int(fiber[0])
         orbit, vperms = self._deck_elements(t0, fiber)
-        return DeckGroup(self, vperms, fiber, t0, tuple(orbit))
-
-    def is_regular(self, base_vi: int = 0) -> "RegularityReport":
-        return self.deck_group(base_vi).regularity()
+        return DeckGroup(vperms, fiber, t0, tuple(orbit))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    degree: int
-    deck_order: int
-    orbit: tuple
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeckGroup:
     """Deck transformations of one covering, with the inspected fiber.
 
-    ``vperms`` holds one vertex permutation per element, one row each.
+    A deck element is a row of ``vperms``: its vertex permutation, which
+    fixes it because lifts are unique.  ``orbit`` lists each row's image of
+    ``basepoint``, the least fiber point.
     """
 
-    covering: GraphCovering
     vperms: np.ndarray
     fiber: np.ndarray
     basepoint: int
     orbit: tuple
 
-    @property
-    def elements(self) -> tuple[DeckElement, ...]:
-        return tuple(DeckElement(v, covering=self.covering) for v in self.vperms)
-
     def order(self) -> int:
         return len(self.vperms)
 
-    def is_free_and_transitive(self) -> bool:
-        images = sorted(self.vperms[:, self.basepoint].tolist())
-        return images == sorted(int(u) for u in self.fiber)
-
-    def regularity(self) -> RegularityReport:
-        return RegularityReport(
-            regular=self.order() == len(self.fiber),
-            degree=len(self.fiber),
-            deck_order=self.order(),
-            orbit=self.orbit,
-        )
+    @property
+    def regular(self) -> bool:
+        """Whether the group is transitive on the fiber; the orbit holds the
+        distinct fiber points reached, so that is order equal to degree."""
+        return self.order() == len(self.fiber)
 
 
 class CoveringTower:
@@ -591,14 +531,18 @@ class CoveringTower:
         cov.check_loop(loop, self.base_point(1))
         return int(cov.lift([self.base_point(k)], loop)[0])
 
+    def deck_group(self, k: int) -> DeckGroup:
+        """The deck group of f_{k,1} over x_1, by enumeration (meant for desk sizes)."""
+        return self.composite_covering(k, 1).deck_group(self.base_point(1))
+
     def deck_power(self, k: int, target: int, n: int, point: int) -> int:
         """Image of the level-k vertex ``point`` under g^n, where g is the
         deck transformation of f_{k,1} sending x_k to ``target``; raises
         ``ValueError`` when there is none."""
-        deck = self.composite_covering(k, 1).deck_transformation_from(self.base_point(k), target)
-        if deck is None:
+        perm = self.composite_covering(k, 1).deck_transformation_from(self.base_point(k), target)
+        if perm is None:
             raise ValueError("no deck element reaches that fiber point")
-        perm = deck.vperm if n >= 0 else np.argsort(deck.vperm)
+        perm = perm if n >= 0 else np.argsort(perm)
         n = abs(n)
         while n:
             if n & 1:
@@ -614,10 +558,6 @@ class CoveringTower:
         for e in self.base.edge_ids:
             out[e] = cov.monodromy(((e, 1),), self.base_point(1))
         return out
-
-    def verify_regular(self, k: int) -> RegularityReport:
-        """Regularity of f_{k,1}, by enumeration (meant for desk sizes)."""
-        return self.composite_covering(k, 1).is_regular(self.base_point(1))
 
 
 def cyclic_tower(degrees: Sequence[int]) -> "CyclicTower":
@@ -692,7 +632,7 @@ class CyclicTower(CoveringTower):
     def verify_rotation_witness(self, k: int) -> bool:
         """Check that rotation by 1 is deck and acts transitively at level k.
 
-        This certifies regularity of f_{k,1} without enumerating the group:
+        This certifies that f_{k,1} is regular without enumerating the group:
         the rotation commutes with the projection, is an automorphism, and
         its orbit exhausts the fiber, so the deck group has full size.
         """

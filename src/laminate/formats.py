@@ -360,22 +360,18 @@ def load_tower(path: Union[str, Path]) -> CoveringTower:
 
 
 def parse_loop(text: str, base: Graph) -> tuple:
-    """Space-separated signed edge tokens, resolved against the base graph."""
+    """Space-separated signed edge tokens, resolved against the base graph:
+    a token names the string edge id, else the integer one when it is ASCII
+    digits (leading zeros allowed)."""
     steps = []
-    known = set(map(repr, base.edge_ids))
     for token in text.split():
-        edge, sign = (token[1:], -1) if token.startswith("-") else (token, 1)
-        resolved = edge
-        if repr(edge) not in known:
-            try:
-                as_int = int(edge)
-            except ValueError:
-                as_int = None
-            if as_int is not None and repr(as_int) in known:
-                resolved = as_int
-            else:
-                raise ValueError(f"unknown base edge {edge!r}")
-        steps.append((resolved, sign))
+        name, sign = (token[1:], -1) if token.startswith("-") else (token, 1)
+        edge = name
+        if edge not in base.eindex and name.isascii() and name.isdigit():
+            edge = int(name)
+        if edge not in base.eindex:
+            raise ValueError(f"unknown base edge {name!r}")
+        steps.append((edge, sign))
     return tuple(steps)
 
 

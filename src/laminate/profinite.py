@@ -188,10 +188,8 @@ class QuotientHom:
         kernel the deck group of the single covering f_{k,k-1}.
         """
         tower, k = self.tower, self.k
-        upper = tower.composite_covering(k, 1).deck_group(tower.base_point(1))
-        lower = tower.composite_covering(k - 1, 1).deck_group(tower.base_point(1))
+        vu, vl = tower.deck_group(k).vperms, tower.deck_group(k - 1).vperms
         xu, xl = tower.base_point(k), tower.base_point(k - 1)
-        vu, vl = upper.vperms, lower.vperms
         up, low = vu[:, xu], vl[:, xl]  # each element's image of the base point
         upper_at = -np.ones(tower.graph(k).nv, dtype=np.int64)
         upper_at[up] = np.arange(len(vu))

@@ -214,7 +214,7 @@ def test_criterion_6_profinite_structure_matches_modular_oracles():
     dyadic = cyclic_tower([2] * 10)
     K = 10
     # the fast component equality below leans on free transitivity, so
-    # certify regularity first (witness check at every level used)
+    # certify that the tower is regular first (witness check at every level used)
     assert all(dyadic.verify_rotation_witness(k) for k in range(2, K + 1))
     gen = delta_infinity_rep(dyadic, ((0, 1),), K)
     for _ in range(50):

@@ -85,6 +85,28 @@ def test_approximants_counts(files, capsys):
     assert "k=1: 3 vertices, 4 edges" in out
 
 
+def test_approximants_counts_build_only_the_emitted_level(files, tmp_path, monkeypatch, capsys):
+    from laminate import cli
+    from laminate.approximants import build_approximant
+
+    built = []
+    monkeypatch.setattr(cli, "build_approximant",
+                        lambda oracle, k: built.append(k) or build_approximant(oracle, k))
+    report = tmp_path / "counts.json"
+    argv = ["--report", str(report), "approximants", "--input", str(files["fib"]), "--k", "3"]
+    assert main(argv) == 0
+    assert built == []  # the counts are the language's sizes
+    counts = json.loads(report.read_text())["data"]["counts"]
+    oracle = formats.load_oracle(files["fib"])
+    assert counts == [{"k": k, "vertices": len(c.vertices), "edges": len(c.edges)}
+                      for k, c in ((k, build_approximant(oracle, k)) for k in range(4))]
+    printed = capsys.readouterr().out
+    assert main([*argv, "--emit", "dot"]) == 0
+    assert built == [3]  # the top level, once
+    assert json.loads(report.read_text())["data"]["counts"] == counts
+    assert capsys.readouterr().out.startswith(printed + "digraph")
+
+
 def test_approximants_dot_output(files, tmp_path, capsys):
     out_file = tmp_path / "a.dot"
     code = main(
@@ -345,6 +367,33 @@ def test_deck_group_enumerates_once(files, tmp_path, monkeypatch, capsys):
         "exit_code": 0,
     }
     assert "level 4: degree 8, deck order 8, regular: True" in capsys.readouterr().out
+
+
+def test_deck_group_report_of_an_irregular_tower(tmp_path, capsys):
+    # over the two-petal rose, a swaps sheets 0, 1 and 2, 3 while b swaps
+    # 0 and 2: only the identity and (0 2)(1 3) commute with both
+    perms = {"a": [1, 0, 3, 2], "b": [2, 1, 0, 3]}
+    edges = [{"id": f"{a}{i}", "src": str(i), "dst": str(j)}
+             for a, perm in perms.items() for i, j in enumerate(perm)]
+    tower = tmp_path / "irregular.json"
+    tower.write_text(json.dumps({
+        "base": {"vertices": ["w"], "edges": [{"id": a, "src": "w", "dst": "w"} for a in perms]},
+        "levels": [{"total": {"vertices": ["0", "1", "2", "3"], "edges": edges},
+                    "vertex_map": {str(i): "w" for i in range(4)},
+                    "edge_map": {e["id"]: e["id"][0] for e in edges}}]}))
+    report = tmp_path / "deck.json"
+    assert main(["--report", str(report), "deck-group", "--tower", str(tower), "--level", "2"]) == 0
+    assert capsys.readouterr().out == "level 2: degree 4, deck order 2, regular: False\n"
+    data = json.loads(report.read_text())["data"]
+    assert data == {
+        "degree": 4,
+        "deck_order": 2,
+        "regular": False,
+        "orbit": [0, 2],
+        "free_transitive": False,
+        "exit_code": 0,
+    }
+    assert data["deck_order"] < data["degree"] and set(data["orbit"]) < set(range(4))
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])

@@ -8,7 +8,7 @@ import pytest
 from helpers import cayley_tower_json, random_tower_json, reference_tower_levels
 
 from laminate import fixtures, formats
-from laminate.coverings import cyclic_tower
+from laminate.coverings import Graph, cyclic_tower
 from laminate.profinite import QuotientHom
 from laminate.local_model import glue_classes
 from laminate.subshift import LanguageOracle, fibonacci
@@ -159,6 +159,16 @@ def test_parse_loop_tokens():
     assert formats.parse_loop("0 0 -0", tower.base) == ((0, 1), (0, 1), (0, -1))
     with pytest.raises(ValueError):
         formats.parse_loop("zz", tower.base)
+
+
+def test_parse_loop_reads_integer_edges_from_ascii_digits_only():
+    base = Graph.from_edges(["w"], {1: ("w", "w"), "a": ("w", "w"), "10": ("w", "w")})
+    assert formats.parse_loop("1 -1 01 a -a 10", base) == (
+        (1, 1), (1, -1), (1, 1), ("a", 1), ("a", -1), ("10", 1))
+    for token, named in (("+1", "+1"), ("-+1", "+1"), ("\u0661", "\u0661"), ("010", "010"), ("-", "")):
+        with pytest.raises(ValueError) as err:
+            formats.parse_loop(f"a {token}", base)
+        assert str(err.value) == f"unknown base edge {named!r}"
 
 
 def test_dot_export_golden():

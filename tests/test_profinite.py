@@ -163,9 +163,9 @@ def _parity_tower(beta0, beta1):
 
 def test_quotient_not_surjective_on_an_irregular_stack():
     tower = _parity_tower([0, 1, 2], [1, 2, 0])
-    assert tower.verify_regular(2).deck_order == 2
+    assert tower.deck_group(2).order() == 2
     # three deck elements above, all over the identity below
-    assert tower.verify_regular(3).deck_order == 3
+    assert tower.deck_group(3).order() == 3
     with pytest.raises(AssertionError, match="not surjective"):
         QuotientHom(tower, 3).verify()
 
@@ -185,7 +185,7 @@ def test_quotient_verify_equals_reference_on_random_stacks():
     for _ in range(150):
         low = random_graph_cover(rng, rose, rng.randint(1, 4))
         up = random_graph_cover(rng, low.total, rng.randint(1, 3))
-        if low.validate(allow_degree_one=True) or up.validate(allow_degree_one=True):
+        if low.validate() or up.validate():
             continue
         tower = CoveringTower([low, up])
         for k in (2, 3):
@@ -335,7 +335,7 @@ def test_rep_and_metric_answer_on_a_non_regular_tower():
 
     cov = non_normal_degree3_cover()
     tower = CoveringTower([cov])
-    assert not tower.verify_regular(2).regular
+    assert not tower.deck_group(2).regular
     total = cov.total
 
     def brute_lift(word):
@@ -452,9 +452,6 @@ def test_telescoping_preserves_truncated_groups():
     tall = cyclic_tower([2] * 6)
     short = cyclic_tower([4] * 3)  # the telescoping that merges pairs
     for k_tall, k_short in ((3, 2), (5, 3), (7, 4)):
-        g_tall = tall.composite_covering(k_tall, 1).deck_group(tall.base_point(1))
-        g_short = short.composite_covering(k_short, 1).deck_group(short.base_point(1))
+        g_tall, g_short = tall.deck_group(k_tall), short.deck_group(k_short)
         assert g_tall.order() == g_short.order()
-        assert {tuple(e.vperm) for e in g_tall.elements} == {
-            tuple(e.vperm) for e in g_short.elements
-        }
+        assert set(map(tuple, g_tall.vperms.tolist())) == set(map(tuple, g_short.vperms.tolist()))
