@@ -143,6 +143,8 @@ class BranchedGraph(Graph):
         return MappingProxyType(dict(zip(self.vertex_ids, zip(groups[0::2], groups[1::2]))))
 
     def half_edges_at(self, v) -> frozenset:
+        if v not in self.vindex:
+            raise ValueError(f"unknown vertex {v!r}")
         return frozenset().union(*self.sides[v])
 
     def is_branch_point(self, v) -> bool:
@@ -190,22 +192,6 @@ def germs_at(g: BranchedGraph, v) -> list[SmoothGerm]:
     """All two-sided germs at v, in a deterministic order."""
     a_side, b_side = (sorted(side, key=lambda h: (repr(h[0]), h[1])) for side in g.sides[v])
     return [SmoothGerm(v, a, b) for a in a_side for b in b_side]
-
-
-@dataclass(frozen=True)
-class Star:
-    """Closed star of a vertex: the vertex, its half-edges, incident edges."""
-
-    center: object
-    half_edges: frozenset
-    edges: frozenset
-
-
-def star(g: BranchedGraph, v) -> Star:
-    if v not in g.vertices:
-        raise ValueError(f"unknown vertex {v!r}")
-    hes = g.half_edges_at(v)
-    return Star(v, hes, frozenset(e for e, _ in hes))
 
 
 class CellularMap:
@@ -317,7 +303,7 @@ def validate_map(f: CellularMap) -> list[str]:
 
 def half_edge_image(f: CellularMap, h: HalfEdge) -> HalfEdge:
     """First outward direction of the image path, at the image vertex."""
-    return f.codomain.half_edge_label(int(germ_map(f).image[f.domain._half_edge_index(h)]))
+    return f.codomain.half_edge_label(int(f.germs.image[f.domain._half_edge_index(h)]))
 
 
 def identity_map(g: BranchedGraph) -> CellularMap:
@@ -355,11 +341,6 @@ class GermMap:
     image: np.ndarray
 
 
-def germ_map(f: CellularMap) -> GermMap:
-    """The germ map of a cellular map, built once per map."""
-    return f.germs
-
-
 def compose_germs(g: GermMap, f: GermMap) -> GermMap:
     """g after f, by the chain rule."""
     if not g.domain.indexed_alike(f.codomain):
@@ -374,7 +355,7 @@ def germ_flattens(d: GermMap) -> bool:
 
 def germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
     """Image germ, with the image half-edges sorted back into their sides."""
-    g, h, image = f.domain, f.codomain, germ_map(f).image
+    g, h, image = f.domain, f.codomain, f.germs.image
     v = g.vindex[germ.vertex]
     slots = [None, None]
     for h_edge in (germ.a, germ.b):
@@ -429,7 +410,7 @@ def germ_flattening_witness(d: GermMap) -> Optional[FlatteningWitness]:
 def flattening_witness(f: CellularMap) -> Optional[FlatteningWitness]:
     """None when f is flattening, else a concrete failure (see
     :func:`germ_flattening_witness`)."""
-    return germ_flattening_witness(germ_map(f))
+    return germ_flattening_witness(f.germs)
 
 
 def is_flattening(f: CellularMap) -> bool:

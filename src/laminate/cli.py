@@ -19,7 +19,6 @@ from pathlib import Path
 from . import formats
 from .approximants import build_approximant, separation_depth
 from .inverse_system import (
-    EdgePoint,
     Flattening,
     NotFlatteningUpTo,
     NotLamination,
@@ -27,7 +26,6 @@ from .inverse_system import (
 )
 from .local_model import glue_classes
 from .profinite import delta_infinity_rep, metric, profinite_pow
-from .subshift import LanguageOracle
 from .transversal import Cylinder
 
 EXIT_OK = 0
@@ -144,13 +142,13 @@ def cmd_deck_group(args, report: RunReport) -> int:
 
 
 def _element_from_arg(tower, text: str, depth: int):
-    try:
-        amount = int(text)
-    except ValueError:
-        loop = formats.parse_loop(text, tower.base)
-        return delta_infinity_rep(tower, loop, depth)
+    """A power of the first base edge when ``text`` is an optional "-" and
+    ASCII digits, else the loop word ``text``."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return delta_infinity_rep(tower, formats.parse_loop(text, tower.base), depth)
     generator = formats.parse_loop(str(tower.base.edge_ids[0]), tower.base)
-    return profinite_pow(delta_infinity_rep(tower, generator, depth), amount)
+    return profinite_pow(delta_infinity_rep(tower, generator, depth), int(text))
 
 
 def cmd_metric(args, report: RunReport) -> int:
@@ -182,8 +180,6 @@ def cmd_rep(args, report: RunReport) -> int:
 
 
 def cmd_local_model(args, report: RunReport) -> int:
-    if args.local_cmd != "classes":
-        raise ValueError(f"unknown local-model subcommand {args.local_cmd!r}")
     tree = formats.branch_tree_from_json(json.loads(Path(args.tree).read_text()))
     point = formats.parse_point(args.point)
     classes = glue_classes(tree, point)

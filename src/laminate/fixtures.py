@@ -43,13 +43,3 @@ def figure_eight_double() -> CellularMap:
         {"w": "w"},
         {"a": (("a", 1), ("a", 1)), "b": (("b", 1), ("b", 1))},
     )
-
-
-def collapse_to_circle() -> CellularMap:
-    """Figure-eight onto the circle, both petals to the loop.  Flattening."""
-    return CellularMap(
-        figure_eight(),
-        circle(),
-        {"w": "v"},
-        {"a": (("e", 1),), "b": (("e", 1),)},
-    )

@@ -1,19 +1,20 @@
-"""JSON schemas for every artifact type, plus the DOT exporter.
+"""JSON readers for every input type, writers for branched graphs and
+cellular maps, and the DOT exporter.
 
 Rationals cross interfaces as "p/q" strings; half-edges as "e+" / "e-";
-signed path steps as "e" (forward) / "-e" (backward).  Loaders accept
-either inline objects or file paths (resolved relative to the referring
-file).  All schemas are documented in docs/formats.md.
+signed path steps as "e" (forward) / "-e" (backward); a boolean is not an
+integer or an id.  Loaders accept either inline objects or file paths
+(resolved relative to the referring file).  All schemas are documented in
+docs/formats.md.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from .branched_graph import BranchedGraph, CellularMap
 from .coverings import CoveringTower, Graph, GraphCovering, GraphMap, cyclic_tower
@@ -30,6 +31,12 @@ _KIND = {dict: "an object", list: "an array", str: "a string", int: "an integer"
          _ID: "a string or an integer"}
 
 
+def _of(t: type, kind) -> bool:
+    """Whether a JSON value of type ``t`` is of ``kind``; a boolean is not
+    an integer or an id."""
+    return issubclass(t, kind) and (t is not bool or kind is object)
+
+
 def _field(data, key: str, kind=object, each=None):
     """``data[key]``, checked to be of a JSON kind and, for an array or an
     object, to hold entries of kind ``each``; a ValueError names the key."""
@@ -38,10 +45,10 @@ def _field(data, key: str, kind=object, each=None):
     if key not in data:
         raise ValueError(f"missing key {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
+    if not _of(type(value), kind):
         raise ValueError(f"{key!r} must be {_KIND[kind]}")
     entries = value.values() if isinstance(value, dict) else value
-    if each is not None and not all(issubclass(t, each) for t in set(map(type, entries))):
+    if each is not None and not all(_of(t, each) for t in set(map(type, entries))):
         raise ValueError(f"every entry of {key!r} must be {_KIND[each]}")
     return value
 
@@ -90,7 +97,7 @@ def branch_tree_from_json(data: dict) -> BranchTree:
     n = _field(data, "dimension", int)
     vertices = _unique(_field(data, "vertices", list, _ID), "vertex")
     edges = _field(data, "edges", list, list)
-    if any(len(pair) != 2 or not all(isinstance(v, _ID) for v in pair) for pair in edges):
+    if any(len(pair) != 2 or not all(_of(type(v), _ID) for v in pair) for pair in edges):
         raise ValueError("every entry of 'edges' must be a [source, target] pair")
     sector_data = _field(data, "sectors", dict, list) if "sectors" in data else {}
     sectors = {}
@@ -101,18 +108,6 @@ def branch_tree_from_json(data: dict) -> BranchTree:
                      for normal in normals)
         )
     return BranchTree(n, tuple(vertices), tuple((s, t) for s, t in edges), sectors)
-
-
-def branch_tree_to_json(tree: BranchTree) -> dict:
-    return {
-        "dimension": tree.dimension,
-        "vertices": list(tree.vertices),
-        "edges": [list(e) for e in tree.edges],
-        "sectors": {
-            v: [[format_fraction(c) for c in h.normal] for h in sec.halfspaces]
-            for v, sec in tree.sector_of.items()
-        },
-    }
 
 
 # -- branched graphs and cellular maps ---------------------------------------
@@ -128,9 +123,11 @@ def _edges_from_json(data: dict) -> dict:
     entries = _field(data, "edges", list, dict)
     try:
         edges = {e["id"]: (e["src"], e["dst"]) for e in entries}
-        hash(tuple(edges.values()))  # endpoints must be usable as vertex ids
+        typed = all(_of(t, _ID) for t in set(map(type, itertools.chain(edges, *edges.values()))))
     except (KeyError, TypeError):
-        raise ValueError("every entry of 'edges' needs an 'id', a 'src' and a 'dst' id") from None
+        typed = False
+    if not typed:
+        raise ValueError("every entry of 'edges' needs an 'id', a 'src' and a 'dst' id")
     if len(edges) < len(entries):
         _unique([e["id"] for e in entries], "edge")
     return edges
@@ -245,7 +242,7 @@ def load_oracle(path: Union[str, Path]) -> LanguageOracle:
 
 def clopen_from_json(data: dict, oracle: LanguageOracle) -> ClopenSet:
     radius = _field(data, "radius", int) if "radius" in data else 0
-    if isinstance(radius, bool) or radius < 0:
+    if radius < 0:
         raise ValueError("'radius' must be a nonnegative integer")
     texts = _field(data, "cylinders", list, str)
     try:
@@ -256,25 +253,10 @@ def clopen_from_json(data: dict, oracle: LanguageOracle) -> ClopenSet:
     return canonicalize(out, max(radius, out.radius))
 
 
-def clopen_to_json(s: ClopenSet) -> dict:
-    return {"radius": s.radius, "cylinders": [str(c) for c in s.cylinders()]}
-
-
 # -- plain graphs, coverings, towers ----------------------------------------------
 
 def plain_graph_from_json(data: dict) -> Graph:
     return Graph.from_edges(_unique(_field(data, "vertices", list, _ID), "vertex"), _edges_from_json(data))
-
-
-def plain_graph_to_json(g: Graph) -> dict:
-    return {
-        "vertices": list(g.vertex_ids),
-        "edges": [
-            {"id": g.edge_ids[i], "src": g.vertex_ids[int(g.esrc[i])],
-             "dst": g.vertex_ids[int(g.edst[i])]}
-            for i in range(g.ne)
-        ],
-    }
 
 
 class _Keys(dict):
@@ -313,26 +295,6 @@ def _covering_from_level(level: dict, base: Graph) -> GraphCovering:
     return cov
 
 
-def covering_from_json(data: dict, base: Graph,
-                       base_dir: Optional[Path] = None) -> GraphCovering:
-    return _covering_from_level(_level_from_json(data, base_dir), base)
-
-
-def covering_to_json(c: GraphCovering) -> dict:
-    total, base, m = c.total, c.base, c.map
-    return {
-        "total": plain_graph_to_json(total),
-        "vertex_map": {
-            str(total.vertex_ids[i]): base.vertex_ids[int(m.vmap[i])]
-            for i in range(total.nv)
-        },
-        "edge_map": {
-            str(total.edge_ids[i]): base.edge_ids[int(m.emap[i])]
-            for i in range(total.ne)
-        },
-    }
-
-
 class _FileTower(CoveringTower):
     """A tower read from a file: level k is indexed and checked against the
     star axioms the first time it is read."""
@@ -351,7 +313,7 @@ def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTowe
         return cyclic_tower(_field(data, "circle_degrees", list, int))
     base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
     levels = [_level_from_json(_resolve(node, base_dir), base_dir) for node in _field(data, "levels", list)]
-    return _FileTower(base, levels, data.get("base_vertex"))
+    return _FileTower(base, levels, _field(data, "base_vertex", _ID) if "base_vertex" in data else None)
 
 
 def load_tower(path: Union[str, Path]) -> CoveringTower:

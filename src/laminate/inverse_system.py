@@ -25,11 +25,9 @@ from .branched_graph import (
     compose_germs,
     germ_flattens,
     germ_image,
-    germ_map,
     germs_at,
     half_edge_image,
     identity_map,
-    star,
 )
 
 
@@ -331,7 +329,7 @@ def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVe
 
     def bond_germ(j):
         if j not in bond_germs:
-            bond_germs[j] = germ_map(system.bond(j))
+            bond_germs[j] = system.bond(j).germs
         return bond_germs[j]
 
     def flat(k, k0):
@@ -447,7 +445,7 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
             components[k] = tuple(found)
         return LocalBox(disk, components)
     v = cell.vertex
-    disk_star = star(system.level(k0), v)
+    star_v = system.level(k0).half_edges_at(v)
     for k in range(k0 + 1, thread.depth + 1):
         f = system.composite(k, k0)
         upper = system.level(k)
@@ -456,7 +454,7 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
             images = {h: half_edge_image(f, h) for h in upper.half_edges_at(u)}
             if len(set(images.values())) != len(images):
                 raise NotLocallyTrivial(k, f"star of {u!r} folds over {v!r}")
-            if set(images.values()) != set(disk_star.half_edges):
+            if set(images.values()) != star_v:
                 raise NotLocallyTrivial(
                     k, f"star of {u!r} misses directions of star({v!r})"
                 )
@@ -466,12 +464,12 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
             for j in range(1, len(path)):
                 (d0, s0), (d1, s1) = path[j - 1], path[j]
                 arrived = (d0, DST if s0 == 1 else SRC)
-                if arrived not in disk_star.half_edges:
+                if arrived not in star_v:
                     continue  # the junction is not at v
                 leaving = (d1, SRC if s1 == 1 else DST)
                 if arrived == leaving:
                     raise NotLocallyTrivial(k, f"edge {e!r} folds at step {j} over {v!r}")
-                if {arrived, leaving} != set(disk_star.half_edges):
+                if {arrived, leaving} != star_v:
                     raise NotLocallyTrivial(
                         k,
                         f"edge {e!r} crosses {v!r} at step {j} through an arc, "

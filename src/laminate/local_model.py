@@ -11,7 +11,7 @@ condition, so no tolerance enters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -126,19 +126,6 @@ class BranchTree:
                         frontier.append(w)
             if seen != vs:
                 raise ValueError("underlying graph is not connected")
-
-
-@dataclass(frozen=True)
-class LocalModelPoint:
-    """A point (x, v) of disk x vertices, before gluing."""
-
-    coordinates: Vector
-    vertex: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "coordinates", as_vector(self.coordinates))
-        if not in_unit_disk(self.coordinates):
-            raise ValueError("coordinates lie outside the closed unit disk")
 
 
 def glue_classes(tree: BranchTree, x: Sequence[Fraction]) -> list[frozenset]:

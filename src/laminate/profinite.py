@@ -137,11 +137,6 @@ def metric(x: ProfiniteElement, y: ProfiniteElement) -> TransverseMetricValue:
     return TransverseMetricValue(Fraction(total, 1 << depth), depth)
 
 
-def element_from_point(tower: CoveringTower, depth: int, fiber_pos: int) -> ProfiniteElement:
-    """The thread whose level-``depth`` point is the fiber point at fiber_pos."""
-    return ProfiniteElement(tower, depth, tower.fiber(depth)[fiber_pos])
-
-
 def delta_infinity_rep(tower: CoveringTower, loop: Sequence[Step], depth: int) -> ProfiniteElement:
     """Monodromy representation of a base loop as a coherent thread.
 

@@ -211,10 +211,6 @@ class HolonomyWord:
         return HolonomyWord(tuple(-x for x in reversed(self.steps)), self.image())
 
 
-def identity_holonomy(oracle: LanguageOracle) -> HolonomyWord:
-    return HolonomyWord((), ClopenSet.whole(oracle))
-
-
 def shift(s: ClopenSet, steps: int) -> tuple[ClopenSet, HolonomyWord]:
     """The shifted set together with the holonomy word that produced it."""
     sign = 1 if steps >= 0 else -1

@@ -14,7 +14,6 @@ from laminate.branched_graph import (
     half_edge_image,
     identity_map,
     is_flattening,
-    star,
 )
 
 from helpers import cycle_branched, cycle_cover_map, random_rose_words, rose_map
@@ -141,14 +140,20 @@ def test_figure_eight_double_witness():
     assert set(w.images) == {("a", "+"), ("b", "+")}
 
 
+def petals_onto_circle() -> CellularMap:
+    """Figure-eight onto the circle, both petals to the loop.  Flattening."""
+    return CellularMap(fixtures.figure_eight(), fixtures.circle(), {"w": "v"},
+                       {"a": (("e", 1),), "b": (("e", 1),)})
+
+
 def test_everything_to_one_loop_is_flattening():
-    assert is_flattening(fixtures.collapse_to_circle())
+    assert is_flattening(petals_onto_circle())
 
 
 def test_flattening_can_appear_under_composition():
     # collapse after a branch map: the composite irons the branching out
     P2 = fixtures.figure_eight_double()
-    collapse = fixtures.collapse_to_circle()
+    collapse = petals_onto_circle()
     assert not is_flattening(P2)
     assert is_flattening(compose(collapse, P2))
 
@@ -172,15 +177,12 @@ def test_flattening_absorbs_under_composition_both_ways():
 
 def test_star_of_circle_vertex_is_whole_graph():
     g = fixtures.circle()
-    s = star(g, "v")
-    assert s.edges == frozenset({"e"})
-    assert s.half_edges == frozenset({("e", "+"), ("e", "-")})
+    assert g.half_edges_at("v") == frozenset({("e", "+"), ("e", "-")})
 
 
 def test_star_of_figure_eight_has_four_half_edges():
-    s = star(fixtures.figure_eight(), "w")
-    assert len(s.half_edges) == 4
-    assert s.edges == frozenset({"a", "b"})
+    hes = fixtures.figure_eight().half_edges_at("w")
+    assert hes == frozenset({("a", "+"), ("a", "-"), ("b", "+"), ("b", "-")})
 
 
 def test_star_of_path_graph_middle_vertex():
@@ -193,14 +195,12 @@ def test_star_of_path_graph_middle_vertex():
             "w": ({("e2", "-")}, set()),
         },
     )
-    s = star(g, "v")
-    assert s.edges == frozenset({"e1", "e2"})
-    assert s.half_edges == frozenset({("e1", "-"), ("e2", "+")})
+    assert g.half_edges_at("v") == frozenset({("e1", "-"), ("e2", "+")})
 
 
 def test_star_unknown_vertex():
-    with pytest.raises(ValueError):
-        star(fixtures.circle(), "nope")
+    with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+        fixtures.circle().half_edges_at("nope")
 
 
 def test_flattening_agrees_with_star_oracle_on_covers():

@@ -1,0 +1,50 @@
+"""No code without a caller: every public name of the library is used.
+
+A public top-level function or class, or a public method, of
+``src/laminate`` must be named somewhere else: in ``src/`` (its own
+``def``/``class`` line does not name it), in ``demos/``, in ``bench/`` or in
+the acceptance suite.  A name counts as a bare name, as an attribute
+``.name`` or as a string holding exactly the name (``bench/tracing.py``
+patches functions by their names); imports alone do not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "laminate").glob("*.py"))
+CALLERS = [*LIBRARY, *sorted((ROOT / "demos").glob("*.py")),
+           *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
+def _public(tree: ast.Module):
+    """(qualified name, name) of every public top-level function and class
+    and every public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _named(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_every_public_library_name_has_a_caller():
+    named = set().union(*(_named(ast.parse(path.read_text())) for path in CALLERS))
+    uncalled = [f"{path.stem}.{qualified}"
+                for path in LIBRARY
+                for qualified, name in _public(ast.parse(path.read_text()))
+                if name not in named]
+    assert uncalled == []

@@ -509,7 +509,9 @@ def test_zeroth_power_metric_answers_on_a_non_regular_tower(tmp_path, capsys):
              "vertex_map": {str(v): "w" for v in total.vertex_ids},
              "edge_map": {e: e[0] for e in ids}}
     tower = tmp_path / "non_normal.json"
-    tower.write_text(json.dumps({"base": formats.plain_graph_to_json(cov.base), "levels": [level]}))
+    base = {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"},
+                                          {"id": "b", "src": "w", "dst": "w"}]}
+    tower.write_text(json.dumps({"base": base, "levels": [level]}))
     # b lifts to a loop at the base point, a to a path off it
     for x, y, d in (("0", "b", "0"), ("0", "a", "1/4")):
         assert main(["metric", "--tower", str(tower), f"--x={x}", f"--y={y}", "--depth", "2"]) == 0
@@ -645,3 +647,56 @@ def test_questions_below_a_level_that_is_not_a_covering_answer(tmp_path, capsys)
         "representation of loop 'a': base-point orbit [0, 1]",
         "d(x, y) = 1/4 (truncated at depth 2, tail below 1/4)",
     ]
+
+
+def test_metric_reads_a_power_from_ascii_digits_only(tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"circle_degrees": [2, 2, 2]}))
+    ask = ["metric", "--tower", str(tower), "--y=1", "--depth", "4"]
+    for x, named in (("\u0661", "\u0661"), (" 3", "3"), ("+1", "+1"), ("1_0", "1_0")):
+        _fails_cleanly([*ask, f"--x={x}"], tmp_path, capsys)
+        assert main([*ask, f"--x={x}"]) == 1
+        assert capsys.readouterr().err == f"error: unknown base edge {named!r}\n"
+    assert main([*ask, "--x=-3"]) == 0
+    assert capsys.readouterr().out.startswith(f"d(x, y) = {_cyclic_metric([1, 2, 4, 8], -3, 1)} ")
+
+
+BOOLEANS = {
+    "circle degree": ({"circle_degrees": [True, 2]}, ["deck-group", "--tower"], ["--level", "3"],
+                      "every entry of 'circle_degrees' must be an integer"),
+    "tree dimension": ({"dimension": True, "vertices": ["v"], "edges": []},
+                       ["local-model", "classes", "--tree"], ["--point", "0"],
+                       "'dimension' must be an integer"),
+    "tree edge": ({"dimension": 1, "vertices": [1, 2], "edges": [[True, 2]]},
+                  ["local-model", "classes", "--tree"], ["--point", "0"],
+                  "every entry of 'edges' must be a [source, target] pair"),
+    "base vertex": ({"base": {"vertices": [True], "edges": [{"id": "a", "src": True, "dst": True}]},
+                     "levels": []}, ["rep", "--tower"], ["--loop", "a"],
+                    "every entry of 'vertices' must be a string or an integer"),
+    "base edge": ({"base": {"vertices": ["w"], "edges": [{"id": True, "src": "w", "dst": "w"}]},
+                   "levels": []}, ["rep", "--tower"], ["--loop", "1"],
+                  "every entry of 'edges' needs an 'id', a 'src' and a 'dst' id"),
+    "edge end": ({"base": {"vertices": [1], "edges": [{"id": "a", "src": True, "dst": 1}]},
+                  "levels": []}, ["rep", "--tower"], ["--loop", "a"],
+                 "every entry of 'edges' needs an 'id', a 'src' and a 'dst' id"),
+    "base point": ({"base": {"vertices": [0, 1], "edges": [{"id": "a", "src": 0, "dst": 1},
+                                                           {"id": "b", "src": 1, "dst": 0}]},
+                    "levels": [], "base_vertex": True}, ["rep", "--tower"], ["--loop", "b a"],
+                   "'base_vertex' must be a string or an integer"),
+    "vertex map": ({"base": {"vertices": [1], "edges": [{"id": "a", "src": 1, "dst": 1}]},
+                    "levels": [{"total": {"vertices": ["0"], "edges": [{"id": "a0", "src": "0", "dst": "0"}]},
+                                "vertex_map": {"0": True}, "edge_map": {"a0": "a"}}]},
+                   ["rep", "--tower"], ["--loop", "a"],
+                   "every entry of 'vertex_map' must be a string or an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEANS))
+def test_booleans_are_not_integers_or_ids(case, tmp_path, capsys):
+    data, command, rest, message = BOOLEANS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [*command, str(path), *rest]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

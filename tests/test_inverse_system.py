@@ -8,7 +8,6 @@ from laminate import branched_graph, fixtures, inverse_system
 from laminate.branched_graph import (
     compose_germs,
     germ_flattening_witness,
-    germ_map,
     is_flattening,
 )
 from laminate.inverse_system import (
@@ -228,12 +227,12 @@ def test_germ_composites_match_path_composites():
     for _ in range(60):
         system = random_small_system(rng, depth=5)
         for k0 in range(5):
-            germ = germ_map(system.bond(k0))
+            germ = system.bond(k0).germs
             for k in range(k0 + 1, 6):
                 if k > k0 + 1:
-                    germ = compose_germs(germ, germ_map(system.bond(k - 1)))
+                    germ = compose_germs(germ, system.bond(k - 1).germs)
                 path = system.composite(k, k0)
-                assert np.array_equal(germ.image, germ_map(path).image)
+                assert np.array_equal(germ.image, path.germs.image)
                 assert (germ_flattening_witness(germ) is None) == is_flattening(path)
 
 

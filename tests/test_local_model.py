@@ -6,7 +6,6 @@ import pytest
 from laminate.local_model import (
     BranchTree,
     HalfSpace,
-    LocalModelPoint,
     Sector,
     class_count_profile,
     glue_classes,
@@ -92,26 +91,6 @@ def test_class_count_profile_path_tree_all_empty_sectors():
         {"v1": empty, "v2": empty, "v3": empty},
     )
     assert class_count_profile(t, [(F(0),), (F(1, 2),)]) == [1, 1]
-
-
-def test_projection_returns_coordinates_and_is_injective_per_vertex():
-    p = LocalModelPoint((F(1, 2), F(0)), "v")
-    assert p.coordinates == (F(1, 2), F(0))
-    q = LocalModelPoint((F(1, 3), F(0)), "v")
-    assert p.coordinates != q.coordinates
-
-
-def test_projection_constant_on_glue_classes():
-    t = three_vertex_tree()
-    x = (F(-1, 2), F(1, 2))
-    for block in glue_classes(t, x):
-        values = {LocalModelPoint(x, v).coordinates for v in block}
-        assert len(values) == 1
-
-
-def test_point_outside_disk_rejected():
-    with pytest.raises(ValueError):
-        LocalModelPoint((F(1), F(1)), "v")
 
 
 def test_tree_validation_rejects_cycles():

@@ -11,7 +11,6 @@ from laminate.profinite import (
     QuotientHom,
     SuspensionPoint,
     delta_infinity_rep,
-    element_from_point,
     metric,
     profinite_id,
     profinite_inv,
@@ -111,7 +110,7 @@ def test_coherence_validated(dyadic):
 
 def test_element_from_point_round_trip(dyadic):
     for pos in (0, 5, 13, 127):
-        x = element_from_point(dyadic, 8, pos)
+        x = ProfiniteElement(dyadic, 8, dyadic.fiber(8)[pos])
         assert x.basepoint_image(8) == pos
 
 

@@ -14,7 +14,6 @@ from laminate.transversal import (
     canonicalize,
     complement,
     compose_holonomy,
-    identity_holonomy,
     intersect,
     is_equal,
     is_subset,
@@ -197,7 +196,7 @@ def test_path_independence(fib):
 
 
 def test_identity_holonomy(fib):
-    word = identity_holonomy(fib)
+    word = HolonomyWord((), ClopenSet.whole(fib))
     x = ClopenSet.from_cylinder(fib, Cylinder("ba", 0))
     assert is_equal(word.apply(x), x)
 
