@@ -174,24 +174,11 @@ class BranchedGraph(Graph):
 
 @dataclass(frozen=True)
 class SmoothGerm:
-    """A smooth-disk germ at a vertex: one optional half-edge per side."""
+    """A smooth-disk germ at a vertex: a half-edge of side A and one of side B."""
 
     vertex: object
-    a: Optional[HalfEdge]
-    b: Optional[HalfEdge]
-
-    def __post_init__(self):
-        if self.a is None and self.b is None:
-            raise ValueError("a germ needs at least one half-edge")
-
-    def half_edges(self) -> frozenset:
-        return frozenset(h for h in (self.a, self.b) if h is not None)
-
-
-def germs_at(g: BranchedGraph, v) -> list[SmoothGerm]:
-    """All two-sided germs at v, in a deterministic order."""
-    a_side, b_side = (sorted(side, key=lambda h: (repr(h[0]), h[1])) for side in g.sides[v])
-    return [SmoothGerm(v, a, b) for a in a_side for b in b_side]
+    a: HalfEdge
+    b: HalfEdge
 
 
 class CellularMap:
@@ -351,26 +338,6 @@ def compose_germs(g: GermMap, f: GermMap) -> GermMap:
 def germ_flattens(d: GermMap) -> bool:
     """Whether every side of every vertex sends all its half-edges one way."""
     return _same(d.image[d.domain._leader], d.image)
-
-
-def germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
-    """Image germ, with the image half-edges sorted back into their sides."""
-    g, h, image = f.domain, f.codomain, f.germs.image
-    v = g.vindex[germ.vertex]
-    slots = [None, None]
-    for h_edge in (germ.a, germ.b):
-        if h_edge is None:
-            continue
-        i = g._half_edge_index(h_edge)
-        if g.half_vertex[i] != v:
-            raise ValueError(f"half-edge {h_edge!r} is not at vertex {germ.vertex!r}")
-        img = int(image[i])
-        bit = h.side[img]
-        if slots[bit] is not None and slots[bit] != img:
-            raise ValueError("germ folds onto one side; image is not a germ")
-        slots[bit] = img
-    a, b = (None if s is None else h.half_edge_label(s) for s in slots)
-    return SmoothGerm(h.vertex_ids[f.vmap[v]], a, b)
 
 
 @dataclass(frozen=True)

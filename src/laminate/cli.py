@@ -66,15 +66,15 @@ def cmd_check_flatten(args, report: RunReport) -> int:
     if isinstance(verdict, NotLamination):
         witness = verdict.witness
         germs = [
-            {"a": witness_half(g.a), "b": witness_half(g.b)}
+            {"a": formats.format_half_edge(g.a), "b": formats.format_half_edge(g.b)}
             for g in witness.germs
         ]
         print(
             f"not a lamination: invariant double section at vertex "
             f"{witness.vertex!r}"
         )
-        for g in witness.germs:
-            print(f"  germ {witness_half(g.a)} | {witness_half(g.b)}")
+        for g in germs:
+            print(f"  germ {g['a']} | {g['b']}")
         report.data["verdict"] = "not-lamination"
         report.data["witness"] = {"vertex": str(witness.vertex), "germs": germs}
         return EXIT_NOT_LAMINATION
@@ -83,10 +83,6 @@ def cmd_check_flatten(args, report: RunReport) -> int:
     report.data["verdict"] = "inconclusive"
     report.data["window"] = verdict.window
     return EXIT_INCONCLUSIVE
-
-
-def witness_half(h) -> str | None:
-    return None if h is None else formats.format_half_edge(h)
 
 
 def cmd_approximants(args, report: RunReport) -> int:

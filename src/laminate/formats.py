@@ -185,12 +185,21 @@ def cellular_map_to_json(f: CellularMap) -> dict:
 
 # -- inverse systems ----------------------------------------------------------
 
-def _resolve(node: Union[str, dict], base_dir: Optional[Path]) -> dict:
+def _object(pairs: list) -> dict:
+    """A JSON object that repeats no key; a ValueError names a repeated one."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated object key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return out
+
+
+def _resolve(node: Union[str, dict], base_dir: Optional[Path], hook=None) -> dict:
     if isinstance(node, str):
         path = Path(node)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        node = json.loads(path.read_text())
+        node = json.loads(path.read_text(), object_pairs_hook=hook)
     if not isinstance(node, dict):
         raise ValueError("expected an object or a file path holding one")
     return node
@@ -201,25 +210,24 @@ def system_from_json(data: dict, base_dir: Optional[Path] = None) -> InverseSyst
         raise ValueError("a system needs 'stationary' or 'levels' and 'bonds'")
     if "stationary" in data:
         stationary = _field(data, "stationary", dict)
-        graph = branched_graph_from_json(_resolve(_field(stationary, "graph"), base_dir))
-        bond = cellular_map_from_json(
-            _resolve(_field(stationary, "map"), base_dir), graph, graph
-        )
+        graph = branched_graph_from_json(_resolve(_field(stationary, "graph"), base_dir, _object))
+        bond = cellular_map_from_json(_resolve(_field(stationary, "map"), base_dir, _object), graph, graph)
         return InverseSystem.stationary(bond)
-    levels = [branched_graph_from_json(_resolve(node, base_dir))
+    levels = [branched_graph_from_json(_resolve(node, base_dir, _object))
               for node in _field(data, "levels", list)]
     if len(_field(data, "bonds", list)) != len(levels) - 1:
         raise ValueError("need one bond per consecutive pair of levels")
     bonds = [
-        cellular_map_from_json(_resolve(node, base_dir), levels[i + 1], levels[i])
+        cellular_map_from_json(_resolve(node, base_dir, _object), levels[i + 1], levels[i])
         for i, node in enumerate(data["bonds"])
     ]
     return InverseSystem.from_lists(levels, bonds)
 
 
 def load_system(path: Union[str, Path]) -> InverseSystem:
+    """A system file; no object in it, or in a file it names, may repeat a key."""
     path = Path(path)
-    return system_from_json(json.loads(path.read_text()), path.parent)
+    return system_from_json(json.loads(path.read_text(), object_pairs_hook=_object), path.parent)
 
 
 # -- subshift inputs -----------------------------------------------------------

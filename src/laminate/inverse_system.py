@@ -2,17 +2,21 @@
 
 A system is a tower of branched graphs with onto cellular bonding maps,
 materialized lazily and memoized.  The module enumerates coherent threads
-to finite depth, telescopes towers, searches bounded windows for a
-flattening telescoping, certifies non-laminations of stationary systems by
-an invariant pair of smooth sections, and decomposes preimages of small
-disks into product components.
+to finite depth, telescopes towers, and decides whether some telescoping
+flattens: exactly for a stationary system, from the powers of its bond's
+germ map, and over a bounded window for any other tower.  Non-laminations
+of stationary systems are certified by an invariant pair of smooth
+sections.  Preimages of small disks decompose into product components.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .branched_graph import (
     DST,
@@ -24,8 +28,6 @@ from .branched_graph import (
     compose,
     compose_germs,
     germ_flattens,
-    germ_image,
-    germs_at,
     half_edge_image,
     identity_map,
 )
@@ -265,65 +267,87 @@ def not_lamination_certificate(system: InverseSystem) -> Optional[DoubleSectionW
     Looks for a fixed vertex v carrying two distinct two-sided germs whose
     pair is invariant under the bond's germ map and each of which is the
     unique germ at v mapping to its image.  Such a pair survives every
-    telescoping, so it certifies that no telescoping flattens.
+    telescoping, so it certifies that no telescoping flattens.  Vertices
+    come in ``repr`` order, germs in that of their (edge, end) half-edges,
+    side A first; the first disjoint invariant pair wins, else the first.
     """
     if not system.stationary_flag:
         raise ValueError("certificate search needs a stationary system")
     f = system.bond(0)
-    g = system.level(0)
-    for v in sorted(g.vertices, key=repr):
-        if f.vertex_map[v] != v:
-            continue
-        germs = germs_at(g, v)
-        images = {germ: germ_image(f, germ) for germ in germs}
-        pairs = [
-            (g0, g1)
-            for i, g0 in enumerate(germs)
-            for g1 in germs[i + 1 :]
-        ]
-        # prefer pairs of disjoint germs, the cleanest witnesses
-        pairs.sort(key=lambda p: bool(p[0].half_edges() & p[1].half_edges()))
-        for g0, g1 in pairs:
-            if {images[g0], images[g1]} != {g0, g1}:
-                continue
-            unique = all(
-                sum(1 for other in germs if images[other] == images[gi]) == 1
-                for gi in (g0, g1)
-            )
-            if unique:
-                return DoubleSectionWitness(v, (g0, g1))
+    g, image = f.domain, f.germs.image
+    for v in sorted(np.flatnonzero(f.vmap == np.arange(g.nv)).tolist(), key=lambda v: repr(g.vertex_ids[v])):
+        at = np.flatnonzero(g.half_vertex == v)
+        a_side, b_side = (sorted(at[g.side[at] == bit].tolist(), key=lambda h: (repr(g.edge_ids[h >> 1]), h & 1))
+                          for bit in (0, 1))
+        rank = {h: r for side in (a_side, b_side) for r, h in enumerate(side)}
+        da, db = image[a_side].tolist(), image[b_side].tolist()
+        # germ (i, j) holds a_side[i] and b_side[j]; it is the only germ with its image when both
+        # half-edges have unique images, and its image swaps them when side A maps onto side B
+        im = {(i, j): (rank[x], rank[y]) if g.side[x] == 0 else (rank[y], rank[x])
+              for i, x in enumerate(da) if da.count(x) == 1 for j, y in enumerate(db) if db.count(y) == 1}
+        pairs = [*itertools.combinations([p for p in im if im[p] == p], 2),
+                 *((p, im[p]) for p in im if p < im[p] and im.get(im[p]) == p)]
+        if pairs:
+            pair = min(pairs, key=lambda pq: (pq[0][0] == pq[1][0] or pq[0][1] == pq[1][1], pq))
+            return DoubleSectionWitness(g.vertex_ids[v], tuple(SmoothGerm(
+                g.vertex_ids[v], g.half_edge_label(a_side[i]), g.half_edge_label(b_side[j])) for i, j in pair))
     return None
 
 
+def _least_flattening_power(d: GermMap) -> Optional[int]:
+    """Least n >= 1 with D^n flattening, None when no power flattens.
+
+    Flattening survives post-composition, and half-edges that ever merge
+    under D merge within H - 1 steps (H half-edges): square D up to the
+    first flattening D^(2^k), or to 2^k >= H, then bisect below it.
+    """
+    powers = [d]  # powers[i] is D^(2^i)
+    while not germ_flattens(powers[-1]):
+        if 2 ** (len(powers) - 1) >= len(d.image):
+            return None
+        powers.append(compose_germs(powers[-1], powers[-1]))
+    n, below = 0, None  # D^n does not flatten (n = 0 aside); below is D^n
+    for i in range(len(powers) - 2, -1, -1):
+        trial = powers[i] if below is None else compose_germs(powers[i], below)
+        if not germ_flattens(trial):
+            n, below = n + 2 ** i, trial
+    return n + 1
+
+
 def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVerdict:
-    """Bounded search for a telescoping with all bonds flattening.
+    """A telescoping of levels 0..window whose bonds all flatten.
 
-    Exhaustive over the window and canonical.  Working down from the
-    window edge, level j *reaches* the edge when the composite from some
-    reaching level k > j down to j flattens, and the *greedy* chain from j
-    takes, repeatedly, the least level whose composite down to the current
-    one flattens.  The chain starts at the least level whose greedy chain
-    reaches the edge or, when there is none, at the least reaching level,
-    and takes, repeatedly, the least reaching level whose composite down to
-    the current one flattens (from a greedy start this is the greedy
-    chain).  A chain found this way is a certified flattening telescoping
-    of the inspected window.  When no level reaches the edge the result is
-    inconclusive, except that stationary systems are additionally probed
-    for an invariant double section, which settles non-lamination outright.
+    A stationary system is decided exactly: f^m flattens iff m >= n, the
+    least flattening power of its germ map, so the chain is [window mod n,
+    window mod n + n, ..., window] when n <= window and none exists when
+    n > window.  When no power flattens, an invariant double section
+    certifies non-lamination; without one the verdict is inconclusive.
 
-    Flattening reads only germs, so the search composes the bonds' germ
-    maps by the chain rule instead of their edge paths.  For a stationary
-    system the composite k -> k0 depends only on the gap k - k0, and so is
-    built and tested once per gap.
+    Other towers are searched over the window, exhaustively and
+    canonically.  Working down from the window edge, level j *reaches*
+    the edge when the composite from some reaching level k > j down to j
+    flattens, and the *greedy* chain from j takes, repeatedly, the least
+    level whose composite down to the current one flattens.  The chain
+    starts at the least level whose greedy chain reaches the edge or, when
+    there is none, at the least reaching level, and takes, repeatedly, the
+    least reaching level whose composite down to the current one flattens
+    (from a greedy start this is the greedy chain).  A chain found this
+    way is a certified flattening telescoping of the inspected window;
+    when no level reaches the edge the result is inconclusive.  Flattening
+    reads only germs, so the bonds' germ maps compose by the chain rule.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     if system.max_depth is not None:
         window = min(window, system.max_depth)
-    stationary = system.stationary_flag
+    if system.stationary_flag:
+        n = _least_flattening_power(system.bond(0).germs)
+        if n is not None and n <= window:
+            return Flattening(tuple(range(window % n, window + 1, n)))
+        witness = None if n is not None else not_lamination_certificate(system)
+        return NotFlatteningUpTo(window) if witness is None else NotLamination(witness)
     bond_germs: dict[int, GermMap] = {}
-    # columns[k][i] is the germ map from level k down to level k - 1 - i;
-    # a stationary system has the single column 0, indexed by gap - 1
+    # columns[k][i] is the germ map from level k down to level k - 1 - i
     columns: dict[int, list[GermMap]] = {}
     flat_memo: dict = {}
 
@@ -333,14 +357,13 @@ def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVe
         return bond_germs[j]
 
     def flat(k, k0):
-        key = k - k0 if stationary else (k, k0)
-        if key not in flat_memo:
-            column = columns.setdefault(0 if stationary else k, [])
+        if (k, k0) not in flat_memo:
+            column = columns.setdefault(k, [])
             while len(column) < k - k0:
-                below = bond_germ(0 if stationary else k - 1 - len(column))
+                below = bond_germ(k - 1 - len(column))
                 column.append(compose_germs(below, column[-1]) if column else below)
-            flat_memo[key] = germ_flattens(column[k - k0 - 1])
-        return flat_memo[key]
+            flat_memo[k, k0] = germ_flattens(column[k - k0 - 1])
+        return flat_memo[k, k0]
 
     reach = [False] * window + [True]
     greedy = [False] * window + [True]
@@ -359,10 +382,6 @@ def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVe
             )
             chain.append(current)
         return Flattening(tuple(chain))
-    if stationary:
-        witness = not_lamination_certificate(system)
-        if witness is not None:
-            return NotLamination(witness)
     return NotFlatteningUpTo(window)
 
 

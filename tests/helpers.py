@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from laminate.approximants import quotient_cell
-from laminate.branched_graph import BranchedGraph, CellularMap
+from laminate.branched_graph import BranchedGraph, CellularMap, SmoothGerm
 from laminate.coverings import Graph, GraphCovering, GraphMap
-from laminate.inverse_system import InverseSystem
+from laminate.inverse_system import DoubleSectionWitness, InverseSystem
 from laminate.local_model import BranchTree, HalfSpace, Sector, sector_contains
 from laminate.subshift import LanguageOracle, Substitution, word_keys, word_ranks
 
@@ -382,6 +382,117 @@ def random_small_system(rng: Random, depth: int = 5) -> InverseSystem:
     return InverseSystem.from_lists(
         [rose_graph(petals)] * (depth + 1), [bond] * depth
     )
+
+
+def theta_graph() -> BranchedGraph:
+    """Branched circle: x and y run u -> v and merge at v; z runs back."""
+    return BranchedGraph(
+        vertices={"u", "v"},
+        edges={"x": ("u", "v"), "y": ("u", "v"), "z": ("v", "u")},
+        sides={"u": ({("z", "-")}, {("x", "+"), ("y", "+")}),
+               "v": ({("x", "-"), ("y", "-")}, {("z", "+")})},
+    )
+
+
+def random_walk_map(rng: Random, g: BranchedGraph, vertex_map: dict) -> CellularMap:
+    """An onto cellular self-map of g with this vertex map, drawn until one
+    is side-coherent and onto: each edge's image is a random walk of 1-4
+    steps, forward or backward, between the images of the edge's ends."""
+    leaving = {v: [(e, 1) for e, (s, _) in g.edges.items() if s == v]
+               + [(e, -1) for e, (_, t) in g.edges.items() if t == v] for v in g.vertices}
+    while True:
+        edge_map = {}
+        for e, (s, t) in g.edges.items():
+            at = None
+            while at != vertex_map[t]:
+                at, path = vertex_map[s], []
+                for _ in range(rng.randint(1, 4)):
+                    d, sign = rng.choice(leaving[at])
+                    path.append((d, sign))
+                    at = g.edges[d][1 if sign == 1 else 0]
+            edge_map[e] = tuple(path)
+        try:
+            f = CellularMap(g, g, vertex_map, edge_map)
+        except ValueError:
+            continue
+        if all(f.onto()):
+            return f
+
+
+def random_stationary_maps(rng: Random, count: int) -> list[CellularMap]:
+    """Onto self-maps: roses of 1-4 petals on ``random_rose_words``, read
+    forward or (mapping side A onto side B) backward, and branched circles
+    whose map fixes or swaps their two vertices."""
+    out, theta = [], theta_graph()
+    while len(out) < count:
+        if rng.random() < 0.75:
+            petals = tuple("abcd"[: rng.randint(1, 4)])
+            words = random_rose_words(rng, petals)
+            if rng.random() < 0.7:
+                out.append(rose_map(petals, words))
+            else:
+                g = rose_graph(petals)
+                out.append(CellularMap(g, g, {"w": "w"},
+                                       {e: tuple((d, -1) for d in reversed(w)) for e, w in words.items()}))
+        else:
+            swap = rng.random() < 0.3
+            out.append(random_walk_map(rng, theta, {"u": "v", "v": "u"} if swap else {"u": "u", "v": "v"}))
+    return out
+
+
+# -- the non-lamination certificate by labels -----------------------------------
+
+def reference_germs_at(g: BranchedGraph, v) -> list[SmoothGerm]:
+    """All two-sided germs at v, a half-edge of side A and one of side B,
+    each side in ``repr`` order of (edge, end), side A first."""
+    a_side, b_side = (sorted(side, key=lambda h: (repr(h[0]), h[1])) for side in g.sides[v])
+    return [SmoothGerm(v, a, b) for a in a_side for b in b_side]
+
+
+def path_half_edge_image(f: CellularMap, h: tuple) -> tuple:
+    """The direction in which the image path of half-edge h leaves the
+    image vertex, read off f's edge path: its first step at the source
+    end, its last step reversed at the target end."""
+    e, end = h
+    d, s = f.edge_map[e][0 if end == "+" else -1]
+    return (d, "+" if (s == 1) == (end == "+") else "-")
+
+
+def reference_germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
+    """Image germ, read off f's edge paths, with the image half-edges
+    sorted back into the sides of the image vertex."""
+    w = f.vertex_map[germ.vertex]
+    slots = [None, None]
+    for h in (germ.a, germ.b):
+        if h not in f.domain.half_edges_at(germ.vertex):
+            raise ValueError(f"half-edge {h!r} is not at vertex {germ.vertex!r}")
+        image = path_half_edge_image(f, h)
+        bit = 0 if image in f.codomain.sides[w][0] else 1
+        if slots[bit] not in (None, image):
+            raise ValueError("germ folds onto one side; image is not a germ")
+        slots[bit] = image
+    return SmoothGerm(w, *slots)
+
+
+def reference_certificate(system: InverseSystem) -> Optional[DoubleSectionWitness]:
+    """The invariant double section by labels: at the first fixed vertex in
+    ``repr`` order that has one, the first pair of germs (disjoint pairs
+    first) whose pair the bond maps onto itself and each of which is the
+    only germ with its image."""
+    f, g = system.bond(0), system.level(0)
+    for v in sorted(g.vertices, key=repr):
+        if f.vertex_map[v] != v:
+            continue
+        germs = reference_germs_at(g, v)
+        images = {germ: reference_germ_image(f, germ) for germ in germs}
+        pairs = [(g0, g1) for i, g0 in enumerate(germs) for g1 in germs[i + 1:]]
+        pairs.sort(key=lambda p: bool({p[0].a, p[0].b} & {p[1].a, p[1].b}))
+        for g0, g1 in pairs:
+            if {images[g0], images[g1]} == {g0, g1} and all(
+                list(images.values()).count(images[gi]) == 1 for gi in (g0, g1)
+            ):
+                return DoubleSectionWitness(v, (g0, g1))
+    return None
 
 
 # -- coverings ----------------------------------------------------------------

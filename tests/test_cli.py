@@ -237,8 +237,9 @@ def test_reports_are_deterministic_sans_timing(files, tmp_path):
 
 
 def test_inconclusive_exit_code(files, tmp_path):
-    # two wedges swapped by the bond: no fixed vertex, so the certificate
-    # search comes back empty and the bounded window stays inconclusive
+    # two wedges swapped by the bond: the square of its germ map is the
+    # identity, so no power flattens, and with no fixed vertex there is no
+    # invariant germ pair to certify a non-lamination
     from laminate.branched_graph import BranchedGraph, CellularMap
 
     g = BranchedGraph(
@@ -608,6 +609,39 @@ def test_repeated_ids_fail_at_load(command, tmp_path, capsys):
     _fails_cleanly(argv, tmp_path, capsys)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: repeated {named}\n"
+
+
+ROSE_AB = json.dumps(_rose_graph(["a", "b"]))
+REPEATED_KEYS = {
+    # keeping the last value of "b" would read the Fibonacci rose a -> ab, b -> a
+    "edge map": ('{"stationary": {"graph": %s, "map": {"vertex_map": {"w": "w"}, '
+                 '"edge_map": {"a": ["a", "b"], "b": ["b", "b"], "b": ["a"]}}}}' % ROSE_AB, {}, "'b'"),
+    "top level": ('{"stationary": {"graph": %s, "map": "map.json"}, "stationary": 1}' % ROSE_AB,
+                  {"map.json": '{"vertex_map": {"w": "w"}, "edge_map": {"a": ["a"], "b": ["b"]}}'},
+                  "'stationary'"),
+    "graph file": ('{"stationary": {"graph": "graph.json", "map": {"vertex_map": {"w": "w"}, '
+                   '"edge_map": {"a": ["a", "b"], "b": ["a"]}}}}',
+                   {"graph.json": ROSE_AB[:-1] + ', "sides": {"w": {"A": ["a+", "b+"], "B": ["a-", "b-"]}}}'},
+                   "'sides'"),
+    "bond file": ('{"levels": [%s, %s], "bonds": ["bond.json"]}' % (ROSE_AB, ROSE_AB),
+                  {"bond.json": '{"vertex_map": {"w": "w"}, "vertex_map": {"w": "w"}, '
+                                '"edge_map": {"a": ["a"], "b": ["b"]}}'},
+                  "'vertex_map'"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(REPEATED_KEYS))
+def test_repeated_object_keys_in_a_system_fail_at_load(where, tmp_path, capsys):
+    text, named_files, key = REPEATED_KEYS[where]
+    for name, body in named_files.items():
+        (tmp_path / name).write_text(body)
+    system = tmp_path / "system.json"
+    system.write_text(text)
+    argv = ["check-flatten", "--system", str(system)]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == f"repeated object key {key}"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: repeated object key {key}\n"
 
 
 NON_COVERING_ASKS = [

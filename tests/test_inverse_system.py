@@ -238,7 +238,7 @@ def test_germ_composites_match_path_composites():
 
 def test_search_builds_no_path_composites(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the window search composed edge paths")
+        raise AssertionError("the verdict composed edge paths")
 
     monkeypatch.setattr(branched_graph, "compose", refuse)
     monkeypatch.setattr(inverse_system, "compose", refuse)
@@ -251,8 +251,8 @@ def test_search_builds_no_path_composites(monkeypatch):
 
 
 def test_fibonacci_rose_window_200_is_inconclusive():
-    # path composites of f^200 would have about phi^200 steps; the germ
-    # search builds one germ map per gap
+    # no power of the germ map flattens (a- and b- swap) and no germ pair is
+    # invariant; the decision squares the germ map twice and builds no path
     petals = ("a", "b")
     system = InverseSystem.stationary(rose_map(petals, {"a": "ab", "b": "a"}))
     assert is_flattening_system(system, 200) == NotFlatteningUpTo(200)
@@ -311,14 +311,14 @@ def test_certificate_requires_stationary():
 
 
 def test_certificate_witness_is_invariant_and_distinct():
-    from laminate.branched_graph import germ_image
+    from helpers import reference_germ_image
 
     system = figure_eight_system()
     witness = not_lamination_certificate(system)
     bond = system.bond(0)
     g0, g1 = witness.germs
     assert g0 != g1
-    assert {germ_image(bond, g0), germ_image(bond, g1)} == {g0, g1}
+    assert {reference_germ_image(bond, g0), reference_germ_image(bond, g1)} == {g0, g1}
 
 
 # -- local boxes -------------------------------------------------------------------
