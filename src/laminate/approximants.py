@@ -117,7 +117,8 @@ def approximant_system(oracle: LanguageOracle) -> InverseSystem:
     complexes: dict[int, CollaredComplex] = {}
 
     def level(k: int) -> BranchedGraph:
-        return complexes.setdefault(k, build_approximant(oracle, k)).graph
+        complexes[k] = build_approximant(oracle, k)
+        return complexes[k].graph
 
     return InverseSystem(level, lambda k: _drop_one_letter(complexes[k + 1], complexes[k]))
 

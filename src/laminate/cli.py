@@ -176,7 +176,7 @@ def cmd_rep(args, report: RunReport) -> int:
 
 
 def cmd_local_model(args, report: RunReport) -> int:
-    tree = formats.branch_tree_from_json(json.loads(Path(args.tree).read_text()))
+    tree = formats.branch_tree_from_json(formats.read_json(args.tree))
     point = formats.parse_point(args.point)
     classes = glue_classes(tree, point)
     printable = [sorted(map(str, block)) for block in classes]
@@ -188,7 +188,7 @@ def cmd_local_model(args, report: RunReport) -> int:
 
 
 def cmd_export_dot(args, report: RunReport) -> int:
-    g = formats.branched_graph_from_json(json.loads(Path(args.graph).read_text()))
+    g = formats.branched_graph_from_json(formats.read_json(args.graph))
     text = formats.export_dot(g, name=args.name)
     if args.out:
         Path(args.out).write_text(text)

@@ -194,6 +194,11 @@ def _object(pairs: list) -> dict:
     return out
 
 
+def read_json(path: Union[str, Path]):
+    """A JSON file in which no object repeats a key."""
+    return json.loads(Path(path).read_text(), object_pairs_hook=_object)
+
+
 def _resolve(node: Union[str, dict], base_dir: Optional[Path], hook=None) -> dict:
     if isinstance(node, str):
         path = Path(node)
@@ -226,8 +231,7 @@ def system_from_json(data: dict, base_dir: Optional[Path] = None) -> InverseSyst
 
 def load_system(path: Union[str, Path]) -> InverseSystem:
     """A system file; no object in it, or in a file it names, may repeat a key."""
-    path = Path(path)
-    return system_from_json(json.loads(path.read_text(), object_pairs_hook=_object), path.parent)
+    return system_from_json(read_json(path), Path(path).parent)
 
 
 # -- subshift inputs -----------------------------------------------------------
@@ -243,7 +247,7 @@ def oracle_from_json(data: dict) -> LanguageOracle:
 
 
 def load_oracle(path: Union[str, Path]) -> LanguageOracle:
-    return oracle_from_json(json.loads(Path(path).read_text()))
+    return oracle_from_json(read_json(path))
 
 
 # -- clopen sets ----------------------------------------------------------------

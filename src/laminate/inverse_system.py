@@ -4,8 +4,8 @@ A system is a tower of branched graphs with onto cellular bonding maps,
 materialized lazily and memoized.  The module enumerates coherent threads
 to finite depth, telescopes towers, and decides whether some telescoping
 flattens: exactly for a stationary system, from the powers of its bond's
-germ map, and over a bounded window for any other tower.  Non-laminations
-of stationary systems are certified by an invariant pair of smooth
+germ map, and for any other tower over a window, in one monotone sweep.
+Stationary non-laminations are certified by an invariant pair of smooth
 sections.  Preimages of small disks decompose into product components.
 """
 
@@ -87,7 +87,8 @@ class InverseSystem:
     map from level k+1 onto level k.  Bonds are validated on first use:
     their endpoints must match the adjacent levels and they must be onto on
     vertices and edges.  ``max_depth`` bounds the materializable range
-    (None = unbounded, e.g. stationary systems).  Caches fill by ``setdefault``.
+    (None = unbounded, e.g. stationary systems).  Caches fill by
+    ``setdefault``, so threads racing on one level or bond all get the same.
     """
 
     def __init__(
@@ -314,6 +315,25 @@ def _least_flattening_power(d: GermMap) -> Optional[int]:
     return n + 1
 
 
+def _least_flattening_levels(bonds: Sequence[GermMap]) -> list[int]:
+    """m[j], the least level k > j whose composite down to j flattens, for
+    the levels j whose composite from the top W = len(bonds) flattens.
+
+    Flattening survives composition on either side, so m is nondecreasing
+    and one sweep of two pointers finds it in at most 2W flattening tests.
+    """
+    m: list[int] = []
+    k, column = 0, []  # column[i] is the germ map from level k down to level k - 1 - i
+    for j in range(len(bonds)):
+        while k <= j or not germ_flattens(column[k - j - 1]):
+            if k == len(bonds):
+                return m
+            k += 1
+            column = list(itertools.accumulate(reversed(bonds[j:k]), lambda f, g: compose_germs(g, f)))
+        m.append(k)
+    return m
+
+
 def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVerdict:
     """A telescoping of levels 0..window whose bonds all flatten.
 
@@ -323,18 +343,16 @@ def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVe
     n > window.  When no power flattens, an invariant double section
     certifies non-lamination; without one the verdict is inconclusive.
 
-    Other towers are searched over the window, exhaustively and
-    canonically.  Working down from the window edge, level j *reaches*
-    the edge when the composite from some reaching level k > j down to j
-    flattens, and the *greedy* chain from j takes, repeatedly, the least
-    level whose composite down to the current one flattens.  The chain
-    starts at the least level whose greedy chain reaches the edge or, when
-    there is none, at the least reaching level, and takes, repeatedly, the
-    least reaching level whose composite down to the current one flattens
-    (from a greedy start this is the greedy chain).  A chain found this
-    way is a certified flattening telescoping of the inspected window;
-    when no level reaches the edge the result is inconclusive.  Flattening
-    reads only germs, so the bonds' germ maps compose by the chain rule.
+    Other towers are decided over the window W.  A composite flattens as
+    soon as one of its factors does, so m(j), the least level whose
+    composite down to j flattens, is nondecreasing in j, and level j
+    *reaches* W (some chain of flattening composites joins them) exactly
+    when the composite from W down to j flattens.  Some telescoping
+    flattens iff level 0 reaches W, and the chain starts at the least
+    level whose m-steps land exactly on W, else at level 0, and steps by m
+    while the next level still reaches W, then jumps to W.  Flattening
+    reads only germs, so the bonds' germ maps compose by the chain rule;
+    the sweep makes at most 2W flattening tests.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -346,43 +364,19 @@ def is_flattening_system(system: InverseSystem, window: int = 8) -> FlatteningVe
             return Flattening(tuple(range(window % n, window + 1, n)))
         witness = None if n is not None else not_lamination_certificate(system)
         return NotFlatteningUpTo(window) if witness is None else NotLamination(witness)
-    bond_germs: dict[int, GermMap] = {}
-    # columns[k][i] is the germ map from level k down to level k - 1 - i
-    columns: dict[int, list[GermMap]] = {}
-    flat_memo: dict = {}
-
-    def bond_germ(j):
-        if j not in bond_germs:
-            bond_germs[j] = system.bond(j).germs
-        return bond_germs[j]
-
-    def flat(k, k0):
-        if (k, k0) not in flat_memo:
-            column = columns.setdefault(k, [])
-            while len(column) < k - k0:
-                below = bond_germ(k - 1 - len(column))
-                column.append(compose_germs(below, column[-1]) if column else below)
-            flat_memo[k, k0] = germ_flattens(column[k - k0 - 1])
-        return flat_memo[k, k0]
-
-    reach = [False] * window + [True]
-    greedy = [False] * window + [True]
-    for j in range(window - 1, -1, -1):
-        flattening = (k for k in range(j + 1, window + 1) if flat(k, j))
-        least = next(flattening, None)
-        if least is not None:
-            greedy[j] = greedy[least]
-            reach[j] = reach[least] or any(reach[k] for k in flattening)
-    current = greedy.index(True) if any(greedy[:window]) else reach.index(True)
-    if current < window:
-        chain = [current]
-        while current < window:
-            current = next(
-                k for k in range(current + 1, window + 1) if reach[k] and flat(k, current)
-            )
-            chain.append(current)
-        return Flattening(tuple(chain))
-    return NotFlatteningUpTo(window)
+    # bonds are validated from the window edge down, so an error names the highest bad one
+    m = _least_flattening_levels([system.bond(j).germs for j in range(window - 1, -1, -1)][::-1])
+    if not m:
+        return NotFlatteningUpTo(window)
+    lands = {window}  # the levels whose m-steps land exactly on the window edge
+    for j in range(len(m) - 1, -1, -1):
+        if m[j] in lands:
+            lands.add(j)
+    chain = [min(lands - {window}, default=0)]
+    while chain[-1] < window:
+        step = m[chain[-1]]
+        chain.append(step if step < len(m) else window)
+    return Flattening(tuple(chain))
 
 
 @dataclass(frozen=True)

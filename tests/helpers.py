@@ -18,9 +18,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from laminate.approximants import quotient_cell
-from laminate.branched_graph import BranchedGraph, CellularMap, SmoothGerm
+from laminate.branched_graph import (
+    BranchedGraph,
+    CellularMap,
+    GermMap,
+    SmoothGerm,
+    compose_germs,
+    germ_flattens,
+)
 from laminate.coverings import Graph, GraphCovering, GraphMap
-from laminate.inverse_system import DoubleSectionWitness, InverseSystem
+from laminate.inverse_system import (
+    DoubleSectionWitness,
+    Flattening,
+    InverseSystem,
+    NotFlatteningUpTo,
+)
 from laminate.local_model import BranchTree, HalfSpace, Sector, sector_contains
 from laminate.subshift import LanguageOracle, Substitution, word_keys, word_ranks
 
@@ -438,6 +450,61 @@ def random_stationary_maps(rng: Random, count: int) -> list[CellularMap]:
             swap = rng.random() < 0.3
             out.append(random_walk_map(rng, theta, {"u": "v", "v": "u"} if swap else {"u": "u", "v": "v"}))
     return out
+
+
+# -- the tower verdict by exhaustive search ---------------------------------------
+
+def reference_tower_search(system: InverseSystem, window: int):
+    """The flattening verdict of a tower by the reach/greedy search over the
+    window, which assumes no monotonicity of flattening.
+
+    Working down from the window edge, level j *reaches* the edge when the
+    composite from some reaching level k > j down to j flattens, and the
+    *greedy* chain from j takes, repeatedly, the least level whose
+    composite down to the current one flattens.  The chain starts at the
+    least level whose greedy chain reaches the edge or, when there is none,
+    at the least reaching level, and takes, repeatedly, the least reaching
+    level whose composite down to the current one flattens.  When no level
+    reaches the edge the result is inconclusive."""
+    if system.max_depth is not None:
+        window = min(window, system.max_depth)
+    bond_germs: dict[int, GermMap] = {}
+    # columns[k][i] is the germ map from level k down to level k - 1 - i
+    columns: dict[int, list[GermMap]] = {}
+    flat_memo: dict = {}
+
+    def bond_germ(j):
+        if j not in bond_germs:
+            bond_germs[j] = system.bond(j).germs
+        return bond_germs[j]
+
+    def flat(k, k0):
+        if (k, k0) not in flat_memo:
+            column = columns.setdefault(k, [])
+            while len(column) < k - k0:
+                below = bond_germ(k - 1 - len(column))
+                column.append(compose_germs(below, column[-1]) if column else below)
+            flat_memo[k, k0] = germ_flattens(column[k - k0 - 1])
+        return flat_memo[k, k0]
+
+    reach = [False] * window + [True]
+    greedy = [False] * window + [True]
+    for j in range(window - 1, -1, -1):
+        flattening = (k for k in range(j + 1, window + 1) if flat(k, j))
+        least = next(flattening, None)
+        if least is not None:
+            greedy[j] = greedy[least]
+            reach[j] = reach[least] or any(reach[k] for k in flattening)
+    current = greedy.index(True) if any(greedy[:window]) else reach.index(True)
+    if current < window:
+        chain = [current]
+        while current < window:
+            current = next(
+                k for k in range(current + 1, window + 1) if reach[k] and flat(k, current)
+            )
+            chain.append(current)
+        return Flattening(tuple(chain))
+    return NotFlatteningUpTo(window)
 
 
 # -- the non-lamination certificate by labels -----------------------------------

@@ -18,6 +18,7 @@ from helpers import (
     cycle_branched,
     cycle_cover_map,
     random_rose_words,
+    random_stationary_maps,
     reference_germ_image,
     reference_germs_at,
     rose_map,
@@ -182,6 +183,28 @@ def test_flattening_absorbs_under_composition_both_ways():
         assert is_flattening(compose(other, flat))
     branch = fixtures.figure_eight_double()
     assert not is_flattening(compose(branch, branch))
+
+
+def test_a_flattening_factor_flattens_the_path_composite():
+    # the lemma behind the tower sweep, on edge paths: roses read forward or
+    # backward, walk maps of the branched circle fixing or swapping its
+    # vertices, and cycle covers
+    rng = Random(31)
+    by_graph: dict = {}
+    for f in random_stationary_maps(rng, 400):
+        by_graph.setdefault((f.domain.nv, f.domain.ne), []).append(f)
+    pairs = [(f, rng.choice(maps)) for maps in by_graph.values() for f in maps]
+    for _ in range(40):
+        m, n = rng.choice([(4, 2), (6, 3), (8, 4), (6, 2), (3, 3)])
+        p = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        pairs.append((cycle_cover_map(m, n), cycle_cover_map(n, p)))
+    one_factor = 0
+    for f, g in pairs:
+        if is_flattening(f) or is_flattening(g):
+            assert is_flattening(compose(g, f))
+            one_factor += is_flattening(f) != is_flattening(g)
+    assert len({(f.domain.nv, f.domain.ne) for f, _ in pairs}) >= 5
+    assert one_factor >= 40
 
 
 def test_star_of_circle_vertex_is_whole_graph():

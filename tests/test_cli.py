@@ -644,6 +644,30 @@ def test_repeated_object_keys_in_a_system_fail_at_load(where, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: repeated object key {key}\n"
 
 
+REPEATED_KEYS_ELSEWHERE = {
+    # each would load, keeping the last value of the repeated key
+    "export-dot": ('{"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"}], '
+                   '"sides": {"w": {"A": ["a-"], "B": ["a+"]}}, "sides": {"w": {"A": ["a+"], "B": ["a-"]}}}',
+                   ["--graph"], [], "'sides'"),
+    "approximants": ('{"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "rules": {"a": "ab", "b": "ba"}}',
+                     ["--input"], ["--k", "1"], "'rules'"),
+    "local-model": ('{"dimension": 2, "dimension": 1, "vertices": ["v"], "edges": []}',
+                    ["classes", "--tree"], ["--point", "0"], "'dimension'"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPEATED_KEYS_ELSEWHERE))
+def test_repeated_object_keys_in_other_inputs_fail_at_load(command, tmp_path, capsys):
+    text, flag, rest, key = REPEATED_KEYS_ELSEWHERE[command]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, *flag, str(path), *rest]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == f"repeated object key {key}"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: repeated object key {key}\n"
+
+
 NON_COVERING_ASKS = [
     ("THREE_EDGES", ["deck-group", "--level", "2"]),
     ("THREE_EDGES", ["rep", "--loop", "a"]),

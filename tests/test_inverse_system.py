@@ -1,13 +1,18 @@
+import functools
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
 import numpy as np
 import pytest
 
+import helpers
 from laminate import branched_graph, fixtures, inverse_system
 from laminate.branched_graph import (
+    CellularMap,
     compose_germs,
     germ_flattening_witness,
+    germ_flattens,
     is_flattening,
 )
 from laminate.inverse_system import (
@@ -28,7 +33,17 @@ from laminate.inverse_system import (
     telescope,
 )
 
-from helpers import random_small_system, rose_graph, rose_map
+from helpers import (
+    cycle_branched,
+    cycle_cover_map,
+    random_rose_words,
+    random_small_system,
+    random_walk_map,
+    reference_tower_search,
+    rose_graph,
+    rose_map,
+    theta_graph,
+)
 
 
 def solenoid():
@@ -220,6 +235,98 @@ def test_greedy_chain_kept_where_it_succeeds():
     assert not is_flattening(system.composite(2, 0))
     assert is_flattening(system.composite(3, 0))
     assert is_flattening_system(system, 8) == Flattening((2, 5, 8))
+
+
+TOWERS = 2000
+
+
+@functools.cache
+def tower_sweep() -> list:
+    """(tower, window) pairs: depths 1-12, windows 1-14, bonds drawn per level
+    as rose maps read forward or backward, walk maps of the branched circle
+    fixing or swapping its vertices (from a seeded pool of 60, since each
+    takes many draws), or cycle covers of degree 1 or 2."""
+    rng = Random(1818)
+    theta = theta_graph()
+    walks = [random_walk_map(rng, theta, {"u": "v", "v": "u"} if swap else {"u": "u", "v": "v"})
+             for swap in [False] * 40 + [True] * 20]
+    out = []
+    for _ in range(TOWERS):
+        depth, window, kind = rng.randint(1, 12), rng.randint(1, 14), rng.random()
+        if kind < 0.5:
+            petals = tuple("abc"[: rng.randint(2, 3)])
+            levels = [rose_graph(petals)] * (depth + 1)
+            bonds = []
+            for _ in range(depth):
+                words = random_rose_words(rng, petals)
+                if rng.random() < 0.8:
+                    bonds.append(rose_map(petals, words))
+                else:  # side A onto side B
+                    bonds.append(CellularMap(levels[0], levels[0], {"w": "w"},
+                                             {e: tuple((d, -1) for d in reversed(w)) for e, w in words.items()}))
+        elif kind < 0.8:
+            levels = [theta] * (depth + 1)
+            bonds = [rng.choice(walks) for _ in range(depth)]
+        else:
+            sizes = [1]
+            for _ in range(depth):
+                sizes.append(sizes[-1] * 2 if sizes[-1] < 8 and rng.random() < 0.5 else sizes[-1])
+            levels = [cycle_branched(n) for n in sizes]
+            bonds = [cycle_cover_map(m, n) for n, m in zip(sizes, sizes[1:])]
+        out.append((InverseSystem.from_lists(levels, bonds), window))
+    return out
+
+
+def _least_flattening_level(system, j, window):
+    """The least level k in (j, window] whose germ composite down to j
+    flattens, None when there is none."""
+    germ = system.bond(j).germs
+    for k in range(j + 1, window + 1):
+        if k > j + 1:
+            germ = compose_germs(germ, system.bond(k - 1).germs)
+        if germ_flattens(germ):
+            return k
+    return None
+
+
+def test_tower_verdicts_equal_the_reference_search():
+    kinds = Counter()
+    for system, window in tower_sweep():
+        verdict = is_flattening_system(system, window)
+        assert verdict == reference_tower_search(system, window)
+        if not isinstance(verdict, Flattening):
+            kinds["inconclusive"] += 1
+            continue
+        chain = verdict.indices
+        assert chain[-1] == min(window, system.max_depth)
+        least = [_least_flattening_level(system, lo, chain[-1]) for lo in chain[:-1]]
+        # every step but the last is the least flattening one
+        assert list(chain[1:-1]) == least[:-1]
+        kinds["m-steps" if chain[-1] == least[-1] else "jump"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 40, kinds
+
+
+def test_tower_sweep_makes_at_most_2w_tests_and_no_more_compositions(monkeypatch):
+    counts = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args):
+            counts[module.__name__, name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module in (inverse_system, helpers):
+        counted(module, "compose_germs")
+        counted(module, "germ_flattens")
+    for system, window in tower_sweep():
+        counts.clear()
+        is_flattening_system(system, window)
+        reference_tower_search(system, window)
+        assert counts["laminate.inverse_system", "germ_flattens"] <= 2 * min(window, system.max_depth)
+        assert counts["laminate.inverse_system", "compose_germs"] <= counts["helpers", "compose_germs"]
 
 
 def test_germ_composites_match_path_composites():
