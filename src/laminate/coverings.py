@@ -1,7 +1,8 @@
 """Graph coverings, deck transformation groups, and covering towers.
 
 Graphs here are plain directed multigraphs standing in for 1-manifolds and
-roses; coverings are graph maps that are bijections on every vertex star.
+roses; a covering is a graph map, onto on vertices, that is a bijection on
+every vertex star, and it is checked once, when it is made.
 A deck transformation is held as its vertex permutation, which fixes it
 because lifts are unique, and a deck group as the rows of one array.  They
 are computed by path lifting, for every candidate at once: the candidate
@@ -13,9 +14,10 @@ coherent thread of base points, and expose the composite coverings whose
 deck groups feed the profinite layer.
 
 The cell data lives in numpy index arrays.  A tower builds a level only
-when a question reads it, through one hook; a tower read from a file has
-each level checked against the star axioms as it is built.  Cyclic towers
-answer threads, holonomy and the group law in closed form, at any depth.
+when a question reads it, through one hook, so a level read from a file is
+checked against the local axioms as it is built; the deck and lifting
+questions check that the total graph is connected.  Cyclic towers answer
+threads, holonomy and the group law in closed form, at any depth.
 """
 
 from __future__ import annotations
@@ -150,94 +152,93 @@ class Graph:
         return f"{type(self).__name__}({self.nv} vertices, {self.ne} edges)"
 
 
-class GraphMap:
-    """Graph morphism with single-edge, orientation-preserving images."""
+class GraphCovering:
+    """A covering map of graphs: single-edge, orientation-preserving images.
 
-    def __init__(self, domain: Graph, codomain: Graph,
-                 vmap: np.ndarray, emap: np.ndarray):
-        self.domain = domain
-        self.codomain = codomain
+    The constructor checks every local covering axiom, naming the first that
+    fails: edge images join vertex images, every vertex star maps bijectively
+    onto its image's star, and every base vertex is hit.  Over a connected
+    base these force constant fibers and onto edges.  Connectivity of the
+    total graph, the one global axiom, is checked by the questions that need
+    it.  Compositions and identities are coverings by construction and are
+    not checked again.
+    """
+
+    def __init__(self, total: Graph, base: Graph, vmap: np.ndarray, emap: np.ndarray):
+        self._set(total, base, vmap, emap)
+        if len(self.vmap) != total.nv or len(self.emap) != total.ne:
+            raise ValueError("map arrays must cover the domain cells")
+        problem = self._local_problem()
+        if problem:
+            raise ValueError(f"not a covering: {problem}")
+
+    def _set(self, total: Graph, base: Graph, vmap, emap) -> "GraphCovering":
+        self.total, self.base = total, base
         self.vmap = np.asarray(vmap, dtype=np.int64)
         self.emap = np.asarray(emap, dtype=np.int64)
-        if len(self.vmap) != domain.nv or len(self.emap) != domain.ne:
-            raise ValueError("map arrays must cover the domain cells")
-        if not (np.array_equal(codomain.esrc[self.emap], self.vmap[domain.esrc])
-                and np.array_equal(codomain.edst[self.emap], self.vmap[domain.edst])):
-            raise ValueError("edge images do not respect endpoints")
-
-    @classmethod
-    def from_dicts(cls, domain: Graph, codomain: Graph,
-                   vertex_map: Mapping, edge_map: Mapping) -> "GraphMap":
-        vindex, eindex = codomain.vindex, codomain.eindex
-        return cls(domain, codomain, [vindex[vertex_map[v]] for v in domain.vertex_ids],
-                   [eindex[edge_map[e]] for e in domain.edge_ids])
-
-    def compose(self, inner: "GraphMap") -> "GraphMap":
-        """self after inner."""
-        if inner.codomain is not self.domain and inner.codomain != self.domain:
-            raise ValueError("maps are not composable")
-        return GraphMap(inner.domain, self.codomain,
-                        self.vmap[inner.vmap], self.emap[inner.emap])
-
-
-class GraphCovering:
-    """A graph map asserted (and checkable) to be a covering."""
-
-    def __init__(self, graph_map: GraphMap):
-        self.map = graph_map
-        self._problems: Optional[list[str]] = None
         self._transport: dict[tuple[int, int], np.ndarray] = {}
         self._trees: dict[int, list] = {}
         self._edge_key: Optional[tuple[np.ndarray, np.ndarray]] = None
+        return self
 
-    @property
-    def total(self) -> Graph:
-        return self.map.domain
+    def _local_problem(self) -> Optional[str]:
+        """The first local axiom broken, or None.  Stars: the out-edges
+        (in-edges) at a total vertex u meet each base edge leaving (entering)
+        vmap[u] once, so sorted (u, base edge) keys repeat none, and u has as
+        many of them as vmap[u]."""
+        total, base, vmap, emap = self.total, self.base, self.vmap, self.emap
+        if not (np.array_equal(base.esrc[emap], vmap[total.esrc])
+                and np.array_equal(base.edst[emap], vmap[total.edst])):
+            return "edge images do not respect endpoints"
+        stars_match = True
+        for direction, ends, base_ends in ("out", total.esrc, base.esrc), ("in", total.edst, base.edst):
+            key = np.sort(ends * max(base.ne, 1) + emap)
+            if (key[1:] == key[:-1]).any():
+                return f"two {direction}-edges at one vertex share a base edge"
+            stars_match &= np.array_equal(np.bincount(ends, minlength=total.nv),
+                                          np.bincount(base_ends, minlength=base.nv)[vmap])
+        if not stars_match:
+            return "some vertex star does not match its image star"
+        if np.count_nonzero(np.bincount(vmap, minlength=base.nv)) < base.nv:
+            return "not surjective on vertices"
+        return None
 
-    @property
-    def base(self) -> Graph:
-        return self.map.codomain
+    @classmethod
+    def from_dicts(cls, total: Graph, base: Graph,
+                   vertex_map: Mapping, edge_map: Mapping) -> "GraphCovering":
+        """The covering read off label maps, one lookup per id; a ValueError
+        names a missing entry or an unknown image."""
+        arrays = []
+        for what, ids, mapping, index in (("vertex", total.vertex_ids, vertex_map, base.vindex),
+                                          ("edge", total.edge_ids, edge_map, base.eindex)):
+            try:
+                arrays.append([index[mapping[x]] for x in ids])
+            except KeyError:
+                for x in ids:
+                    try:
+                        image = mapping[x]
+                    except KeyError:
+                        raise ValueError(f"{what}_map has no entry for {what} {x!r}") from None
+                    if image not in index:
+                        raise ValueError(f"{what} {x!r} maps to unknown {what} {image!r}") from None
+        return cls(total, base, *arrays)
+
+    @classmethod
+    def identity(cls, g: Graph) -> "GraphCovering":
+        return cls.__new__(cls)._set(g, g, np.arange(g.nv), np.arange(g.ne))
+
+    def compose(self, inner: "GraphCovering") -> "GraphCovering":
+        """self after inner, which covers self's total graph."""
+        return GraphCovering.__new__(GraphCovering)._set(
+            inner.total, self.base, self.vmap[inner.vmap], self.emap[inner.emap])
 
     def fiber(self, base_vi: int) -> np.ndarray:
         """Sorted total-vertex indices over the base vertex index."""
-        return np.flatnonzero(self.map.vmap == base_vi)
+        return np.flatnonzero(self.vmap == base_vi)
 
     def degree(self) -> int:
-        sizes = np.bincount(self.map.vmap, minlength=self.base.nv)
+        sizes = np.bincount(self.vmap, minlength=self.base.nv)
         return int(sizes[0]) if self.base.nv else 0
-
-    def validate(self) -> list[str]:
-        """Covering-axiom violations, as strings; [] means a covering."""
-        problems = []
-        total, base, m = self.total, self.base, self.map
-        if not total.is_connected():
-            problems.append("total graph is not connected")
-        if not base.is_connected():
-            problems.append("base graph is not connected")
-        vsizes = np.bincount(m.vmap, minlength=base.nv)
-        if base.nv and (vsizes == 0).any():
-            problems.append("not surjective on vertices")
-        if base.ne and (np.bincount(m.emap, minlength=base.ne) == 0).any():
-            problems.append("not surjective on edges")
-        if base.nv and not (vsizes == vsizes[0]).all():
-            problems.append("fiber sizes are not constant")
-        return problems + self.star_problems()
-
-    def star_problems(self) -> list[str]:
-        """Star-bijectivity violations: the out-edges (in-edges) at a total vertex
-        u meet each base edge leaving (entering) vmap[u] once, so sorted (u, base
-        edge) keys repeat none, and u has as many of them as vmap[u]."""
-        problems, stars_match = [], True
-        total, base, m = self.total, self.base, self.map
-        for direction, ends, base_ends in ("out", total.esrc, base.esrc), ("in", total.edst, base.edst):
-            key = np.sort(ends * max(base.ne, 1) + m.emap)
-            if (key[1:] == key[:-1]).any():
-                problems.append(f"two {direction}-edges at one vertex share a base edge")
-            stars_match &= np.array_equal(np.bincount(ends, minlength=total.nv),
-                                          np.bincount(base_ends, minlength=base.nv)[m.vmap])
-        if not stars_match:
-            problems.append("some vertex star does not match its image star")
-        return problems
 
     # -- lifting ----------------------------------------------------------
 
@@ -245,7 +246,7 @@ class GraphCovering:
         """Per total vertex, where the unique lift of one base step lands."""
         cache = self._transport
         if (base_ei, sign) not in cache:
-            sel = np.flatnonzero(self.map.emap == base_ei)
+            sel = np.flatnonzero(self.emap == base_ei)
             nxt = -np.ones(self.total.nv, dtype=np.int64)
             if sign == 1:
                 nxt[self.total.esrc[sel]] = self.total.edst[sel]
@@ -272,7 +273,7 @@ class GraphCovering:
         for edge_id, sign in path:
             cur = self._step_transport(self.base.eindex[edge_id], sign)[cur]
             if (cur < 0).any():
-                raise ValueError("loop does not lift; the map is not a covering here")
+                raise ValueError("the path does not lift from every start")
         return cur
 
     def monodromy(self, loop: Sequence[Step], base_vi: int = 0) -> np.ndarray:
@@ -290,25 +291,17 @@ class GraphCovering:
 
     # -- deck group --------------------------------------------------------
 
-    def require_covering(self):
-        """Raise ``ValueError`` naming the first failed covering axiom;
-        the axioms are checked once per covering."""
-        if self._problems is None:
-            self._problems = self.validate()
-        if self._problems:
-            raise ValueError(f"not a covering: {self._problems[0]}")
-
     def _edge_images(self, vimg: np.ndarray) -> np.ndarray:
         """Edge images under vertex images ``vimg``, one column per candidate:
         each edge goes to the lift of its base edge at its source's image,
         read from the edges sorted by (source, base edge)."""
         nb = max(self.base.ne, 1)
         if self._edge_key is None:
-            key = self.total.esrc * nb + self.map.emap
+            key = self.total.esrc * nb + self.emap
             order = np.argsort(key)
             self._edge_key = (key[order], order)
         key, order = self._edge_key
-        return order[np.searchsorted(key, vimg[self.total.esrc] * nb + self.map.emap[:, None])]
+        return order[np.searchsorted(key, vimg[self.total.esrc] * nb + self.emap[:, None])]
 
     def _deck_elements(self, t0: int, images: np.ndarray) -> tuple[list[int], np.ndarray]:
         """The candidates t0 -> images[i] that extend to deck transformations.
@@ -316,17 +309,18 @@ class GraphCovering:
         Returns the surviving images and their vertex permutations, one row
         each, in candidate order.  Candidates propagate in blocks of columns
         of an image matrix (one row per total vertex), so temporaries stay
-        within ``_BLOCK`` entries.  Raises ``ValueError`` when the map is not
-        a covering, where a step could have two lifts.
+        within ``_BLOCK`` entries.  Raises ``ValueError`` when the total
+        graph is not connected, which the spanning tree from t0 shows.
         """
-        self.require_covering()
-        total, emap = self.total, self.map.emap
+        total, emap = self.total, self.emap
         if t0 not in self._trees:
-            self._trees[t0] = [(u, self._step_transport(int(emap[e]), sign), w)
-                               for u, e, sign, w in total.spanning_tree(t0)]
+            tree = total.spanning_tree(t0)
+            if len(tree) < total.nv - 1:
+                raise ValueError("not a covering: total graph is not connected")
+            self._trees[t0] = [(u, self._step_transport(int(emap[e]), sign), w) for u, e, sign, w in tree]
         steps = self._trees[t0]
         images = np.asarray(images, dtype=np.int64)
-        images = images[self.map.vmap[images] == self.map.vmap[t0]]
+        images = images[self.vmap[images] == self.vmap[t0]]
         block = max(1, _BLOCK // max(total.nv, total.ne, 1))
         orbit = []
         vperms = np.empty((len(images), total.nv), dtype=np.int64)
@@ -357,8 +351,6 @@ class GraphCovering:
         """All deck transformations: every fiber point is a candidate image
         of the least one, and all candidates propagate at once."""
         fiber = self.fiber(base_vi)
-        if not len(fiber):
-            raise ValueError("empty fiber; the map is not onto this vertex")
         t0 = int(fiber[0])
         orbit, vperms = self._deck_elements(t0, fiber)
         return DeckGroup(vperms, fiber, t0, tuple(orbit))
@@ -413,11 +405,10 @@ class CoveringTower:
     def _open(self, depth: int, built: list, base_vertex=None):
         self.depth = depth  # largest level index (levels are 1-based)
         self._built = built  # [k - 1]: the base graph for k = 1, else the bond f_k
+        if base_vertex is not None and base_vertex not in self.base.vindex:
+            raise ValueError(f"unknown base vertex {base_vertex!r}")
         self._thread = [0 if base_vertex is None else self.base.vindex[base_vertex]]
-        self._composites: dict[tuple[int, int], GraphMap] = {}
-        self._composite_covers: dict[tuple[int, int], GraphCovering] = {}
-        self._fibers: dict[int, np.ndarray] = {}
-        self._fiber_positions: dict[int, Sequence[int]] = {}
+        self._composites: dict[tuple[int, int], GraphCovering] = {}
 
     def _build(self, k: int):
         """The hook that builds level k once the levels below it are built."""
@@ -449,8 +440,8 @@ class CoveringTower:
         self._check_bond(k)
         return self._level(k)
 
-    def composite_map(self, k: int, k0: int) -> GraphMap:
-        """The composite covering map from level k down to level k0 <= k.
+    def composite_map(self, k: int, k0: int = 1) -> GraphCovering:
+        """The composite covering f_{k,k0} from level k down to level k0 <= k.
 
         Each composite is one bond composed onto the memoised composite from
         the level below, so every pair (k, k0) is built once.
@@ -461,51 +452,33 @@ class CoveringTower:
             if k < k0:
                 raise ValueError(f"composite needs k >= k0, got {k} < {k0}")
             if k == k0:
-                g = self.graph(k)
-                m = GraphMap(g, g, np.arange(g.nv), np.arange(g.ne))
+                m = GraphCovering.identity(self.graph(k))
             else:
-                m = self.covering(k0 + 1).map
+                m = self.covering(k0 + 1)
                 for j in range(k0 + 2, k + 1):
                     if (j, k0) not in self._composites:
-                        self._composites[(j, k0)] = m.compose(self.covering(j).map)
+                        self._composites[(j, k0)] = m.compose(self.covering(j))
                     m = self._composites[(j, k0)]
             self._composites[(k, k0)] = m
         return self._composites[(k, k0)]
 
-    def composite_covering(self, k: int, k0: int = 1) -> GraphCovering:
-        if (k, k0) not in self._composite_covers:
-            self._composite_covers[(k, k0)] = GraphCovering(self.composite_map(k, k0))
-        return self._composite_covers[(k, k0)]
-
     def base_point(self, k: int) -> int:
         """Vertex index of the thread point x_k, lifting x_{k-1}."""
         self._check_level(k)
-        while len(self._thread) < k:
-            j = len(self._thread) + 1
-            below = self._thread[-1]
-            lifts = np.flatnonzero(self.covering(j).map.vmap == below)
-            if not len(lifts):
-                raise ValueError(f"bonding covering {j} misses the base thread")
-            self._thread.append(int(lifts[0]))
+        while len(self._thread) < k:  # every covering is onto, so x_{k-1} has a lift
+            self._thread.append(int(self.covering(len(self._thread) + 1).fiber(self._thread[-1])[0]))
         return self._thread[k - 1]
 
     def fiber(self, k: int) -> np.ndarray:
-        """Total-vertex indices of level k over x_1, sorted (read-only)."""
-        if k not in self._fibers:
-            fiber = np.flatnonzero(self.composite_map(k, 1).vmap == self.base_point(1))
-            fiber.setflags(write=False)
-            self._fibers[k] = fiber
-        return self._fibers[k]
+        """Total-vertex indices of level k over x_1, sorted."""
+        return self.composite_map(k).fiber(self.base_point(1))
 
     def fiber_position(self, k: int) -> Sequence[int]:
         """Per level-k vertex, its index in ``fiber(k)``; -1 off the fiber."""
-        if k not in self._fiber_positions:
-            fiber = self.fiber(k)
-            pos = -np.ones(self.graph(k).nv, dtype=np.int64)
-            pos[fiber] = np.arange(len(fiber))
-            pos.setflags(write=False)
-            self._fiber_positions[k] = pos
-        return self._fiber_positions[k]
+        fiber = self.fiber(k)
+        pos = -np.ones(self.graph(k).nv, dtype=np.int64)
+        pos[fiber] = np.arange(len(fiber))
+        return pos
 
     def thread(self, k: int, top: int) -> tuple[int, ...]:
         """Vertices at levels 1..k of the thread through the level-k vertex
@@ -517,29 +490,29 @@ class CoveringTower:
             raise ValueError(f"vertex {top} is outside level {k}")
         points = [top]
         for j in range(k, 1, -1):
-            points.append(int(self.covering(j).map.vmap[points[-1]]))
+            points.append(int(self.covering(j).vmap[points[-1]]))
         if points[-1] != self.base_point(1):
             raise ValueError(f"vertex {top} of level {k} does not lie over the base point")
         return tuple(reversed(points))
 
     def loop_endpoint(self, loop: Sequence[Step], k: int) -> int:
         """Where the lift of a base loop from x_k ends, lifted once through
-        f_{k,1}; raises ``ValueError`` when that composite is not a
-        covering."""
-        cov = self.composite_covering(k, 1)
-        cov.require_covering()
+        f_{k,1}; raises ``ValueError`` when level k is not connected."""
+        cov = self.composite_map(k)
+        if not cov.total.is_connected():
+            raise ValueError("not a covering: total graph is not connected")
         cov.check_loop(loop, self.base_point(1))
         return int(cov.lift([self.base_point(k)], loop)[0])
 
     def deck_group(self, k: int) -> DeckGroup:
         """The deck group of f_{k,1} over x_1, by enumeration (meant for desk sizes)."""
-        return self.composite_covering(k, 1).deck_group(self.base_point(1))
+        return self.composite_map(k).deck_group(self.base_point(1))
 
     def deck_power(self, k: int, target: int, n: int, point: int) -> int:
         """Image of the level-k vertex ``point`` under g^n, where g is the
         deck transformation of f_{k,1} sending x_k to ``target``; raises
         ``ValueError`` when there is none."""
-        perm = self.composite_covering(k, 1).deck_transformation_from(self.base_point(k), target)
+        perm = self.composite_map(k).deck_transformation_from(self.base_point(k), target)
         if perm is None:
             raise ValueError("no deck element reaches that fiber point")
         perm = perm if n >= 0 else np.argsort(perm)
@@ -554,7 +527,7 @@ class CoveringTower:
     def generator_monodromies(self, k: int) -> dict:
         """Monodromy fiber permutation of each base edge at level k."""
         out = {}
-        cov = self.composite_covering(k, 1)
+        cov = self.composite_map(k)
         for e in self.base.edge_ids:
             out[e] = cov.monodromy(((e, 1),), self.base_point(1))
         return out
@@ -593,7 +566,7 @@ class CyclicTower(CoveringTower):
         if k == 1:
             return g
         idx = np.arange(g.nv, dtype=np.int64) % self.sizes[k - 2]
-        return GraphCovering(GraphMap(g, self.graph(k - 1), idx, idx))
+        return GraphCovering(g, self.graph(k - 1), idx, idx)
 
     def base_point(self, k: int) -> int:
         """x_k: the least lift of x_{k-1} is x_{k-1} itself."""
@@ -601,18 +574,14 @@ class CyclicTower(CoveringTower):
         return self._thread[min(k, len(self._thread)) - 1]
 
     def fiber(self, k: int) -> np.ndarray:
-        """Every vertex of level k, all over the one base vertex (read-only)."""
-        if k not in self._fibers:
-            self._check_level(k)
-            fiber = np.arange(self.sizes[k - 1], dtype=np.int64)
-            fiber.setflags(write=False)
-            self._fibers[k] = fiber
-        return self._fibers[k]
+        """Every vertex of level k, all over the one base vertex."""
+        self._check_level(k)
+        return np.arange(self.sizes[k - 1], dtype=np.int64)
 
     def fiber_position(self, k: int) -> Sequence[int]:
         """The identity on level k's vertices, as a range."""
         self._check_level(k)
-        return self._fiber_positions.setdefault(k, range(self.sizes[k - 1]))
+        return range(self.sizes[k - 1])
 
     def thread(self, k: int, top: int) -> tuple[int, ...]:
         self._check_level(k)
@@ -639,7 +608,7 @@ class CyclicTower(CoveringTower):
         g = self.graph(k)
         n = g.nv
         rot = (np.arange(n, dtype=np.int64) + 1) % n
-        m = self.composite_map(k, 1)
+        m = self.composite_map(k)
         automorphic = (np.array_equal(g.esrc[rot], rot[g.esrc])
                        and np.array_equal(g.edst[rot], rot[g.edst]))
         commutes = (np.array_equal(m.vmap[rot], m.vmap)

@@ -190,7 +190,7 @@ class QuotientHom:
         upper_at[up] = np.arange(len(vu))
         lower_at = -np.ones(tower.graph(k - 1).nv, dtype=np.int64)
         lower_at[low] = np.arange(len(vl))
-        img = lower_at[tower.covering(k).map.vmap[up]]
+        img = lower_at[tower.covering(k).vmap[up]]
         if (img < 0).any():
             raise AssertionError("image is not a deck element below")
         product = upper_at[vu[:, up]]  # [i, j]: index of g_i after g_j

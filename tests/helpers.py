@@ -26,7 +26,7 @@ from laminate.branched_graph import (
     compose_germs,
     germ_flattens,
 )
-from laminate.coverings import Graph, GraphCovering, GraphMap
+from laminate.coverings import Graph, GraphCovering
 from laminate.inverse_system import (
     DoubleSectionWitness,
     Flattening,
@@ -568,7 +568,7 @@ def reference_certificate(system: InverseSystem) -> Optional[DoubleSectionWitnes
 def reference_deck_transformation(cov: GraphCovering, t0: int, image: int):
     """Propagate t0 -> image by a dict-based search: the (vertex, edge)
     permutation pair, or None when inconsistent."""
-    total, emap = cov.total, cov.map.emap
+    total, emap = cov.total, cov.emap
     out, inc = {}, {}
     adjacency = [[] for _ in range(total.nv)]
     for e in range(total.ne):
@@ -619,8 +619,7 @@ def permutation_cover(perms: dict) -> GraphCovering:
     edges = {(a, i): (i, perm[i]) for a, perm in perms.items() for i in range(n)}
     rose = Graph.from_edges(["w"], {a: ("w", "w") for a in perms})
     total = Graph.from_edges(range(n), edges)
-    return GraphCovering(GraphMap.from_dicts(
-        total, rose, {i: "w" for i in range(n)}, {e: e[0] for e in edges}))
+    return GraphCovering.from_dicts(total, rose, {i: "w" for i in range(n)}, {e: e[0] for e in edges})
 
 
 def dihedral(n: int) -> tuple[list, Callable]:
@@ -658,17 +657,17 @@ def random_graph_cover(rng: Random, g: Graph, degree: int) -> GraphCovering:
         for i in range(degree):
             edges[(e, i)] = ((int(g.esrc[e]), i), (int(g.edst[e]), perm[i]))
     total = Graph.from_edges(verts, edges)
-    return GraphCovering(GraphMap.from_dicts(
-        total, g, {v: g.vertex_ids[v[0]] for v in verts}, {x: g.edge_ids[x[0]] for x in edges}))
+    return GraphCovering.from_dicts(
+        total, g, {v: g.vertex_ids[v[0]] for v in verts}, {x: g.edge_ids[x[0]] for x in edges})
 
 
 def reference_quotient_verify(tower, k: int) -> dict:
     """QuotientHom(tower, k).verify() from reference deck groups, composing
     and comparing whole (vertex, edge) permutation pairs."""
-    upper = reference_deck_group(tower.composite_covering(k, 1), tower.base_point(1))[0]
-    lower = reference_deck_group(tower.composite_covering(k - 1, 1), tower.base_point(1))[0]
+    upper = reference_deck_group(tower.composite_map(k), tower.base_point(1))[0]
+    lower = reference_deck_group(tower.composite_map(k - 1), tower.base_point(1))[0]
     xu, xl = tower.base_point(k), tower.base_point(k - 1)
-    vmap = tower.covering(k).map.vmap
+    vmap = tower.covering(k).vmap
 
     def image(g):
         found = [i for i, h in enumerate(lower) if h[0][xl] == vmap[g[0][xu]]]
@@ -702,8 +701,101 @@ def random_permutation_cover(rng: Random, max_degree: int = 6) -> GraphCovering:
         n = rng.randint(1, max_degree)
         perms = {a: rng.sample(range(n), n) for a in "ab"}
         cov = permutation_cover(perms)
-        if cov.validate() == []:
+        if cov.total.is_connected():
             return cov
+
+
+# -- graph maps that may fail to be coverings -----------------------------------
+
+
+def reference_covering_problem(total: tuple, base: tuple, vertex_map: dict, edge_map: dict) -> Optional[str]:
+    """The first local covering axiom a graph map breaks, or None, by dict
+    lookups: edge images join vertex images; each vertex meets each base
+    edge leaving (entering) its image once and no other, out-stars first;
+    every base vertex is hit.  Graphs are (vertex ids, {edge id: (source,
+    target)})."""
+    (vertices, edges), (base_vertices, base_edges) = total, base
+    if any(base_edges[edge_map[e]] != (vertex_map[s], vertex_map[t]) for e, (s, t) in edges.items()):
+        return "edge images do not respect endpoints"
+    stars = {}  # (vertex, end) -> (base edges met there, base edges at its image)
+    for end, direction in ((0, "out"), (1, "in")):
+        for u in vertices:
+            met = [edge_map[e] for e, ends in edges.items() if ends[end] == u]
+            if len(set(met)) < len(met):
+                return f"two {direction}-edges at one vertex share a base edge"
+            stars[(u, end)] = (set(met), {b for b, ends in base_edges.items() if ends[end] == vertex_map[u]})
+    if any(met != at_image for met, at_image in stars.values()):
+        return "some vertex star does not match its image star"
+    if set(vertex_map.values()) != set(base_vertices):
+        return "not surjective on vertices"
+    return None
+
+
+def reference_components(vertices, edges: dict) -> int:
+    """Connected components of a graph read undirected, by closure."""
+    left, count = set(vertices), 0
+    while left:
+        reach, count = {left.pop()}, count + 1
+        while True:
+            more = {x for s, t in edges.values() for x in (s, t) if s in reach or t in reach} - reach
+            if not more:
+                break
+            reach |= more
+        left -= reach
+    return count
+
+
+def random_graph_map(rng: Random) -> tuple:
+    """(total, base, vertex_map, edge_map): a random covering of a rose, a
+    cycle or a random graph (connected or not, of degree 1-3), then maybe
+    broken once: an end moved, an image changed, an edge dropped or added,
+    a whole fiber dropped or a base vertex added that nothing hits.  Graphs are (vertex ids, {edge id: ends})."""
+    kind = rng.choice(["rose", "cycle", "random"])
+    if kind == "rose":
+        base = (["w"], {f"p{i}": ("w", "w") for i in range(rng.randint(1, 3))})
+    elif kind == "cycle":
+        n = rng.randint(1, 4)
+        base = (list(range(n)), {f"c{i}": (i, (i + 1) % n) for i in range(n)})
+    else:
+        n = rng.randint(1, 4)
+        base = (list(range(n)), {f"r{i}": (rng.randrange(n), rng.randrange(n)) for i in range(rng.randint(0, 5))})
+    degree = rng.randint(1, 3)
+    vertices = [(v, i) for v in base[0] for i in range(degree)]
+    vertex_map = {(v, i): v for v, i in vertices}
+    edges, edge_map = {}, {}
+    for b, (s, t) in base[1].items():
+        perm = list(range(degree)) if rng.random() < 0.3 else rng.sample(range(degree), degree)
+        for i in range(degree):
+            edges[(b, i)] = ((s, i), (t, perm[i]))
+            edge_map[(b, i)] = b
+    breakage = rng.choice(["none", "none", "end", "end in its fiber", "edge image", "vertex image",
+                           "drop edge", "add edge", "drop fiber", "unhit base vertex"])
+    if breakage.startswith("end") and edges:
+        e, end = rng.choice(list(edges)), rng.randrange(2)
+        ends = list(edges[e])
+        ends[end] = (ends[end][0], rng.randrange(degree)) if breakage == "end in its fiber" else rng.choice(vertices)
+        edges[e] = tuple(ends)
+    elif breakage == "edge image" and edges:
+        edge_map[rng.choice(list(edges))] = rng.choice(list(base[1]))
+    elif breakage == "vertex image":
+        vertex_map[rng.choice(vertices)] = rng.choice(base[0])
+    elif breakage == "drop edge" and edges:
+        e = rng.choice(list(edges))
+        del edges[e], edge_map[e]
+    elif breakage == "add edge" and base[1]:
+        b = rng.choice(list(base[1]))
+        s, t = base[1][b]
+        edges[("extra", 0)] = ((s, rng.randrange(degree)), (t, rng.randrange(degree)))
+        edge_map[("extra", 0)] = b
+    elif breakage == "drop fiber" and len(base[0]) > 1:
+        x = rng.choice(base[0])
+        vertices = [v for v in vertices if v[0] != x]
+        vertex_map = {v: vertex_map[v] for v in vertices}
+        edges = {e: ends for e, ends in edges.items() if ends[0][0] != x and ends[1][0] != x}
+        edge_map = {e: edge_map[e] for e in edges}
+    elif breakage == "unhit base vertex":
+        base = ([*base[0], "unhit"], base[1])
+    return (vertices, edges), base, vertex_map, edge_map
 
 
 # -- tower files -----------------------------------------------------------------
@@ -771,9 +863,11 @@ def cayley_tower_json(orders: list[tuple[int, int]]) -> dict:
 
 
 def reference_tower_levels(data: dict, base_dir: Optional[Path] = None) -> list:
-    """The base graph and every bond of a tower file, built eagerly: each
-    graph by ``Graph.from_edges``, each map by ``GraphMap.from_dicts``, an
-    integer id found under its string key; no star axiom is checked."""
+    """The base graph and, per level above it, its (total graph, vertex map,
+    edge map), built eagerly: each graph by ``Graph.from_edges``, each map as
+    index arrays by plain dict lookups, an integer id found under its string
+    key; a KeyError names a missing or unknown id, and no covering axiom is
+    checked."""
     def read(node):
         if isinstance(node, str):
             path = Path(node)
@@ -790,8 +884,8 @@ def reference_tower_levels(data: dict, base_dir: Optional[Path] = None) -> list:
     levels = [below]
     for node in map(read, data["levels"]):
         total = graph(read(node["total"]))
-        vertex_map = {v: keyed(node["vertex_map"], v) for v in total.vertex_ids}
-        edge_map = {e: keyed(node["edge_map"], e) for e in total.edge_ids}
-        levels.append(GraphCovering(GraphMap.from_dicts(total, below, vertex_map, edge_map)))
+        vmap = np.array([below.vindex[keyed(node["vertex_map"], v)] for v in total.vertex_ids], dtype=np.int64)
+        emap = np.array([below.eindex[keyed(node["edge_map"], e)] for e in total.edge_ids], dtype=np.int64)
+        levels.append((total, vmap, emap))
         below = total
     return levels

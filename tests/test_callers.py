@@ -5,7 +5,8 @@ A public top-level function or class, or a public method, of
 ``def``/``class`` line does not name it), in ``demos/``, in ``bench/`` or in
 the acceptance suite.  A name counts as a bare name, as an attribute
 ``.name`` or as a string holding exactly the name (``bench/tracing.py``
-patches functions by their names); imports alone do not count.
+patches functions by their names); imports alone do not count.  No
+library module imports a name that it never reads (``__future__`` aside).
 """
 
 import ast
@@ -48,3 +49,15 @@ def test_every_public_library_name_has_a_caller():
                 for qualified, name in _public(ast.parse(path.read_text()))
                 if name not in named]
     assert uncalled == []
+
+
+def test_no_library_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unread += [f"{path.stem}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unread == []

@@ -675,6 +675,9 @@ NON_COVERING_ASKS = [
     ("BAD_TOP", ["deck-group", "--level", "3"]),
     ("BAD_TOP", ["rep", "--loop", "a"]),
     ("BAD_TOP", ["metric", "--x=0", "--y=a", "--depth", "3"]),
+    ("TWO_LOOPS", ["deck-group", "--level", "2"]),
+    ("TWO_LOOPS", ["rep", "--loop", "a"]),
+    ("TWO_LOOPS", ["metric", "--x=1", "--y=a", "--depth", "2"]),
 ]
 
 
@@ -685,11 +688,26 @@ def test_questions_on_a_level_that_is_not_a_covering_fail_cleanly(name, argv, tm
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps(getattr(test_formats, name)))
     argv = [argv[0], "--tower", str(tower), *argv[1:]]
+    refusal = test_formats.NOT_CONNECTED if name == "TWO_LOOPS" else test_formats.NOT_A_COVERING
     _fails_cleanly(argv, tmp_path, capsys)
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["data"]["error"] == test_formats.NOT_A_COVERING
+    assert report["data"]["error"] == refusal
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {test_formats.NOT_A_COVERING}\n"
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+@pytest.mark.parametrize("argv", [["deck-group", "--level", "2"], ["rep", "--loop", "a"],
+                                  ["metric", "--x=1", "--y=a", "--depth", "2"]])
+def test_an_unknown_base_vertex_fails_at_load(argv, tmp_path, capsys):
+    from test_formats import BAD_TOP
+
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({**BAD_TOP, "base_vertex": "nope"}))
+    argv = [argv[0], "--tower", str(tower), *argv[1:]]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == "unknown base vertex 'nope'"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: unknown base vertex 'nope'\n"
 
 
 def test_questions_below_a_level_that_is_not_a_covering_answer(tmp_path, capsys):

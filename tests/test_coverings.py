@@ -8,7 +8,10 @@ from helpers import (
     cayley_cover,
     coset_cover,
     dihedral,
+    random_graph_map,
     random_permutation_cover,
+    reference_components,
+    reference_covering_problem,
     reference_deck_group,
     reference_deck_transformation,
 )
@@ -16,7 +19,6 @@ from laminate.coverings import (
     CoveringTower,
     Graph,
     GraphCovering,
-    GraphMap,
     cyclic_tower,
 )
 
@@ -27,7 +29,7 @@ def rose2() -> Graph:
 
 def cyclic_cover(m: int, n: int) -> GraphCovering:
     idx = np.arange(m)
-    return GraphCovering(GraphMap(Graph.cycle(m), Graph.cycle(n), idx % n, idx % n))
+    return GraphCovering(Graph.cycle(m), Graph.cycle(n), idx % n, idx % n)
 
 
 def parity_cover_of_rose2() -> GraphCovering:
@@ -36,11 +38,7 @@ def parity_cover_of_rose2() -> GraphCovering:
     edges = {("a", i): (i, 1 - i) for i in verts}
     edges.update({("b", i): (i, i) for i in verts})
     total = Graph.from_edges(verts, edges)
-    return GraphCovering(
-        GraphMap.from_dicts(
-            total, rose2(), {i: "w" for i in verts}, {e: e[0] for e in edges}
-        )
-    )
+    return GraphCovering.from_dicts(total, rose2(), {i: "w" for i in verts}, {e: e[0] for e in edges})
 
 
 def klein_four_cover() -> GraphCovering:
@@ -50,11 +48,7 @@ def klein_four_cover() -> GraphCovering:
         edges[("a", i, j)] = ((i, j), ((i + 1) % 2, j))
         edges[("b", i, j)] = ((i, j), (i, (j + 1) % 2))
     total = Graph.from_edges(verts, edges)
-    return GraphCovering(
-        GraphMap.from_dicts(
-            total, rose2(), {v: "w" for v in verts}, {e: e[0] for e in edges}
-        )
-    )
+    return GraphCovering.from_dicts(total, rose2(), {v: "w" for v in verts}, {e: e[0] for e in edges})
 
 
 def non_normal_degree3_cover() -> GraphCovering:
@@ -66,11 +60,7 @@ def non_normal_degree3_cover() -> GraphCovering:
         edges[("a", i)] = (i, sigma_a[i])
         edges[("b", i)] = (i, sigma_b[i])
     total = Graph.from_edges(range(3), edges)
-    return GraphCovering(
-        GraphMap.from_dicts(
-            total, rose2(), {i: "w" for i in range(3)}, {e: e[0] for e in edges}
-        )
-    )
+    return GraphCovering.from_dicts(total, rose2(), {i: "w" for i in range(3)}, {e: e[0] for e in edges})
 
 
 # -- validation and regular deck groups ---------------------------------------------
@@ -78,21 +68,21 @@ def non_normal_degree3_cover() -> GraphCovering:
 
 def test_cycle_halving_cover_is_valid_regular_degree_two():
     cov = cyclic_cover(4, 2)
-    assert cov.validate() == []
+    assert cov.total.is_connected()
     group = cov.deck_group()
     assert group.regular and len(group.fiber) == 2 and group.order() == 2
 
 
 def test_parity_cover_has_a_regular_deck_group():
     cov = parity_cover_of_rose2()
-    assert cov.validate() == []
+    assert cov.total.is_connected()
     group = cov.deck_group()
     assert group.regular and group.order() == 2
 
 
 def test_non_normal_cover_detected():
     cov = non_normal_degree3_cover()
-    assert cov.validate() == []
+    assert cov.total.is_connected()
     group = cov.deck_group()
     assert not group.regular
     assert group.order() < len(group.fiber) == 3
@@ -102,17 +92,41 @@ def test_broken_star_reported():
     # two a-edges out of one vertex cannot cover the rose
     edges = {("a", 0): (0, 0), ("a", 1): (0, 1), ("b", 0): (1, 0)}
     total = Graph.from_edges([0, 1], edges)
-    base = rose2()
-    gmap = GraphMap.from_dicts(
-        total, base, {0: "w", 1: "w"}, {e: e[0] for e in edges}
-    )
-    assert GraphCovering(gmap).validate()
+    with pytest.raises(ValueError, match="^not a covering: two out-edges at one vertex share a base edge$"):
+        GraphCovering.from_dicts(total, rose2(), {0: "w", 1: "w"}, {e: e[0] for e in edges})
 
 
 def test_degree_one_covering_is_valid():
     g = Graph.cycle(3)
-    ident = GraphCovering(GraphMap(g, g, np.arange(3), np.arange(3)))
-    assert ident.validate() == []
+    ident = GraphCovering(g, g, np.arange(3), np.arange(3))
+    assert ident.degree() == 1 and ident.total.is_connected()
+
+
+def test_a_covering_is_made_exactly_when_the_local_axioms_hold():
+    rng = Random(19)
+    outcomes = {}
+    for _ in range(2000):
+        total, base, vertex_map, edge_map = random_graph_map(rng)
+        problem = reference_covering_problem(total, base, vertex_map, edge_map)
+        graphs = Graph.from_edges(*total), Graph.from_edges(*base)
+        if problem is not None:
+            with pytest.raises(ValueError) as refused:
+                GraphCovering.from_dicts(*graphs, vertex_map, edge_map)
+            assert str(refused.value) == f"not a covering: {problem}"
+            outcomes[problem] = outcomes.get(problem, 0) + 1
+            continue
+        cov = GraphCovering.from_dicts(*graphs, vertex_map, edge_map)
+        connected = reference_components(*total) == 1
+        outcomes[connected] = outcomes.get(connected, 0) + 1
+        tower = CoveringTower([cov])
+        if connected:
+            assert cov.deck_group().order() == len(reference_deck_group(cov)[0])
+            assert tower.loop_endpoint((), 2) == tower.base_point(2)
+            continue
+        for ask in (cov.deck_group, lambda: tower.loop_endpoint((), 2)):
+            with pytest.raises(ValueError, match="^not a covering: total graph is not connected$"):
+                ask()
+    assert len(outcomes) == 7 and min(outcomes.values()) >= 40, outcomes
 
 
 def _closure_connected(g: Graph) -> bool:
@@ -172,7 +186,7 @@ def test_cyclic_deck_group_matches_rotation_oracle():
 
 def test_identity_covering_trivial_deck_group():
     g = Graph.cycle(3)
-    ident = GraphCovering(GraphMap(g, g, np.arange(3), np.arange(3)))
+    ident = GraphCovering(g, g, np.arange(3), np.arange(3))
     assert ident.deck_group().order() == 1
 
 
@@ -186,10 +200,10 @@ def test_klein_four_deck_group():
 
 def test_deck_elements_commute_with_projection():
     cov = klein_four_cover()
-    total, emap = cov.total, cov.map.emap
+    total, emap = cov.total, cov.emap
     out = {(int(total.esrc[e]), int(emap[e])): e for e in range(total.ne)}
     for vperm in cov.deck_group().vperms:
-        assert np.array_equal(cov.map.vmap[vperm], cov.map.vmap)
+        assert np.array_equal(cov.vmap[vperm], cov.vmap)
         # the edge permutation the vertex one fixes: each edge goes to the
         # edge over the same base edge out of its source's image
         eperm = np.array([out[(int(vperm[total.esrc[e]]), int(emap[e]))] for e in range(total.ne)])
@@ -218,8 +232,8 @@ def _dihedral_cosets(n, j):
 DECK_CASES = {
     "cyclic": lambda: cyclic_cover(12, 1),
     "cyclic-over-a-cycle": lambda: cyclic_cover(12, 4),
-    "cyclic-composite": lambda: cyclic_tower([2, 3, 2]).composite_covering(4, 1),
-    "identity": lambda: GraphCovering(GraphMap(Graph.cycle(3), Graph.cycle(3), np.arange(3), np.arange(3))),
+    "cyclic-composite": lambda: cyclic_tower([2, 3, 2]).composite_map(4, 1),
+    "identity": lambda: GraphCovering.identity(Graph.cycle(3)),
     "parity": parity_cover_of_rose2,
     "klein-four": klein_four_cover,
     "cayley-abelian": _abelian,
@@ -270,23 +284,24 @@ def test_candidate_blocks_give_the_same_group(monkeypatch):
     cov = _dihedral_cayley(6)
     whole = cov.deck_group()
     monkeypatch.setattr(coverings, "_BLOCK", 5 * cov.total.ne)  # blocks of 5 candidates
-    assert np.array_equal(GraphCovering(cov.map).deck_group().vperms, whole.vperms)
+    fresh = GraphCovering(cov.total, cov.base, cov.vmap, cov.emap)
+    assert np.array_equal(fresh.deck_group().vperms, whole.vperms)
 
 
-def test_deck_enumeration_refuses_a_non_covering(monkeypatch):
+def test_deck_enumeration_refuses_a_non_covering():
     rose = Graph.from_edges(["w"], {"a": ("w", "w")})
     total = Graph.from_edges(["0", "1"], {"a0": ("0", "0"), "a1": ("0", "1")})
-    cov = GraphCovering(GraphMap.from_dicts(total, rose, {"0": "w", "1": "w"},
-                                            {"a0": "a", "a1": "a"}))
-    calls, validate = [], GraphCovering.validate
-    monkeypatch.setattr(GraphCovering, "validate",
-                        lambda self: calls.append(self) or validate(self))
+    with pytest.raises(ValueError, match="^not a covering: two out-edges"):
+        GraphCovering.from_dicts(total, rose, {"0": "w", "1": "w"}, {"a0": "a", "a1": "a"})
+    # two loops over the petal: a covering at every star, but not connected
+    total = Graph.from_edges(["0", "1"], {"a0": ("0", "0"), "a1": ("1", "1")})
+    cov = GraphCovering.from_dicts(total, rose, {"0": "w", "1": "w"}, {"a0": "a", "a1": "a"})
     for _ in range(2):
-        with pytest.raises(ValueError, match="not a covering: two out-edges"):
+        with pytest.raises(ValueError, match="^not a covering: total graph is not connected$"):
             cov.deck_group()
-    with pytest.raises(ValueError, match="not a covering"):
+    with pytest.raises(ValueError, match="^not a covering: total graph is not connected$"):
         cov.deck_transformation_from(0, 1)
-    assert calls == [cov]  # memoised per covering
+    assert list(total._trees) == [0]  # the refusal reads the one tree the deck question walks
 
 
 def test_one_candidate_call_agrees_with_the_reference():
@@ -328,7 +343,7 @@ def test_tower_deck_group_at_degree_1024_is_fast():
 def test_composite_covering_degree_multiplies():
     # levels built separately: the tower stacks them by value
     tower = CoveringTower([cyclic_cover(2, 1), cyclic_cover(6, 2)])
-    composite = tower.composite_covering(3, 1)
+    composite = tower.composite_map(3)
     assert composite.degree() == 6
     group = composite.deck_group()
     assert group.regular and group.order() == 6
@@ -336,7 +351,7 @@ def test_composite_covering_degree_multiplies():
 
 def test_composite_covering_identity_range():
     tower = CoveringTower([cyclic_cover(2, 1), cyclic_cover(6, 2)])
-    same = tower.composite_covering(2, 2)
+    same = tower.composite_map(2, 2)
     assert same.degree() == 1
     assert same.total == Graph.cycle(2)
 
@@ -344,7 +359,7 @@ def test_composite_covering_identity_range():
 def test_dyadic_tower_composite_degrees():
     tower = cyclic_tower([2] * 6)
     for k in range(1, 7):
-        assert tower.composite_covering(k, 1).degree() == 2 ** (k - 1)
+        assert tower.composite_map(k).degree() == 2 ** (k - 1)
 
 
 # -- monodromy ----------------------------------------------------------------------------
@@ -382,7 +397,7 @@ def test_tower_base_thread_is_coherent():
     tower = cyclic_tower([2, 3, 2])
     for k in range(2, tower.depth + 1):
         x_here = tower.base_point(k)
-        pushed = int(tower.covering(k).map.vmap[x_here])
+        pushed = int(tower.covering(k).vmap[x_here])
         assert pushed == tower.base_point(k - 1)
 
 
@@ -398,12 +413,19 @@ def test_tower_levels_outside_the_tower_rejected():
     for k, k0 in ((0, 1), (-1, 1), (5, 1), (2, 0), (2, 3)):
         with pytest.raises(ValueError):
             tower.composite_map(k, k0)
-        with pytest.raises(ValueError):
-            tower.composite_covering(k, k0)
     for k in (0, -1, 5):
         with pytest.raises(ValueError):
+            tower.composite_map(k)
+        with pytest.raises(ValueError):
             tower.base_point(k)
-    assert tower.composite_covering(4, 1).degree() == 8
+    assert tower.composite_map(4).degree() == 8
+
+
+def test_tower_refuses_an_unknown_base_vertex():
+    with pytest.raises(ValueError, match="^unknown base vertex 'nope'$"):
+        CoveringTower([parity_cover_of_rose2()], base_vertex="nope")
+    tower = CoveringTower([cyclic_cover(4, 2)], base_vertex=1)
+    assert tower.base_point(1) == 1 and tower.base_point(2) == 1
 
 
 def test_tower_stacking_validated():
@@ -460,21 +482,21 @@ def test_tower_graph_and_covering_bounds():
 
 def test_composites_chain_one_bond_onto_the_level_below(monkeypatch):
     composed = []
-    original = GraphMap.compose
+    original = GraphCovering.compose
 
     def counting(self, inner):
         composed.append(inner)
         return original(self, inner)
 
-    monkeypatch.setattr(GraphMap, "compose", counting)
+    monkeypatch.setattr(GraphCovering, "compose", counting)
     tower = cyclic_tower([2, 3, 2, 2, 3])
     top = tower.composite_map(6, 1)
     assert len(composed) == 4  # levels 3..6, each onto the composite below
-    assert tower.composite_map(2, 1) is tower.covering(2).map
+    assert tower.composite_map(2, 1) is tower.covering(2)
     for k in range(3, 7):
-        assert composed[k - 3] is tower.covering(k).map
+        assert composed[k - 3] is tower.covering(k)
         below = tower.composite_map(k - 1, 1)
-        expected = below.vmap[tower.covering(k).map.vmap]
+        expected = below.vmap[tower.covering(k).vmap]
         assert np.array_equal(tower.composite_map(k, 1).vmap, expected)
     assert len(composed) == 4
     assert np.array_equal(top.vmap, np.zeros(72, dtype=np.int64))
@@ -482,13 +504,9 @@ def test_composites_chain_one_bond_onto_the_level_below(monkeypatch):
     assert len(composed) == 6
 
 
-def test_fibers_are_computed_once_per_level():
+def test_cyclic_tower_fiber_positions_are_the_identity():
     tower = cyclic_tower([2, 3])
-    assert tower.fiber(3) is tower.fiber(3)
-    assert tower.fiber_position(3) is tower.fiber_position(3)
     assert np.array_equal(tower.fiber_position(3), np.arange(6))
-    with pytest.raises(ValueError):
-        tower.fiber(3)[0] = 5  # shared arrays are read-only
 
 
 def test_lift_walks_every_start_at_once():

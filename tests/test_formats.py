@@ -330,23 +330,37 @@ def test_lazy_tower_equals_the_eager_reference(tmp_path):
             if k == 1:
                 _same_level(tower.graph(1), ref[0])
                 continue
-            _same_level(tower.graph(k), ref[k - 1].total)
-            assert np.array_equal(tower.covering(k).map.vmap, ref[k - 1].map.vmap)
-            assert np.array_equal(tower.covering(k).map.emap, ref[k - 1].map.emap)
+            total, vmap, emap = ref[k - 1]
+            _same_level(tower.graph(k), total)
+            assert np.array_equal(tower.covering(k).vmap, vmap)
+            assert np.array_equal(tower.covering(k).emap, emap)
             assert tower.covering(k).base is tower.graph(k - 1)
 
 
-def _first(data, k, field):
-    level = data["levels"][k - 2]
-    return level["total"][field][0] if field in ("vertices", "edges") else next(iter(level[field]))
+def _cell(level: dict, field: str):
+    """The first edge of a level's total graph, or the total-graph id under
+    the first key of its vertex or edge map (keys are strings; the id may be
+    an integer)."""
+    if field == "edges":
+        return level["total"]["edges"][0]
+    key = next(iter(level[field]))
+    ids = level["total"]["vertices"] if field == "vertex_map" else [e["id"] for e in level["total"]["edges"]]
+    return next(x for x in ids if str(x) == key)
 
 
-DEFECTS = {  # breaks level 3 of a depth-4 tower
-    "unknown source": lambda d: _first(d, 3, "edges").__setitem__("src", "nowhere"),
-    "unknown target": lambda d: _first(d, 3, "edges").__setitem__("dst", 10 ** 6),
-    "missing vertex key": lambda d: d["levels"][1]["vertex_map"].pop(_first(d, 3, "vertex_map")),
-    "missing edge key": lambda d: d["levels"][1]["edge_map"].pop(_first(d, 3, "edge_map")),
-    "unknown image": lambda d: d["levels"][1]["vertex_map"].__setitem__(_first(d, 3, "vertex_map"), "nowhere"),
+DEFECTS = {  # breaks a cell of level 3 of a depth-4 tower; the error names the cell
+    "unknown source": ("edges", lambda level, edge: edge.__setitem__("src", "nowhere"),
+                       lambda edge: f"edge {edge['id']!r}: unknown source 'nowhere'"),
+    "unknown target": ("edges", lambda level, edge: edge.__setitem__("dst", 10 ** 6),
+                       lambda edge: f"edge {edge['id']!r}: unknown target 1000000"),
+    "missing vertex key": ("vertex_map", lambda level, v: level["vertex_map"].pop(str(v)),
+                           lambda v: f"vertex_map has no entry for vertex {v!r}"),
+    "missing edge key": ("edge_map", lambda level, e: level["edge_map"].pop(str(e)),
+                         lambda e: f"edge_map has no entry for edge {e!r}"),
+    "unknown image": ("vertex_map", lambda level, v: level["vertex_map"].__setitem__(str(v), "nowhere"),
+                      lambda v: f"vertex {v!r} maps to unknown vertex 'nowhere'"),
+    "unknown edge image": ("edge_map", lambda level, e: level["edge_map"].__setitem__(str(e), "nowhere"),
+                           lambda e: f"edge {e!r} maps to unknown edge 'nowhere'"),
 }
 
 
@@ -354,14 +368,16 @@ DEFECTS = {  # breaks level 3 of a depth-4 tower
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_malformed_level_fails_when_read_as_the_reference_does(defect, integers):
     data = random_tower_json(Random(defect), 4, integers=integers, max_degree=2)
-    DEFECTS[defect](data)
-    with pytest.raises((KeyError, ValueError)) as expected:
+    field, breakage, message = DEFECTS[defect]
+    cell = _cell(data["levels"][1], field)
+    breakage(data["levels"][1], cell)
+    with pytest.raises((KeyError, ValueError)):
         reference_tower_levels(data)
     tower = formats.tower_from_json(data)
     assert tower.covering(2).degree() >= 1 and tower.depth == 4
-    with pytest.raises(type(expected.value)) as raised:
+    with pytest.raises(ValueError) as raised:
         tower.graph(3)
-    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == message(cell)
 
 
 def _level3(d):
@@ -416,6 +432,16 @@ BAD_TOP = {
                 "edge_map": {"e0": "a0", "e1": "a0", "e2": "a1", "e3": "a1"}}],
 }
 NOT_A_COVERING = "not a covering: two out-edges at one vertex share a base edge"
+# two loops over the loop a: every star maps bijectively and both vertices
+# lie over w, but the total graph is not connected
+TWO_LOOPS = {
+    "base": THREE_EDGES["base"],
+    "levels": [{"total": {"vertices": ["0", "1"],
+                          "edges": [{"id": "a0", "src": "0", "dst": "0"},
+                                    {"id": "a1", "src": "1", "dst": "1"}]},
+                "vertex_map": {"0": "w", "1": "w"}, "edge_map": {"a0": "a", "a1": "a"}}],
+}
+NOT_CONNECTED = "not a covering: total graph is not connected"
 
 
 @pytest.mark.parametrize("data, k", [(THREE_EDGES, 2), (BAD_TOP, 3)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import permutation_cover, random_graph_cover, reference_quotient_verify
-from laminate.coverings import CoveringTower, Graph, GraphCovering, GraphMap, cyclic_tower
+from laminate.coverings import CoveringTower, Graph, GraphCovering, cyclic_tower
 from laminate.profinite import (
     ProfiniteElement,
     QuotientHom,
@@ -100,7 +100,7 @@ def test_coherence_validated(dyadic):
         with pytest.raises(ValueError, match="outside level 6"):
             ProfiniteElement(dyadic, 6, top)
     idx = np.arange(4) % 2
-    over_a_cycle = CoveringTower([GraphCovering(GraphMap(Graph.cycle(4), Graph.cycle(2), idx, idx))])
+    over_a_cycle = CoveringTower([GraphCovering(Graph.cycle(4), Graph.cycle(2), idx, idx)])
     assert ProfiniteElement(over_a_cycle, 2, 2).points == (0, 2)
     with pytest.raises(ValueError, match="does not lie over the base point"):
         ProfiniteElement(over_a_cycle, 2, 1)
@@ -155,8 +155,8 @@ def _parity_tower(beta0, beta1):
             edges[("a", j, s)] = ((j, s), (j, 1 - s))
             edges[("b", j, s)] = ((j, s), ((beta0, beta1)[s][j], s))
     top = Graph.from_edges([(j, s) for j in range(3) for s in (0, 1)], edges)
-    up = GraphCovering(GraphMap.from_dicts(
-        top, low.total, {v: v[1] for v in top.vertex_ids}, {e: (e[0], e[2]) for e in edges}))
+    up = GraphCovering.from_dicts(
+        top, low.total, {v: v[1] for v in top.vertex_ids}, {e: (e[0], e[2]) for e in edges})
     return CoveringTower([low, up])
 
 
@@ -184,7 +184,7 @@ def test_quotient_verify_equals_reference_on_random_stacks():
     for _ in range(150):
         low = random_graph_cover(rng, rose, rng.randint(1, 4))
         up = random_graph_cover(rng, low.total, rng.randint(1, 3))
-        if low.validate() or up.validate():
+        if not (low.total.is_connected() and up.total.is_connected()):
             continue
         tower = CoveringTower([low, up])
         for k in (2, 3):
@@ -205,8 +205,8 @@ def test_quotient_verify_reads_the_enumerated_groups(monkeypatch):
         raise AssertionError("deck_transformation_from called")
 
     tower = CoveringTower([
-        GraphCovering(GraphMap(Graph.cycle(2), Graph.cycle(1), np.zeros(2), np.zeros(2))),
-        GraphCovering(GraphMap(Graph.cycle(6), Graph.cycle(2), np.arange(6) % 2, np.arange(6) % 2)),
+        GraphCovering(Graph.cycle(2), Graph.cycle(1), np.zeros(2), np.zeros(2)),
+        GraphCovering(Graph.cycle(6), Graph.cycle(2), np.arange(6) % 2, np.arange(6) % 2),
     ])
     monkeypatch.setattr(GraphCovering, "deck_transformation_from", refuse)
     assert QuotientHom(tower, 3).verify() == {"upper_order": 6, "lower_order": 2, "kernel_order": 3}
@@ -405,9 +405,7 @@ def test_action_law_on_klein_four_tower():
         edges[("a", i, j)] = ((i, j), ((i + 1) % 2, j))
         edges[("b", i, j)] = ((i, j), (i, (j + 1) % 2))
     total = Graph.from_edges(verts, edges)
-    cov = GraphCovering(
-        GraphMap.from_dicts(total, rose, {v: "w" for v in verts}, {e: e[0] for e in edges})
-    )
+    cov = GraphCovering.from_dicts(total, rose, {v: "w" for v in verts}, {e: e[0] for e in edges})
     tower = CoveringTower([cov])
     rng = Random(29)
     letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
@@ -432,7 +430,7 @@ def test_changing_base_thread_gives_isomorphic_structure():
     tower_b._thread = [0, 1, 3, 7]  # a different coherent thread
     for k in range(2, 5):
         x_here = tower_b.base_point(k)
-        assert int(tower_b.covering(k).map.vmap[x_here]) == tower_b.base_point(k - 1)
+        assert int(tower_b.covering(k).vmap[x_here]) == tower_b.base_point(k - 1)
     gen_a = generator(tower_a, 4)
     gen_b = generator(tower_b, 4)
     # conjugation by the deck element moving one thread to the other is an
