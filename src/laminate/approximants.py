@@ -108,19 +108,24 @@ def bonding_map(oracle: LanguageOracle, k: int) -> CellularMap:
     return _drop_one_letter(build_approximant(oracle, k + 1), build_approximant(oracle, k))
 
 
+def _memo(fn):
+    """``fn`` called once per argument; racing threads keep the first result stored."""
+    store = {}
+
+    def memoised(k):
+        if k not in store:
+            store.setdefault(k, fn(k))
+        return store[k]
+    return memoised
+
+
 def approximant_system(oracle: LanguageOracle) -> InverseSystem:
-    """The full tower as a lazily materialized inverse system.
-
-    The system memoises each level's graph once; the bonds join the
-    complexes behind those graphs, so every approximant is built once.
-    """
-    complexes: dict[int, CollaredComplex] = {}
-
-    def level(k: int) -> BranchedGraph:
-        complexes[k] = build_approximant(oracle, k)
-        return complexes[k].graph
-
-    return InverseSystem(level, lambda k: _drop_one_letter(complexes[k + 1], complexes[k]))
+    """The full tower as a lazily materialized inverse system, memoising
+    its complexes, their graphs (a cached property can build twice under a
+    race) and its bonds; a bond joins the memoised complexes of its levels."""
+    complexes = _memo(lambda k: build_approximant(oracle, k))
+    bonds = _memo(lambda k: _drop_one_letter(complexes(k + 1), complexes(k)))
+    return InverseSystem(_memo(lambda k: complexes(k).graph), bonds)
 
 
 def pattern_clopen(oracle: LanguageOracle, word: str, mark: int) -> ClopenSet:

@@ -43,11 +43,9 @@ class RunReport:
     data: dict = field(default_factory=dict)
     elapsed_ms: float = 0.0
 
-    def to_json(self, include_timing: bool = True) -> dict:
-        out = {"command": self.command, "seed": self.seed, "data": self.data}
-        if include_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
+    def to_json(self) -> dict:
+        return {"command": self.command, "seed": self.seed, "data": self.data,
+                "elapsed_ms": round(self.elapsed_ms, 3)}
 
 
 def _emit(report: RunReport, args):
@@ -143,6 +141,8 @@ def _element_from_arg(tower, text: str, depth: int):
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         return delta_infinity_rep(tower, formats.parse_loop(text, tower.base), depth)
+    if not tower.base.ne:
+        raise ValueError(f"{text!r} is a power of the first base edge, but the base has no edges")
     generator = formats.parse_loop(str(tower.base.edge_ids[0]), tower.base)
     return profinite_pow(delta_infinity_rep(tower, generator, depth), int(text))
 
@@ -273,14 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args, report)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        report.data.setdefault("exit_code", code)
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.data["error"] = str(exc)
-        report.elapsed_ms = (time.perf_counter() - start) * 1000
-        _emit(report, args)
-        return EXIT_ERROR
+        code = EXIT_ERROR
     report.elapsed_ms = (time.perf_counter() - start) * 1000
-    report.data.setdefault("exit_code", code)
     _emit(report, args)
     return code
 

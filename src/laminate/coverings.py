@@ -59,7 +59,6 @@ class Graph:
         self.edge_ids = edge_ids
         self.esrc = np.asarray(esrc, dtype=np.int64)
         self.edst = np.asarray(edst, dtype=np.int64)
-        self._trees: dict[int, list] = {}  # spanning trees walked so far, by root
 
     def _set_labelled_cells(self, vertices, edges: Mapping):
         """Index labelled cells in ``repr`` order of their ids; a ValueError
@@ -107,12 +106,10 @@ class Graph:
     def spanning_tree(self, root: int) -> list[tuple[int, int, int, int]]:
         """Steps (u, edge, sign, w) of a spanning tree of root's component.
 
-        One depth-first pass per root over the edges read as undirected: each
+        One depth-first pass per call over the edges read as undirected: each
         step reaches the new vertex w from u, which an earlier step reached;
         sign is +1 when the edge runs u -> w and -1 when it runs w -> u.
         """
-        if root in self._trees:
-            return self._trees[root]
         ends = np.concatenate([self.esrc, self.edst])
         order = np.argsort(ends, kind="stable")
         starts = np.searchsorted(ends[order], np.arange(self.nv + 1)).tolist()
@@ -129,15 +126,11 @@ class Graph:
                     seen[w] = 1
                     stack.append(w)
                     steps.append((u, h, 1, w) if h < self.ne else (u, h - self.ne, -1, w))
-        self._trees[root] = steps
         return steps
 
     def is_connected(self) -> bool:
-        """Whether a spanning tree, from any root already walked, has nv - 1 steps."""
-        if self.nv <= 1:
-            return True
-        tree = next(iter(self._trees.values())) if self._trees else self.spanning_tree(0)
-        return len(tree) == self.nv - 1
+        """Whether the spanning tree from vertex 0 has nv - 1 steps."""
+        return self.nv <= 1 or len(self.spanning_tree(0)) == self.nv - 1
 
     def __eq__(self, other):
         return (
@@ -177,8 +170,6 @@ class GraphCovering:
         self.vmap = np.asarray(vmap, dtype=np.int64)
         self.emap = np.asarray(emap, dtype=np.int64)
         self._transport: dict[tuple[int, int], np.ndarray] = {}
-        self._trees: dict[int, list] = {}
-        self._edge_key: Optional[tuple[np.ndarray, np.ndarray]] = None
         return self
 
     def _local_problem(self) -> Optional[str]:
@@ -291,18 +282,6 @@ class GraphCovering:
 
     # -- deck group --------------------------------------------------------
 
-    def _edge_images(self, vimg: np.ndarray) -> np.ndarray:
-        """Edge images under vertex images ``vimg``, one column per candidate:
-        each edge goes to the lift of its base edge at its source's image,
-        read from the edges sorted by (source, base edge)."""
-        nb = max(self.base.ne, 1)
-        if self._edge_key is None:
-            key = self.total.esrc * nb + self.emap
-            order = np.argsort(key)
-            self._edge_key = (key[order], order)
-        key, order = self._edge_key
-        return order[np.searchsorted(key, vimg[self.total.esrc] * nb + self.emap[:, None])]
-
     def _deck_elements(self, t0: int, images: np.ndarray) -> tuple[list[int], np.ndarray]:
         """The candidates t0 -> images[i] that extend to deck transformations.
 
@@ -313,12 +292,14 @@ class GraphCovering:
         graph is not connected, which the spanning tree from t0 shows.
         """
         total, emap = self.total, self.emap
-        if t0 not in self._trees:
-            tree = total.spanning_tree(t0)
-            if len(tree) < total.nv - 1:
-                raise ValueError("not a covering: total graph is not connected")
-            self._trees[t0] = [(u, self._step_transport(int(emap[e]), sign), w) for u, e, sign, w in tree]
-        steps = self._trees[t0]
+        tree = total.spanning_tree(t0)
+        if len(tree) < total.nv - 1:
+            raise ValueError("not a covering: total graph is not connected")
+        steps = [(u, self._step_transport(int(emap[e]), sign), w) for u, e, sign, w in tree]
+        # an edge goes to the lift of its base edge at its source's image
+        nb = max(self.base.ne, 1)
+        key = total.esrc * nb + emap
+        order = np.argsort(key)
         images = np.asarray(images, dtype=np.int64)
         images = images[self.vmap[images] == self.vmap[t0]]
         block = max(1, _BLOCK // max(total.nv, total.ne, 1))
@@ -330,8 +311,10 @@ class GraphCovering:
             img[t0] = cand
             for u, transport, w in steps:
                 img[w] = transport[img[u]]
-            # each edge's image must end at its target's image
-            ok = (total.edst[self._edge_images(img)] == img[total.edst]).all(axis=0)
+            # each edge's image must end at its target's image (one expression, so
+            # that the edge images are freed before the bincount below)
+            ok = (total.edst[order[np.searchsorted(key, img[total.esrc] * nb + emap[:, None], sorter=order)]]
+                  == img[total.edst]).all(axis=0)
             # vertex images must be bijective; lifts being unique, the edge
             # images then are too
             cols = np.arange(len(cand)) * total.nv

@@ -56,7 +56,10 @@ def _field(data, key: str, kind=object, each=None):
 # -- rationals -------------------------------------------------------------
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:
@@ -194,9 +197,17 @@ def _object(pairs: list) -> dict:
     return out
 
 
+def _read(path: Union[str, Path], hook):
+    """The JSON file at ``path``, objects built by ``hook``; too deep a nesting is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=hook)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def read_json(path: Union[str, Path]):
     """A JSON file in which no object repeats a key."""
-    return json.loads(Path(path).read_text(), object_pairs_hook=_object)
+    return _read(path, _object)
 
 
 def _resolve(node: Union[str, dict], base_dir: Optional[Path], hook=None) -> dict:
@@ -204,7 +215,7 @@ def _resolve(node: Union[str, dict], base_dir: Optional[Path], hook=None) -> dic
         path = Path(node)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        node = json.loads(path.read_text(), object_pairs_hook=hook)
+        node = _read(path, hook)
     if not isinstance(node, dict):
         raise ValueError("expected an object or a file path holding one")
     return node
@@ -318,15 +329,16 @@ class _FileTower(CoveringTower):
 def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTower:
     """A tower whose levels are checked now and built when first read."""
     if isinstance(data, dict) and "circle_degrees" in data:
-        return cyclic_tower(_field(data, "circle_degrees", list, int))
+        if "base_vertex" not in data or _field(data, "base_vertex", _ID) == 0:  # the one base vertex
+            return cyclic_tower(_field(data, "circle_degrees", list, int))
+        raise ValueError(f"unknown base vertex {data['base_vertex']!r}")
     base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
     levels = [_level_from_json(_resolve(node, base_dir), base_dir) for node in _field(data, "levels", list)]
     return _FileTower(base, levels, _field(data, "base_vertex", _ID) if "base_vertex" in data else None)
 
 
 def load_tower(path: Union[str, Path]) -> CoveringTower:
-    path = Path(path)
-    return tower_from_json(json.loads(path.read_text()), path.parent)
+    return tower_from_json(_read(path, None), Path(path).parent)
 
 
 def parse_loop(text: str, base: Graph) -> tuple:

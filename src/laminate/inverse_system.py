@@ -1,8 +1,8 @@
 """Projective systems of branched graphs and the lamination verdict.
 
 A system is a tower of branched graphs with onto cellular bonding maps,
-materialized lazily and memoized.  The module enumerates coherent threads
-to finite depth, telescopes towers, and decides whether some telescoping
+materialized lazily.  The module enumerates coherent threads to finite
+depth, telescopes towers, and decides whether some telescoping
 flattens: exactly for a stationary system, from the powers of its bond's
 germ map, and for any other tower over a window, in one monotone sweep.
 Stationary non-laminations are certified by an invariant pair of smooth
@@ -83,12 +83,12 @@ def apply_cell(f: CellularMap, cell: Cell) -> Cell:
 class InverseSystem:
     """Lazily materialized tower of branched graphs and bonding maps.
 
-    ``level_fn(k)`` supplies the level-k graph, ``bond_fn(k)`` the bonding
-    map from level k+1 onto level k.  Bonds are validated on first use:
-    their endpoints must match the adjacent levels and they must be onto on
+    ``level_fn(k)`` supplies the level-k graph and ``bond_fn(k)`` the
+    bonding map from level k+1 onto level k; the system keeps neither (see
+    ``approximant_system`` for a tower that memoises its own).  Every read
+    of a bond checks that it joins the adjacent levels and is onto on
     vertices and edges.  ``max_depth`` bounds the materializable range
-    (None = unbounded, e.g. stationary systems).  Caches fill by
-    ``setdefault``, so threads racing on one level or bond all get the same.
+    (None = unbounded, e.g. stationary systems).
     """
 
     def __init__(
@@ -103,8 +103,6 @@ class InverseSystem:
         self._bond_fn = bond_fn
         self.stationary_flag = stationary
         self.max_depth = max_depth
-        self._levels: dict[int, BranchedGraph] = {}
-        self._bonds: dict[int, CellularMap] = {}
 
     @classmethod
     def stationary(cls, bond: CellularMap) -> "InverseSystem":
@@ -118,11 +116,8 @@ class InverseSystem:
     ) -> "InverseSystem":
         if len(bonds) != len(levels) - 1:
             raise ValueError("need one bond per consecutive pair of levels")
-        levels = list(levels)
-        bonds = list(bonds)
-        return cls(
-            lambda k: levels[k], lambda k: bonds[k], max_depth=len(levels) - 1
-        )
+        levels, bonds = list(levels), list(bonds)
+        return cls(levels.__getitem__, bonds.__getitem__, max_depth=len(levels) - 1)
 
     def _check_depth(self, k: int):
         if k < 0:
@@ -132,25 +127,18 @@ class InverseSystem:
 
     def level(self, k: int) -> BranchedGraph:
         self._check_depth(k)
-        if k not in self._levels:  # racing fills keep whichever landed first
-            self._levels.setdefault(k, self._level_fn(k))
-        return self._levels[k]
+        return self._level_fn(k)
 
     def bond(self, k: int) -> CellularMap:
-        """Bonding map from level k+1 onto level k."""
+        """Bonding map from level k+1 onto level k, checked against both."""
         self._check_depth(k + 1)
-        if k in self._bonds:
-            return self._bonds[k]
-        upper, lower = self.level(k + 1), self.level(k)
         f = self._bond_fn(k)
-        if not (f.domain.indexed_alike(upper) and f.codomain.indexed_alike(lower)):
+        if not (f.domain.indexed_alike(self.level(k + 1)) and f.codomain.indexed_alike(self.level(k))):
             raise ValueError(f"bond {k} does not join levels {k + 1} -> {k}")
-        on_vertices, on_edges = f.onto()
-        if not on_vertices:
-            raise ValueError(f"bond {k} is not onto on vertices")
-        if not on_edges:
-            raise ValueError(f"bond {k} is not onto on edges")
-        return self._bonds.setdefault(k, f)
+        for onto, cells in zip(f.onto(), ("vertices", "edges")):
+            if not onto:
+                raise ValueError(f"bond {k} is not onto on {cells}")
+        return f
 
     def composite(self, k: int, k0: int) -> CellularMap:
         """The composite bonding map from level k down to level k0."""

@@ -776,3 +776,93 @@ def test_booleans_are_not_integers_or_ids(case, tmp_path, capsys):
     _fails_cleanly(argv, tmp_path, capsys)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+TREE = {"dimension": 2, "vertices": ["v0", "v1"], "edges": [["v1", "v0"]],
+        "sectors": {"v0": [], "v1": [["1", "0"], ["0", "-1"]]}}
+
+
+@pytest.mark.parametrize("tree, point", [(TREE, "1/0"),
+                                         ({**TREE, "sectors": {"v1": [["1/0", "0"]]}}, "0,0")])
+def test_a_zero_denominator_fails_cleanly(tree, point, tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    _fails_cleanly(["local-model", "classes", "--tree", str(path), "--point", point], tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == "zero denominator in '1/0'"
+
+
+DEEP = "[" * 5000 + "]" * 5000
+DEEP_READS = {
+    # None: the deep file itself is named on the command line
+    "system": (None, ["check-flatten", "--system"], []),
+    "system graph": (json.dumps({"stationary": {"graph": "deep.json", "map": {}}}),
+                     ["check-flatten", "--system"], []),
+    "oracle": (None, ["approximants", "--input"], ["--k", "1"]),
+    "tree": (None, ["local-model", "classes", "--tree"], ["--point", "0"]),
+    "graph": (None, ["export-dot", "--graph"], []),
+    "tower": (None, ["rep", "--tower"], ["--loop", "a"]),
+    "tower level": (json.dumps({"base": {"vertices": ["w"], "edges": []}, "levels": ["deep.json"]}),
+                    ["deck-group", "--tower"], ["--level", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_READS))
+def test_json_nested_too_deeply_fails_cleanly(case, tmp_path, capsys):
+    text, command, rest = DEEP_READS[case]
+    path = deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+    _fails_cleanly([*command, str(path), *rest], tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == f"{deep}: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("argv", [["deck-group", "--level", "2"], ["rep", "--loop", "0"],
+                                  ["metric", "--x=1", "--y=0", "--depth", "3"]])
+def test_a_cyclic_tower_refuses_an_unknown_base_vertex(argv, tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    argv = [argv[0], "--tower", str(tower), *argv[1:]]
+    tower.write_text(json.dumps({"circle_degrees": [2, 2], "base_vertex": "nope"}))
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == "unknown base vertex 'nope'"
+    answers = []
+    for data in ({"circle_degrees": [2, 2]}, {"circle_degrees": [2, 2], "base_vertex": 0}):
+        tower.write_text(json.dumps(data))
+        assert main(argv) == 0
+        answers.append(capsys.readouterr())
+    assert answers[0] == answers[1] and answers[0].err == ""
+
+
+ROSE_BOND = {"vertex_map": {"w": "w"}, "edge_map": {"a": ["a"], "b": ["a"]}}
+TWO_CYCLE = {"vertices": ["p", "q"],
+             "edges": [{"id": "a", "src": "p", "dst": "q"}, {"id": "b", "src": "q", "dst": "p"}],
+             "sides": {"p": {"A": ["b-"], "B": ["a+"]}, "q": {"A": ["a-"], "B": ["b+"]}}}
+BONDS_NOT_ONTO = {
+    # b is missed
+    "edges": ({"levels": [_rose_graph(["a", "b"]), _rose_graph(["a", "b"])], "bonds": [ROSE_BOND]},
+              "bond 0 is not onto on edges"),
+    # x -> ab passes through q only as a junction of its path, and no vertex maps to q
+    "vertices": ({"levels": [TWO_CYCLE, _rose_graph(["x"])],
+                  "bonds": [{"vertex_map": {"w": "p"}, "edge_map": {"x": ["a", "b"]}}]},
+                 "bond 0 is not onto on vertices"),
+}
+
+
+@pytest.mark.parametrize("cells", sorted(BONDS_NOT_ONTO))
+def test_a_bond_that_is_not_onto_fails_cleanly(cells, tmp_path, capsys):
+    data, message = BONDS_NOT_ONTO[cells]
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(data))
+    _fails_cleanly(["check-flatten", "--system", str(system)], tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == message
+
+
+def test_an_integer_point_on_a_base_without_edges_fails_cleanly(tmp_path, capsys):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"base": {"vertices": ["w"], "edges": []},
+                                 "levels": [{"total": {"vertices": ["0"], "edges": []},
+                                             "vertex_map": {"0": "w"}, "edge_map": {}}]}))
+    _fails_cleanly(["metric", "--tower", str(tower), "--x", "1", "--y", "0", "--depth", "2"], tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == (
+        "'1' is a power of the first base edge, but the base has no edges")

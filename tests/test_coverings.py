@@ -155,18 +155,26 @@ def test_connectivity_and_spanning_tree_match_a_closure():
             assert ends == ((u, w) if sign == 1 else (w, u))
             reached.add(w)
         assert g.is_connected() == (len(reached) == nv)
-        # a tree from any root answers connectivity, and each root is walked once
+        # a fresh graph walks the same tree and answers connectivity alike
         fresh = Graph.from_edges(range(nv), edges)
-        assert fresh.spanning_tree(root) == steps and fresh.spanning_tree(root) is fresh.spanning_tree(root)
-        assert fresh.is_connected() == _closure_connected(g) and list(fresh._trees) == [root]
+        assert fresh.spanning_tree(root) == steps
+        assert fresh.is_connected() == _closure_connected(g)
 
 
-def test_a_deck_question_walks_one_spanning_tree():
+def _count_tree_walks(monkeypatch) -> list:
+    """The roots of every spanning tree walked from now on, in call order."""
+    roots, walk = [], Graph.spanning_tree
+    monkeypatch.setattr(Graph, "spanning_tree", lambda g, root: roots.append(root) or walk(g, root))
+    return roots
+
+
+def test_a_deck_question_walks_one_spanning_tree(monkeypatch):
     elements, mul = dihedral(6)
     cov = cayley_cover(elements, mul, {"a": (1, 0), "b": (0, 1)})
+    roots = _count_tree_walks(monkeypatch)
     group = cov.deck_group()
-    # the covering check and the deck propagation share the tree from vertex 0
-    assert group.basepoint == 0 and list(cov.total._trees) == [0]
+    # the connectivity check and the deck propagation share the tree from vertex 0
+    assert group.basepoint == 0 and roots == [0]
     assert sorted(group.orbit) == list(range(12)) == sorted(reference_deck_group(cov)[1])
 
 
@@ -288,7 +296,7 @@ def test_candidate_blocks_give_the_same_group(monkeypatch):
     assert np.array_equal(fresh.deck_group().vperms, whole.vperms)
 
 
-def test_deck_enumeration_refuses_a_non_covering():
+def test_deck_enumeration_refuses_a_non_covering(monkeypatch):
     rose = Graph.from_edges(["w"], {"a": ("w", "w")})
     total = Graph.from_edges(["0", "1"], {"a0": ("0", "0"), "a1": ("0", "1")})
     with pytest.raises(ValueError, match="^not a covering: two out-edges"):
@@ -296,12 +304,13 @@ def test_deck_enumeration_refuses_a_non_covering():
     # two loops over the petal: a covering at every star, but not connected
     total = Graph.from_edges(["0", "1"], {"a0": ("0", "0"), "a1": ("1", "1")})
     cov = GraphCovering.from_dicts(total, rose, {"0": "w", "1": "w"}, {"a0": "a", "a1": "a"})
+    roots = _count_tree_walks(monkeypatch)
     for _ in range(2):
         with pytest.raises(ValueError, match="^not a covering: total graph is not connected$"):
             cov.deck_group()
     with pytest.raises(ValueError, match="^not a covering: total graph is not connected$"):
         cov.deck_transformation_from(0, 1)
-    assert list(total._trees) == [0]  # the refusal reads the one tree the deck question walks
+    assert roots == [0, 0, 0]  # each refusal reads the one tree its deck question walks
 
 
 def test_one_candidate_call_agrees_with_the_reference():
