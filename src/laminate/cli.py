@@ -126,12 +126,9 @@ def cmd_deck_group(args, report: RunReport) -> int:
     group = tower.deck_group(args.level)
     degree, order = len(group.fiber), group.order()
     print(f"level {args.level}: degree {degree}, deck order {order}, regular: {group.regular}")
-    report.data["degree"] = degree
-    report.data["deck_order"] = order
-    report.data["regular"] = group.regular
-    report.data["orbit"] = list(group.orbit)
     # the orbit is the whole fiber exactly when the group is regular
-    report.data["free_transitive"] = group.regular
+    report.data.update(degree=degree, deck_order=order, regular=group.regular, orbit=list(group.orbit),
+                       free_transitive=group.regular)
     return EXIT_OK
 
 

@@ -8,10 +8,11 @@ because lifts are unique, and a deck group as the rows of one array.  They
 are computed by path lifting, for every candidate at once: the candidate
 images of a fiber base point fill one column each of an image matrix, which
 propagates down a spanning tree of the total graph by one lift gather per
-tree step; then every edge is checked for consistency and every column for
-bijectivity in bulk.  Towers stack coverings over a fixed base, carry a
-coherent thread of base points, and expose the composite coverings whose
-deck groups feed the profinite layer.
+tree step.  Tree edges then hold by construction; every other edge is
+checked against the lift table of its base edge, and every column for
+bijectivity by a boolean scatter.  Towers stack coverings over a fixed
+base, carry a coherent thread of base points, and expose the composite
+coverings whose deck groups feed the profinite layer.
 
 The cell data lives in numpy index arrays.  A tower builds a level only
 when a question reads it, through one hook, so a level read from a file is
@@ -32,8 +33,7 @@ import numpy as np
 
 Step = tuple  # (edge_id, +1 | -1)
 
-# entries per array when deck candidates propagate in blocks; bounds the
-# memory of large enumerations
+# bounds the entries of every working array of a deck enumeration (_BLOCK // nv candidates a block)
 _BLOCK = 1 << 17
 
 
@@ -128,8 +128,9 @@ class Graph:
                     steps.append((u, h, 1, w) if h < self.ne else (u, h - self.ne, -1, w))
         return steps
 
+    @cached_property
     def is_connected(self) -> bool:
-        """Whether the spanning tree from vertex 0 has nv - 1 steps."""
+        """Whether the spanning tree from vertex 0 has nv - 1 steps, decided once."""
         return self.nv <= 1 or len(self.spanning_tree(0)) == self.nv - 1
 
     def __eq__(self, other):
@@ -286,40 +287,40 @@ class GraphCovering:
         """The candidates t0 -> images[i] that extend to deck transformations.
 
         Returns the surviving images and their vertex permutations, one row
-        each, in candidate order.  Candidates propagate in blocks of columns
-        of an image matrix (one row per total vertex), so temporaries stay
-        within ``_BLOCK`` entries.  Raises ``ValueError`` when the total
-        graph is not connected, which the spanning tree from t0 shows.
+        each, in candidate order.  Candidates propagate in blocks of
+        ``_BLOCK // nv`` columns of an int32 image matrix, one row per total
+        vertex, so no working array exceeds ``_BLOCK`` entries.  Tree edges
+        hold by construction, the +1 and -1 lifts of a base edge being inverse
+        bijections; every other edge is checked against the lift table of its
+        base edge.  Raises ``ValueError`` when the total graph is not connected.
         """
         total, emap = self.total, self.emap
         tree = total.spanning_tree(t0)
         if len(tree) < total.nv - 1:
             raise ValueError("not a covering: total graph is not connected")
         steps = [(u, self._step_transport(int(emap[e]), sign), w) for u, e, sign, w in tree]
-        # an edge goes to the lift of its base edge at its source's image
-        nb = max(self.base.ne, 1)
-        key = total.esrc * nb + emap
-        order = np.argsort(key)
+        rest = np.delete(np.arange(total.ne), [e for _, e, _, _ in tree])
+        rest = rest[np.argsort(emap[rest])]  # the non-tree edges, by base edge
+        checks = [(self._step_transport(int(emap[over[0]]), 1), total.esrc[over], total.edst[over])
+                  for over in np.split(rest, np.flatnonzero(np.diff(emap[rest])) + 1) if len(over)]
         images = np.asarray(images, dtype=np.int64)
         images = images[self.vmap[images] == self.vmap[t0]]
-        block = max(1, _BLOCK // max(total.nv, total.ne, 1))
+        block = max(1, _BLOCK // max(total.nv, 1))
         orbit = []
         vperms = np.empty((len(images), total.nv), dtype=np.int64)
         for lo in range(0, len(images), block):
             cand = images[lo:lo + block]
-            img = np.empty((total.nv, len(cand)), dtype=np.int64)
+            img = np.empty((total.nv, len(cand)), dtype=np.int32)
             img[t0] = cand
             for u, transport, w in steps:
                 img[w] = transport[img[u]]
-            # each edge's image must end at its target's image (one expression, so
-            # that the edge images are freed before the bincount below)
-            ok = (total.edst[order[np.searchsorted(key, img[total.esrc] * nb + emap[:, None], sorter=order)]]
-                  == img[total.edst]).all(axis=0)
-            # vertex images must be bijective; lifts being unique, the edge
-            # images then are too
-            cols = np.arange(len(cand)) * total.nv
-            hits = np.bincount((img + cols).ravel(), minlength=len(cand) * total.nv)
-            ok &= (hits.reshape(len(cand), total.nv) == 1).all(axis=1)
+            ok = np.ones(len(cand), dtype=bool)
+            for transport, src, dst in checks:
+                ok &= (transport[img[src]] == img[dst]).all(axis=0)
+            # bijective on vertices, hence on edges, lifts being unique
+            hit = np.zeros((len(cand), total.nv), dtype=bool)
+            hit[np.arange(len(cand)), img] = True
+            ok &= hit.all(axis=1)
             vperms[len(orbit):len(orbit) + int(ok.sum())] = img.T[ok]
             orbit.extend(cand[ok].tolist())
         return orbit, vperms[:len(orbit)]
@@ -482,7 +483,7 @@ class CoveringTower:
         """Where the lift of a base loop from x_k ends, lifted once through
         f_{k,1}; raises ``ValueError`` when level k is not connected."""
         cov = self.composite_map(k)
-        if not cov.total.is_connected():
+        if not cov.total.is_connected:
             raise ValueError("not a covering: total graph is not connected")
         cov.check_loop(loop, self.base_point(1))
         return int(cov.lift([self.base_point(k)], loop)[0])
@@ -509,11 +510,8 @@ class CoveringTower:
 
     def generator_monodromies(self, k: int) -> dict:
         """Monodromy fiber permutation of each base edge at level k."""
-        out = {}
         cov = self.composite_map(k)
-        for e in self.base.edge_ids:
-            out[e] = cov.monodromy(((e, 1),), self.base_point(1))
-        return out
+        return {e: cov.monodromy(((e, 1),), self.base_point(1)) for e in self.base.edge_ids}
 
 
 def cyclic_tower(degrees: Sequence[int]) -> "CyclicTower":

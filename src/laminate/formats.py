@@ -292,9 +292,18 @@ class _Keys(dict):
         return self[str(key)]
 
 
-def _level_from_json(data: dict, base_dir: Optional[Path]) -> dict:
+def _in_level(i: int, read, *args):
+    """``read(*args)``, a ValueError prefixed with the level's JSON path."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"levels[{i}]: {exc}") from None
+
+
+def _level_from_json(node, base_dir: Optional[Path]) -> dict:
     """A tower level with its total graph read from its file, the kind of
     every field checked and no cell id repeated; nothing is indexed."""
+    data = _resolve(node, base_dir)
     total = _resolve(_field(data, "total"), base_dir)
     _unique(_field(total, "vertices", list, _ID), "vertex")
     try:
@@ -323,7 +332,7 @@ class _FileTower(CoveringTower):
         self._open(len(levels) + 1, [base], base_vertex)
 
     def _build(self, k: int) -> GraphCovering:
-        return _covering_from_level(self._levels[k - 2], self.graph(k - 1))
+        return _in_level(k - 2, _covering_from_level, self._levels[k - 2], self.graph(k - 1))
 
 
 def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTower:
@@ -333,7 +342,7 @@ def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTowe
             return cyclic_tower(_field(data, "circle_degrees", list, int))
         raise ValueError(f"unknown base vertex {data['base_vertex']!r}")
     base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
-    levels = [_level_from_json(_resolve(node, base_dir), base_dir) for node in _field(data, "levels", list)]
+    levels = [_in_level(i, _level_from_json, node, base_dir) for i, node in enumerate(_field(data, "levels", list))]
     return _FileTower(base, levels, _field(data, "base_vertex", _ID) if "base_vertex" in data else None)
 
 

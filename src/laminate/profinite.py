@@ -202,11 +202,7 @@ class QuotientHom:
             raise AssertionError("not surjective")
         if kernel != tower.covering(k).degree():
             raise AssertionError("kernel does not match the single covering's deck group")
-        return {
-            "upper_order": len(vu),
-            "lower_order": len(vl),
-            "kernel_order": kernel,
-        }
+        return {"upper_order": len(vu), "lower_order": len(vl), "kernel_order": kernel}
 
 
 def _free_reduce(word: Sequence[Step]) -> tuple[Step, ...]:

@@ -701,7 +701,7 @@ def random_permutation_cover(rng: Random, max_degree: int = 6) -> GraphCovering:
         n = rng.randint(1, max_degree)
         perms = {a: rng.sample(range(n), n) for a in "ab"}
         cov = permutation_cover(perms)
-        if cov.total.is_connected():
+        if cov.total.is_connected:
             return cov
 
 

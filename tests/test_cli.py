@@ -319,7 +319,7 @@ def test_deck_group_refuses_a_level_that_is_not_a_covering(tmp_path, capsys):
     _fails_cleanly(argv, tmp_path, capsys)
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: not a covering: two out-edges at one vertex share a base edge\n")
+        "error: levels[0]: not a covering: two out-edges at one vertex share a base edge\n")
 
 
 def test_approximants_negative_radius(files, tmp_path, capsys):
@@ -533,8 +533,8 @@ def test_rep_refuses_a_tower_that_is_not_a_covering(tmp_path, capsys):
     assert main(["--report", str(report), "rep", "--tower", str(tower), "--loop", "a"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: not a covering: two out-edges at one vertex share a base edge\n"
-    assert json.loads(report.read_text())["data"]["error"].startswith("not a covering: ")
+    assert captured.err == "error: levels[0]: not a covering: two out-edges at one vertex share a base edge\n"
+    assert json.loads(report.read_text())["data"]["error"].startswith("levels[0]: not a covering: ")
 
 
 def test_one_parser_serves_every_call(files, capsys):
@@ -590,25 +590,27 @@ def _cover_tower(edges, vertices):
 REPEATS = {
     "check-flatten": ({"stationary": {"graph": _rose_graph(["a", "a"]),
                                       "map": {"vertex_map": {"w": "w"}, "edge_map": {"a": ["a", "a"]}}}},
-                      ["--system"], [], "edge id 'a'"),
-    "export-dot": (_rose_graph(["a"], ["w", "w"]), ["--graph"], [], "vertex id 'w'"),
-    "deck-group": (_cover_tower(["a0", "a0"], ["0"]), ["--tower"], ["--level", "1"], "edge id 'a0'"),
-    "rep": (_cover_tower(["a0"], ["0", "0"]), ["--tower"], ["--loop", "a"], "vertex id '0'"),
-    "metric": (_cover_tower(["a0", "a0"], ["0"]), ["--tower"], ["--x", "0", "--y", "1"], "edge id 'a0'"),
+                      ["--system"], [], "repeated edge id 'a'"),
+    "export-dot": (_rose_graph(["a"], ["w", "w"]), ["--graph"], [], "repeated vertex id 'w'"),
+    "deck-group": (_cover_tower(["a0", "a0"], ["0"]), ["--tower"], ["--level", "1"],
+                   "levels[0]: repeated edge id 'a0'"),
+    "rep": (_cover_tower(["a0"], ["0", "0"]), ["--tower"], ["--loop", "a"], "levels[0]: repeated vertex id '0'"),
+    "metric": (_cover_tower(["a0", "a0"], ["0"]), ["--tower"], ["--x", "0", "--y", "1"],
+               "levels[0]: repeated edge id 'a0'"),
     "local-model": ({"dimension": 1, "vertices": ["v", "v"], "edges": [["v", "v"]]},
-                    ["classes", "--tree"], ["--point", "0"], "vertex id 'v'"),
+                    ["classes", "--tree"], ["--point", "0"], "repeated vertex id 'v'"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(REPEATS))
 def test_repeated_ids_fail_at_load(command, tmp_path, capsys):
-    data, flag, rest, named = REPEATS[command]
+    data, flag, rest, message = REPEATS[command]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     argv = [command, *flag, str(path), *rest]
     _fails_cleanly(argv, tmp_path, capsys)
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: repeated {named}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 ROSE_AB = json.dumps(_rose_graph(["a", "b"]))
@@ -688,7 +690,9 @@ def test_questions_on_a_level_that_is_not_a_covering_fail_cleanly(name, argv, tm
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps(getattr(test_formats, name)))
     argv = [argv[0], "--tower", str(tower), *argv[1:]]
-    refusal = test_formats.NOT_CONNECTED if name == "TWO_LOOPS" else test_formats.NOT_A_COVERING
+    refusal = {"THREE_EDGES": f"levels[0]: {test_formats.NOT_A_COVERING}",
+               "BAD_TOP": f"levels[1]: {test_formats.NOT_A_COVERING}",
+               "TWO_LOOPS": test_formats.NOT_CONNECTED}[name]
     _fails_cleanly(argv, tmp_path, capsys)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["data"]["error"] == refusal
@@ -763,7 +767,7 @@ BOOLEANS = {
                     "levels": [{"total": {"vertices": ["0"], "edges": [{"id": "a0", "src": "0", "dst": "0"}]},
                                 "vertex_map": {"0": True}, "edge_map": {"a0": "a"}}]},
                    ["rep", "--tower"], ["--loop", "a"],
-                   "every entry of 'vertex_map' must be a string or an integer"),
+                   "levels[0]: every entry of 'vertex_map' must be a string or an integer"),
 }
 
 
@@ -793,29 +797,31 @@ def test_a_zero_denominator_fails_cleanly(tree, point, tmp_path, capsys):
 
 DEEP = "[" * 5000 + "]" * 5000
 DEEP_READS = {
-    # None: the deep file itself is named on the command line
-    "system": (None, ["check-flatten", "--system"], []),
+    # None: the deep file itself is named on the command line; then the
+    # prefix of the error naming the deep file
+    "system": (None, ["check-flatten", "--system"], [], ""),
     "system graph": (json.dumps({"stationary": {"graph": "deep.json", "map": {}}}),
-                     ["check-flatten", "--system"], []),
-    "oracle": (None, ["approximants", "--input"], ["--k", "1"]),
-    "tree": (None, ["local-model", "classes", "--tree"], ["--point", "0"]),
-    "graph": (None, ["export-dot", "--graph"], []),
-    "tower": (None, ["rep", "--tower"], ["--loop", "a"]),
+                     ["check-flatten", "--system"], [], ""),
+    "oracle": (None, ["approximants", "--input"], ["--k", "1"], ""),
+    "tree": (None, ["local-model", "classes", "--tree"], ["--point", "0"], ""),
+    "graph": (None, ["export-dot", "--graph"], [], ""),
+    "tower": (None, ["rep", "--tower"], ["--loop", "a"], ""),
     "tower level": (json.dumps({"base": {"vertices": ["w"], "edges": []}, "levels": ["deep.json"]}),
-                    ["deck-group", "--tower"], ["--level", "1"]),
+                    ["deck-group", "--tower"], ["--level", "1"], "levels[0]: "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DEEP_READS))
 def test_json_nested_too_deeply_fails_cleanly(case, tmp_path, capsys):
-    text, command, rest = DEEP_READS[case]
+    text, command, rest, prefix = DEEP_READS[case]
     path = deep = tmp_path / "deep.json"
     deep.write_text(DEEP)
     if text is not None:
         path = tmp_path / "input.json"
         path.write_text(text)
     _fails_cleanly([*command, str(path), *rest], tmp_path, capsys)
-    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == f"{deep}: JSON nested too deeply"
+    error = json.loads((tmp_path / "report.json").read_text())["data"]["error"]
+    assert error == f"{prefix}{deep}: JSON nested too deeply"
 
 
 @pytest.mark.parametrize("argv", [["deck-group", "--level", "2"], ["rep", "--loop", "0"],

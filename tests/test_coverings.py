@@ -1,4 +1,6 @@
+import json
 import time
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from helpers import (
     cayley_cover,
+    cayley_tower_json,
     coset_cover,
     dihedral,
     random_graph_map,
@@ -68,21 +71,21 @@ def non_normal_degree3_cover() -> GraphCovering:
 
 def test_cycle_halving_cover_is_valid_regular_degree_two():
     cov = cyclic_cover(4, 2)
-    assert cov.total.is_connected()
+    assert cov.total.is_connected
     group = cov.deck_group()
     assert group.regular and len(group.fiber) == 2 and group.order() == 2
 
 
 def test_parity_cover_has_a_regular_deck_group():
     cov = parity_cover_of_rose2()
-    assert cov.total.is_connected()
+    assert cov.total.is_connected
     group = cov.deck_group()
     assert group.regular and group.order() == 2
 
 
 def test_non_normal_cover_detected():
     cov = non_normal_degree3_cover()
-    assert cov.total.is_connected()
+    assert cov.total.is_connected
     group = cov.deck_group()
     assert not group.regular
     assert group.order() < len(group.fiber) == 3
@@ -99,7 +102,7 @@ def test_broken_star_reported():
 def test_degree_one_covering_is_valid():
     g = Graph.cycle(3)
     ident = GraphCovering(g, g, np.arange(3), np.arange(3))
-    assert ident.degree() == 1 and ident.total.is_connected()
+    assert ident.degree() == 1 and ident.total.is_connected
 
 
 def test_a_covering_is_made_exactly_when_the_local_axioms_hold():
@@ -145,7 +148,7 @@ def test_connectivity_and_spanning_tree_match_a_closure():
         nv = rng.randint(1, 7)
         edges = {i: (rng.randrange(nv), rng.randrange(nv)) for i in range(rng.randint(0, 8))}
         g = Graph.from_edges(range(nv), edges)
-        assert g.is_connected() == _closure_connected(g)
+        assert g.is_connected == _closure_connected(g)
         root = rng.randrange(nv)
         steps = g.spanning_tree(root)
         reached = {root}
@@ -154,11 +157,11 @@ def test_connectivity_and_spanning_tree_match_a_closure():
             ends = (int(g.esrc[e]), int(g.edst[e]))
             assert ends == ((u, w) if sign == 1 else (w, u))
             reached.add(w)
-        assert g.is_connected() == (len(reached) == nv)
+        assert g.is_connected == (len(reached) == nv)
         # a fresh graph walks the same tree and answers connectivity alike
         fresh = Graph.from_edges(range(nv), edges)
         assert fresh.spanning_tree(root) == steps
-        assert fresh.is_connected() == _closure_connected(g)
+        assert fresh.is_connected == _closure_connected(g)
 
 
 def _count_tree_walks(monkeypatch) -> list:
@@ -177,6 +180,21 @@ def test_a_deck_question_walks_one_spanning_tree(monkeypatch):
     assert group.basepoint == 0 and roots == [0]
     assert sorted(group.orbit) == list(range(12)) == sorted(reference_deck_group(cov)[1])
 
+
+
+def test_a_loop_question_walks_one_spanning_tree(monkeypatch, tmp_path, capsys):
+    from laminate.cli import main
+
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps(cayley_tower_json([(2, 2), (4, 4)])))
+    roots = _count_tree_walks(monkeypatch)
+    # both loop-word points lift through the one 16-vertex top graph, whose
+    # connectivity is decided once
+    assert main(["metric", "--tower", str(tower), "--x=a", "--y=b", "--depth", "3"]) == 0
+    assert roots == [0]
+    assert main(["rep", "--tower", str(tower), "--loop", "a -b", "--depth", "3"]) == 0
+    assert roots == [0, 0]
+    capsys.readouterr()
 
 # -- deck groups ---------------------------------------------------------------------
 
@@ -291,9 +309,54 @@ def test_candidate_blocks_give_the_same_group(monkeypatch):
 
     cov = _dihedral_cayley(6)
     whole = cov.deck_group()
-    monkeypatch.setattr(coverings, "_BLOCK", 5 * cov.total.ne)  # blocks of 5 candidates
+    monkeypatch.setattr(coverings, "_BLOCK", 5 * cov.total.nv)  # blocks of 5 candidates
     fresh = GraphCovering(cov.total, cov.base, cov.vmap, cov.emap)
     assert np.array_equal(fresh.deck_group().vperms, whole.vperms)
+
+
+def test_deck_kernel_equals_the_reference_on_random_multi_vertex_bases(monkeypatch):
+    from laminate import coverings
+
+    rng = Random(23)
+    covers = []
+    while len(covers) < 60:
+        total, base, vertex_map, edge_map = random_graph_map(rng)
+        if (base[0] == ["w"] or reference_covering_problem(total, base, vertex_map, edge_map) is not None
+                or reference_components(*total) != 1):
+            continue  # a rose base, not a covering, or not connected
+        covers.append(GraphCovering.from_dicts(Graph.from_edges(*total), Graph.from_edges(*base),
+                                               vertex_map, edge_map))
+    kinds = set()
+    for cov in covers:
+        for candidates in (1, 2, 5):
+            monkeypatch.setattr(coverings, "_BLOCK", candidates * cov.total.nv)
+            for base_vi in range(cov.base.nv):
+                group = _assert_matches_reference(cov, base_vi)
+                kinds.add((group.order(), group.regular))
+                t0 = int(cov.fiber(base_vi)[0])
+                for c in cov.fiber(base_vi).tolist():
+                    found, expected = cov.deck_transformation_from(t0, c), reference_deck_transformation(cov, t0, c)
+                    assert (found is None) == (expected is None)
+                    assert found is None or np.array_equal(found, expected[0])
+    # trivial, regular and non-regular groups all occur, at every degree
+    assert {(1, True), (2, True), (3, True), (1, False)} <= kinds, kinds
+
+
+def test_deck_enumeration_peak_memory_stays_near_its_answer():
+    """Holds the memory claim of the deck kernel: at degree 256 the
+    tracemalloc peak of ``deck_group()`` stays below three times the bytes
+    of the vertex permutations it returns, as only the int32 image matrix,
+    one base edge's lift check and a boolean bijectivity matrix are live
+    beside them."""
+    cov = _dihedral_cayley(128)
+    tracemalloc.start()
+    try:
+        group = cov.deck_group()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.regular and group.order() == 256
+    assert peak < 3 * group.vperms.nbytes, peak / group.vperms.nbytes
 
 
 def test_deck_enumeration_refuses_a_non_covering(monkeypatch):

@@ -348,19 +348,19 @@ def _cell(level: dict, field: str):
     return next(x for x in ids if str(x) == key)
 
 
-DEFECTS = {  # breaks a cell of level 3 of a depth-4 tower; the error names the cell
+DEFECTS = {  # breaks a cell of level 3 (levels[1]) of a depth-4 tower; the error names the level and the cell
     "unknown source": ("edges", lambda level, edge: edge.__setitem__("src", "nowhere"),
-                       lambda edge: f"edge {edge['id']!r}: unknown source 'nowhere'"),
+                       lambda edge: f"levels[1]: edge {edge['id']!r}: unknown source 'nowhere'"),
     "unknown target": ("edges", lambda level, edge: edge.__setitem__("dst", 10 ** 6),
-                       lambda edge: f"edge {edge['id']!r}: unknown target 1000000"),
+                       lambda edge: f"levels[1]: edge {edge['id']!r}: unknown target 1000000"),
     "missing vertex key": ("vertex_map", lambda level, v: level["vertex_map"].pop(str(v)),
-                           lambda v: f"vertex_map has no entry for vertex {v!r}"),
+                           lambda v: f"levels[1]: vertex_map has no entry for vertex {v!r}"),
     "missing edge key": ("edge_map", lambda level, e: level["edge_map"].pop(str(e)),
-                         lambda e: f"edge_map has no entry for edge {e!r}"),
+                         lambda e: f"levels[1]: edge_map has no entry for edge {e!r}"),
     "unknown image": ("vertex_map", lambda level, v: level["vertex_map"].__setitem__(str(v), "nowhere"),
-                      lambda v: f"vertex {v!r} maps to unknown vertex 'nowhere'"),
+                      lambda v: f"levels[1]: vertex {v!r} maps to unknown vertex 'nowhere'"),
     "unknown edge image": ("edge_map", lambda level, e: level["edge_map"].__setitem__(str(e), "nowhere"),
-                           lambda e: f"edge {e!r} maps to unknown edge 'nowhere'"),
+                           lambda e: f"levels[1]: edge {e!r} maps to unknown edge 'nowhere'"),
 }
 
 
@@ -386,9 +386,9 @@ def _level3(d):
 
 AT_LOAD = [  # a break of level 3 of a depth-4 tower, and the error it gets at load
     (lambda d: _level3(d)["total"]["vertices"].append(_level3(d)["total"]["vertices"][0]),
-     lambda d: f"repeated vertex id {_level3(d)['total']['vertices'][0]!r}"),
+     lambda d: f"levels[1]: repeated vertex id {_level3(d)['total']['vertices'][0]!r}"),
     (lambda d: _level3(d)["total"]["edges"].append(_level3(d)["total"]["edges"][0]),
-     lambda d: f"repeated edge id {_level3(d)['total']['edges'][0]['id']!r}"),
+     lambda d: f"levels[1]: repeated edge id {_level3(d)['total']['edges'][0]['id']!r}"),
     (lambda d: _level3(d)["total"]["edges"][0].pop("id"), lambda d: "needs an 'id', a 'src' and a 'dst'"),
     (lambda d: _level3(d)["total"]["edges"][0].__setitem__("id", ["a"]), lambda d: "needs an 'id'"),
     (lambda d: _level3(d)["total"].__setitem__("edges", {}), lambda d: "'edges' must be an array"),
@@ -449,7 +449,7 @@ def test_non_covering_level_is_refused_where_read(data, k):
     for ask in (lambda t: t.generator_monodromies(k), lambda t: QuotientHom(t, k).verify(),
                 lambda t: t.graph(k)):
         tower = formats.tower_from_json(data)
-        with pytest.raises(ValueError, match=f"^{NOT_A_COVERING}$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"levels[{k - 2}]: {NOT_A_COVERING}") + "$"):
             ask(tower)
     if k == 3:
         tower = formats.tower_from_json(data)
@@ -493,7 +493,7 @@ def test_star_check_counts_lifts_like_brute_force():
         if expected is None:
             assert tower.covering(2).total.ne == n
         else:
-            with pytest.raises(ValueError, match=f"^not a covering: {expected}$"):
+            with pytest.raises(ValueError, match=rf"^levels\[0\]: not a covering: {expected}$"):
                 tower.covering(2)
     assert len(outcomes) == 4
 

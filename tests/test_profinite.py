@@ -184,7 +184,7 @@ def test_quotient_verify_equals_reference_on_random_stacks():
     for _ in range(150):
         low = random_graph_cover(rng, rose, rng.randint(1, 4))
         up = random_graph_cover(rng, low.total, rng.randint(1, 3))
-        if not (low.total.is_connected() and up.total.is_connected()):
+        if not (low.total.is_connected and up.total.is_connected):
             continue
         tower = CoveringTower([low, up])
         for k in (2, 3):
