@@ -18,9 +18,9 @@ rule and the flattening test run on arrays.
 Labels live at the boundary: the labelled constructors take half-edges
 ``(edge_id, "+" | "-")`` (at the source / target) and path steps
 ``(edge_id, +1 | -1)`` and validate once; ``vertices``, ``edges``,
-``sides``, ``vertex_map`` and ``edge_map`` are read-only views built on
-first read.  A first cell (of a witness, of germs) is first in ``repr``
-order of the labels.
+``sides``, ``vertex_map`` and ``edge_map`` are read-only views for output,
+built on first read.  A first cell (of a witness, of germs) is first in
+``repr`` order of the labels.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ class BranchedGraph(Graph):
         """For each half-edge, one fixed half-edge on its side of its vertex."""
         return _one_per_key(self._slot, np.arange(2 * self.ne), 2 * self.nv)
 
-    def _half_edge_index(self, h: HalfEdge) -> int:
-        try:
-            e, end = h
-            return 2 * self.eindex[e] + (SRC, DST).index(end)
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"half-edge {h!r} of unknown edge") from None
-
     def half_edge_label(self, i: int) -> HalfEdge:
         return (self.edge_ids[i >> 1], DST if i & 1 else SRC)
 
@@ -141,11 +134,6 @@ class BranchedGraph(Graph):
         cuts = [0, *np.cumsum(np.bincount(self._slot, minlength=2 * self.nv)).tolist()]
         groups = [frozenset(halves[a:b]) for a, b in zip(cuts, cuts[1:])]
         return MappingProxyType(dict(zip(self.vertex_ids, zip(groups[0::2], groups[1::2]))))
-
-    def half_edges_at(self, v) -> frozenset:
-        if v not in self.vindex:
-            raise ValueError(f"unknown vertex {v!r}")
-        return frozenset().union(*self.sides[v])
 
     def is_branch_point(self, v) -> bool:
         return bool(self._branched[self.vindex[v]])
@@ -286,11 +274,6 @@ def validate_map(f: CellularMap) -> list[str]:
     return [f"vertex {g.vertex_ids[v]!r}: sides A and B do not map onto opposite sides of "
             f"{f.vertex_map[g.vertex_ids[v]]!r}"
             for v in np.unique(g.half_vertex[one_turn != turn]).tolist()]
-
-
-def half_edge_image(f: CellularMap, h: HalfEdge) -> HalfEdge:
-    """First outward direction of the image path, at the image vertex."""
-    return f.codomain.half_edge_label(int(f.germs.image[f.domain._half_edge_index(h)]))
 
 
 def identity_map(g: BranchedGraph) -> CellularMap:

@@ -8,11 +8,10 @@ because lifts are unique, and a deck group as the rows of one array.  They
 are computed by path lifting, for every candidate at once: the candidate
 images of a fiber base point fill one column each of an image matrix, which
 propagates down a spanning tree of the total graph by one lift gather per
-tree step.  Tree edges then hold by construction; every other edge is
-checked against the lift table of its base edge, and every column for
-bijectivity by a boolean scatter.  Towers stack coverings over a fixed
-base, carry a coherent thread of base points, and expose the composite
-coverings whose deck groups feed the profinite layer.
+tree step.  Tree edges then hold by construction, and every other edge is
+checked against the lift table of its base edge.  Towers stack coverings
+over a fixed base, carry a coherent thread of base points, and expose the
+composite coverings whose deck groups feed the profinite layer.
 
 The cell data lives in numpy index arrays.  A tower builds a level only
 when a question reads it, through one hook, so a level read from a file is
@@ -317,10 +316,7 @@ class GraphCovering:
             ok = np.ones(len(cand), dtype=bool)
             for transport, src, dst in checks:
                 ok &= (transport[img[src]] == img[dst]).all(axis=0)
-            # bijective on vertices, hence on edges, lifts being unique
-            hit = np.zeros((len(cand), total.nv), dtype=bool)
-            hit[np.arange(len(cand)), img] = True
-            ok &= hit.all(axis=1)
+            # no bijectivity check: on a connected finite covering, edge-consistent self-maps are bijective
             vperms[len(orbit):len(orbit) + int(ok.sum())] = img.T[ok]
             orbit.extend(cand[ok].tolist())
         return orbit, vperms[:len(orbit)]

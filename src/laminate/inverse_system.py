@@ -7,6 +7,11 @@ flattens: exactly for a stationary system, from the powers of its bond's
 germ map, and for any other tower over a window, in one monotone sweep.
 Stationary non-laminations are certified by an invariant pair of smooth
 sections.  Preimages of small disks decompose into product components.
+
+Threads and local boxes read the bonds' index arrays, grouped once per
+bond; labels appear only at the boundary, each output cell decoded once
+and shared by the threads that extend it, in ``repr`` order of the ids:
+index order on labelled graphs, one permutation per rank-indexed level.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .branched_graph import (
-    DST,
-    SRC,
     BranchedGraph,
     CellularMap,
     GermMap,
@@ -28,7 +31,6 @@ from .branched_graph import (
     compose,
     compose_germs,
     germ_flattens,
-    half_edge_image,
     identity_map,
 )
 
@@ -65,19 +67,18 @@ class Thread:
 
 def apply_cell(f: CellularMap, cell: Cell) -> Cell:
     """Image of a cell under a cellular map, affine along edge paths."""
+    h = f.codomain
     if isinstance(cell, VertexCell):
-        return VertexCell(f.vertex_map[cell.vertex])
-    path = f.edge_map[cell.edge]
-    m = len(path)
-    pos = m * cell.t
-    j = int(pos)  # floor; 0 < pos < m
+        return VertexCell(h.vertex_ids[int(f.vmap[f.domain.vindex[cell.vertex]])])
+    e = f.domain.eindex[cell.edge]
+    a, b = int(f.offsets[e]), int(f.offsets[e + 1])
+    pos = (b - a) * cell.t
+    j = int(pos)  # floor; 0 < pos < b - a
     u = pos - j
-    if u == 0:
-        # exactly on a junction of the image path (j >= 1 since pos > 0)
-        d, s = path[j - 1]
-        return VertexCell(f.codomain.edges[d][1 if s == 1 else 0])
-    d, s = path[j]
-    return EdgePoint(d, u if s == 1 else 1 - u)
+    if u == 0:  # on the junction that ends step j - 1 of the image path (j >= 1 since pos > 0)
+        return VertexCell(h.vertex_ids[int(h.half_vertex[f.steps[a + j - 1] ^ 1])])
+    step = int(f.steps[a + j])
+    return EdgePoint(h.edge_ids[step >> 1], 1 - u if step & 1 else u)
 
 
 class InverseSystem:
@@ -171,20 +172,21 @@ def telescope(system: InverseSystem, indices: Sequence[int]) -> InverseSystem:
     )
 
 
-def _vertex_preimages(f: CellularMap, v) -> list:
-    return sorted((u for u, w in f.vertex_map.items() if w == v), key=repr)
+def _repr_rank(ids: Sequence) -> np.ndarray:
+    """The rank of every cell in ``repr`` order of its id: its index on a
+    labelled graph, a permutation on a rank-indexed approximant level."""
+    keys = list(map(repr, ids))
+    return np.argsort(sorted(range(len(keys)), key=keys.__getitem__))  # inverts the repr order
 
 
-def _point_preimages(f: CellularMap, cell: EdgePoint) -> list[EdgePoint]:
-    out = []
-    for e in sorted(f.edge_map, key=repr):
-        path = f.edge_map[e]
-        m = len(path)
-        for j, (d, s) in enumerate(path):
-            if d == cell.edge:
-                t = Fraction(j + cell.t, m) if s == 1 else Fraction(j + 1 - cell.t, m)
-                out.append(EdgePoint(e, t))
-    return out
+def _preimages(image: np.ndarray, rank: np.ndarray, n: int, tops: np.ndarray):
+    """(parent, position) of every position whose image (< n) is in ``tops``,
+    grouped by parent, each group in rank order."""
+    order = np.lexsort((rank, image))  # stable, so equal ranks keep position order
+    start = np.concatenate([[0], np.cumsum(np.bincount(image, minlength=n))])
+    counts = start[tops + 1] - start[tops]
+    parent = np.repeat(np.arange(len(tops)), counts)
+    return parent, order[np.repeat(start[tops] + counts - np.cumsum(counts), counts) + np.arange(len(parent))]
 
 
 def enumerate_threads(system: InverseSystem, depth: int, base_cell: Cell) -> list[Thread]:
@@ -192,29 +194,35 @@ def enumerate_threads(system: InverseSystem, depth: int, base_cell: Cell) -> lis
 
     A vertex base yields the iterated vertex preimages (threads whose cells
     are all vertices); an edge-point base yields edge-point threads.  The
-    count over a vertex is the vertex fiber of the composite map.
+    count over a vertex is the vertex fiber of the composite map.  Threads
+    come in ``repr`` order of their cells' ids, level by level, and an edge
+    point's preimages on one edge in the order of its image path.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     level0 = system.level(0)
-    if isinstance(base_cell, VertexCell):
-        if base_cell.vertex not in level0.vertices:
-            raise ValueError(f"unknown vertex {base_cell.vertex!r} at level 0")
-    elif base_cell.edge not in level0.edges:
-        raise ValueError(f"unknown edge {base_cell.edge!r} at level 0")
-    partial: list[tuple[Cell, ...]] = [(base_cell,)]
+    vertex = isinstance(base_cell, VertexCell)
+    kind, label, index = ("vertex", base_cell.vertex, level0.vindex) if vertex else (
+        "edge", base_cell.edge, level0.eindex)
+    if label not in index:
+        raise ValueError(f"unknown {kind} {label!r} at level 0")
+    tops, ts, paths = np.array([index[label]]), [None if vertex else base_cell.t], [(base_cell,)]
     for k in range(depth):
         f = system.bond(k)
-        grown = []
-        for cells in partial:
-            top = cells[-1]
-            if isinstance(top, VertexCell):
-                pre: list[Cell] = [VertexCell(u) for u in _vertex_preimages(f, top.vertex)]
-            else:
-                pre = list(_point_preimages(f, top))
-            grown.extend(cells + (c,) for c in pre)
-        partial = grown
-    return [Thread(cells) for cells in partial]
+        g = f.domain
+        if vertex:
+            parent, tops = _preimages(f.vmap, _repr_rank(g.vertex_ids), f.codomain.nv, tops)
+            parent, cells = parent.tolist(), [VertexCell(g.vertex_ids[u]) for u in tops.tolist()]
+        else:  # a position is a step of an image path, on its edge
+            lengths = np.diff(f.offsets)
+            owner = np.repeat(np.arange(g.ne), lengths)
+            parent, at = _preimages(f.steps >> 1, _repr_rank(g.edge_ids)[owner], f.codomain.ne, tops)
+            tops, parent = owner[at], parent.tolist()
+            ts = [(j + 1 - ts[p] if back else j + ts[p]) / m for p, j, m, back in zip(
+                parent, (at - f.offsets[tops]).tolist(), lengths[tops].tolist(), (f.steps[at] & 1).tolist())]
+            cells = [EdgePoint(g.edge_ids[e], t) for e, t in zip(tops.tolist(), ts)]
+        paths = [paths[p] + (c,) for p, c in zip(parent, cells)]
+    return [Thread(cells) for cells in paths]
 
 
 def is_coherent(system: InverseSystem, thread: Thread) -> bool:
@@ -419,6 +427,15 @@ class LocalBox:
         return {k: len(v) for k, v in self.components.items()}
 
 
+def _along_edges(f: CellularMap, at: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Positions ``at`` of f's step table in ``repr`` order of their edges and
+    in path order on each, with the edge ids and the step numbers."""
+    owner = np.searchsorted(f.offsets, at, side="right") - 1
+    order = np.lexsort((at, _repr_rank(f.domain.edge_ids)[owner]))
+    at, owner = at[order], owner[order]
+    return at, [f.domain.edge_ids[e] for e in owner.tolist()], (at - f.offsets[owner]).tolist()
+
+
 def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
     """Decompose preimages of a small disk around the thread's level-k0 cell.
 
@@ -426,56 +443,47 @@ def local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
     for an edge-point cell.  At each level k0 < k <= depth the preimage of
     the disk must fall apart into components mapped bijectively onto it;
     any failure raises :class:`NotLocallyTrivial`, which is exactly a
-    flattening failure over this disk.
+    flattening failure over this disk.  Components come in ``repr`` order
+    of their ids, vertices before crossings, and by step along each path;
+    the first failure in that order is raised.
     """
     if not 0 <= k0 <= thread.depth:
         raise ValueError("k0 must lie within the thread's depth")
     if not is_coherent(system, thread):
         raise ValueError("thread is not coherent with the bonding maps")
-    cell = thread.cells[k0]
+    cell, lower = thread.cells[k0], system.level(k0)
+    if isinstance(cell, VertexCell):
+        v, name = lower.vindex[cell.vertex], repr(cell.vertex)
+        arms = np.count_nonzero(lower.half_vertex == v)
     components: dict[int, tuple] = {}
-    if isinstance(cell, EdgePoint):
-        disk: Union[StarDisk, EdgeDisk] = EdgeDisk(cell.edge)
-        for k in range(k0 + 1, thread.depth + 1):
-            f = system.composite(k, k0)
-            found = []
-            for e in sorted(f.edge_map, key=repr):
-                for j, (d, s) in enumerate(f.edge_map[e]):
-                    if d == cell.edge:
-                        found.append(SegmentComponent(e, j, s))
-            components[k] = tuple(found)
-        return LocalBox(disk, components)
-    v = cell.vertex
-    star_v = system.level(k0).half_edges_at(v)
     for k in range(k0 + 1, thread.depth + 1):
-        f = system.composite(k, k0)
-        upper = system.level(k)
-        found = []
-        for u in _vertex_preimages(f, v):
-            images = {h: half_edge_image(f, h) for h in upper.half_edges_at(u)}
-            if len(set(images.values())) != len(images):
-                raise NotLocallyTrivial(k, f"star of {u!r} folds over {v!r}")
-            if set(images.values()) != star_v:
-                raise NotLocallyTrivial(
-                    k, f"star of {u!r} misses directions of star({v!r})"
-                )
-            found.append(VertexComponent(u))
-        for e in sorted(f.edge_map, key=repr):
-            path = f.edge_map[e]
-            for j in range(1, len(path)):
-                (d0, s0), (d1, s1) = path[j - 1], path[j]
-                arrived = (d0, DST if s0 == 1 else SRC)
-                if arrived not in star_v:
-                    continue  # the junction is not at v
-                leaving = (d1, SRC if s1 == 1 else DST)
-                if arrived == leaving:
-                    raise NotLocallyTrivial(k, f"edge {e!r} folds at step {j} over {v!r}")
-                if {arrived, leaving} != star_v:
-                    raise NotLocallyTrivial(
-                        k,
-                        f"edge {e!r} crosses {v!r} at step {j} through an arc, "
-                        f"but star({v!r}) is branched",
-                    )
-                found.append(CrossingComponent(e, j))
-        components[k] = tuple(found)
-    return LocalBox(StarDisk(v), components)
+        f = system.bond(k0) if k == k0 + 1 else compose(f, system.bond(k - 1))
+        if isinstance(cell, EdgePoint):
+            at, edges, js = _along_edges(f, np.flatnonzero(f.steps >> 1 == lower.eindex[cell.edge]))
+            components[k] = tuple(map(SegmentComponent, edges, js, (1 - 2 * (f.steps[at] & 1)).tolist()))
+            continue
+        g = f.domain
+        _, pre = _preimages(f.vmap, _repr_rank(g.vertex_ids), f.codomain.nv, np.array([v]))
+        # the half-edges at preimages of v, and how many distinct images in star(v) each vertex's have
+        at = np.flatnonzero(f.vmap[g.half_vertex] == v)
+        degree = np.bincount(g.half_vertex[at], minlength=g.nv)[pre]
+        pairs = np.unique(g.half_vertex[at] * 2 * lower.ne + f.germs.image[at])
+        hit = np.bincount(pairs // (2 * lower.ne), minlength=g.nv)[pre]
+        bad = np.flatnonzero((hit < degree) | (hit != arms))
+        if len(bad):
+            u, i = repr(g.vertex_ids[pre[bad[0]]]), bad[0]
+            raise NotLocallyTrivial(k, f"star of {u} folds over {name}" if hit[i] < degree[i]
+                                    else f"star of {u} misses directions of star({name})")
+        # junctions inside image paths at v: a path arrives by one half-edge and leaves by another
+        at = 1 + np.flatnonzero(lower.half_vertex[f.steps[:-1] ^ 1] == v)
+        at, edges, js = _along_edges(f, at[~np.isin(at, f.offsets)])
+        folds = f.steps[at] == (f.steps[at - 1] ^ 1)
+        bad = np.flatnonzero(folds | (arms != 2))
+        if len(bad):
+            e, j = repr(edges[bad[0]]), js[bad[0]]
+            raise NotLocallyTrivial(k, f"edge {e} folds at step {j} over {name}" if folds[bad[0]] else
+                                    f"edge {e} crosses {name} at step {j} through an arc, "
+                                    f"but star({name}) is branched")
+        vertices = [VertexComponent(g.vertex_ids[u]) for u in pre.tolist()]
+        components[k] = (*vertices, *map(CrossingComponent, edges, js))
+    return LocalBox(EdgeDisk(cell.edge) if isinstance(cell, EdgePoint) else StarDisk(cell.vertex), components)

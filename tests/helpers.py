@@ -28,10 +28,20 @@ from laminate.branched_graph import (
 )
 from laminate.coverings import Graph, GraphCovering
 from laminate.inverse_system import (
+    CrossingComponent,
     DoubleSectionWitness,
+    EdgeDisk,
+    EdgePoint,
     Flattening,
     InverseSystem,
+    LocalBox,
     NotFlatteningUpTo,
+    NotLocallyTrivial,
+    SegmentComponent,
+    StarDisk,
+    Thread,
+    VertexCell,
+    VertexComponent,
 )
 from laminate.local_model import BranchTree, HalfSpace, Sector, sector_contains
 from laminate.subshift import LanguageOracle, Substitution, word_keys, word_ranks
@@ -149,7 +159,7 @@ def brute_sft_words(alphabet, forbidden, length: int, margin: int = 8) -> set:
     return {w for w, s in pairs if extends(s, margin)}
 
 
-def random_sfts(rng: Random, count: int) -> list[tuple[str, list]]:
+def _random_sfts(rng: Random, count: int) -> list[tuple[str, list]]:
     """(alphabet, forbidden) over 2-3 letters, forbidden words of length 2-3,
     whose language is not empty by the DP oracle."""
     out = []
@@ -162,7 +172,7 @@ def random_sfts(rng: Random, count: int) -> list[tuple[str, list]]:
     return out
 
 
-def random_primitive_substitutions(rng: Random, count: int) -> list[Substitution]:
+def _random_primitive_substitutions(rng: Random, count: int) -> list[Substitution]:
     out = []
     while len(out) < count:
         alphabet = "abc"[: rng.randint(2, 3)]
@@ -177,9 +187,9 @@ def random_primitive_substitutions(rng: Random, count: int) -> list[Substitution
 def random_oracles(seed: int) -> list[Callable[[], LanguageOracle]]:
     """Factories of fresh oracles: random SFTs and primitive substitutions."""
     rng = Random(seed)
-    sfts = [lambda a=a, f=f: LanguageOracle.from_forbidden(list(a), f) for a, f in random_sfts(rng, 20)]
+    sfts = [lambda a=a, f=f: LanguageOracle.from_forbidden(list(a), f) for a, f in _random_sfts(rng, 20)]
     substs = [lambda s=s: LanguageOracle.from_substitution(s)
-              for s in random_primitive_substitutions(rng, 12)]
+              for s in _random_primitive_substitutions(rng, 12)]
     return sfts + substs
 
 
@@ -507,6 +517,122 @@ def reference_tower_search(system: InverseSystem, window: int):
     return NotFlatteningUpTo(window)
 
 
+# -- threads and local boxes by labels -------------------------------------------
+
+def half_edges_at(g: BranchedGraph, v) -> frozenset:
+    """The star of v: every half-edge at v, read off the labelled sides."""
+    return frozenset().union(*g.sides[v])
+
+
+def _vertex_preimages(f: CellularMap, v) -> list:
+    """The vertices mapping to v, in ``repr`` order, by a scan of the vertex map."""
+    return sorted((u for u, w in f.vertex_map.items() if w == v), key=repr)
+
+
+def _point_preimages(f: CellularMap, cell: EdgePoint) -> list[EdgePoint]:
+    """The points mapping to an edge point, by a scan of the edge paths in
+    ``repr`` order of their edges."""
+    out = []
+    for e in sorted(f.edge_map, key=repr):
+        path = f.edge_map[e]
+        m = len(path)
+        for j, (d, s) in enumerate(path):
+            if d == cell.edge:
+                t = Fraction(j + cell.t, m) if s == 1 else Fraction(j + 1 - cell.t, m)
+                out.append(EdgePoint(e, t))
+    return out
+
+
+def reference_apply_cell(f: CellularMap, cell):
+    """Image of a cell, read off the labelled maps and edge ends."""
+    if isinstance(cell, VertexCell):
+        return VertexCell(f.vertex_map[cell.vertex])
+    path = f.edge_map[cell.edge]
+    m = len(path)
+    pos = m * cell.t
+    j = int(pos)
+    u = pos - j
+    if u == 0:
+        d, s = path[j - 1]
+        return VertexCell(f.codomain.edges[d][1 if s == 1 else 0])
+    d, s = path[j]
+    return EdgePoint(d, u if s == 1 else 1 - u)
+
+
+def reference_threads(system: InverseSystem, depth: int, base_cell) -> list[Thread]:
+    """All coherent threads over a base cell, each partial thread extended
+    by the label scans above."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    level0 = system.level(0)
+    if isinstance(base_cell, VertexCell):
+        if base_cell.vertex not in level0.vertices:
+            raise ValueError(f"unknown vertex {base_cell.vertex!r} at level 0")
+    elif base_cell.edge not in level0.edges:
+        raise ValueError(f"unknown edge {base_cell.edge!r} at level 0")
+    partial = [(base_cell,)]
+    for k in range(depth):
+        f = system.bond(k)
+        grown = []
+        for cells in partial:
+            top = cells[-1]
+            if isinstance(top, VertexCell):
+                pre = [VertexCell(u) for u in _vertex_preimages(f, top.vertex)]
+            else:
+                pre = _point_preimages(f, top)
+            grown.extend(cells + (c,) for c in pre)
+        partial = grown
+    return [Thread(cells) for cells in partial]
+
+
+def reference_local_box(system: InverseSystem, thread: Thread, k0: int) -> LocalBox:
+    """The local box by labels: composites rebuilt at every level, stars
+    compared as sets of labelled half-edges, edges scanned in ``repr`` order."""
+    if not 0 <= k0 <= thread.depth:
+        raise ValueError("k0 must lie within the thread's depth")
+    if not all(reference_apply_cell(system.bond(k), thread.cells[k + 1]) == thread.cells[k]
+               for k in range(thread.depth)):
+        raise ValueError("thread is not coherent with the bonding maps")
+    cell = thread.cells[k0]
+    components: dict[int, tuple] = {}
+    if isinstance(cell, EdgePoint):
+        for k in range(k0 + 1, thread.depth + 1):
+            f = system.composite(k, k0)
+            components[k] = tuple(SegmentComponent(e, j, s) for e in sorted(f.edge_map, key=repr)
+                                  for j, (d, s) in enumerate(f.edge_map[e]) if d == cell.edge)
+        return LocalBox(EdgeDisk(cell.edge), components)
+    v = cell.vertex
+    star_v = half_edges_at(system.level(k0), v)
+    for k in range(k0 + 1, thread.depth + 1):
+        f = system.composite(k, k0)
+        upper = system.level(k)
+        found = []
+        for u in _vertex_preimages(f, v):
+            images = {h: path_half_edge_image(f, h) for h in half_edges_at(upper, u)}
+            if len(set(images.values())) != len(images):
+                raise NotLocallyTrivial(k, f"star of {u!r} folds over {v!r}")
+            if set(images.values()) != star_v:
+                raise NotLocallyTrivial(k, f"star of {u!r} misses directions of star({v!r})")
+            found.append(VertexComponent(u))
+        for e in sorted(f.edge_map, key=repr):
+            path = f.edge_map[e]
+            for j in range(1, len(path)):
+                (d0, s0), (d1, s1) = path[j - 1], path[j]
+                arrived = (d0, "-" if s0 == 1 else "+")
+                if arrived not in star_v:
+                    continue  # the junction is not at v
+                leaving = (d1, "+" if s1 == 1 else "-")
+                if arrived == leaving:
+                    raise NotLocallyTrivial(k, f"edge {e!r} folds at step {j} over {v!r}")
+                if {arrived, leaving} != star_v:
+                    raise NotLocallyTrivial(
+                        k, f"edge {e!r} crosses {v!r} at step {j} through an arc, "
+                        f"but star({v!r}) is branched")
+                found.append(CrossingComponent(e, j))
+        components[k] = tuple(found)
+    return LocalBox(StarDisk(v), components)
+
+
 # -- the non-lamination certificate by labels -----------------------------------
 
 def reference_germs_at(g: BranchedGraph, v) -> list[SmoothGerm]:
@@ -531,7 +657,7 @@ def reference_germ_image(f: CellularMap, germ: SmoothGerm) -> SmoothGerm:
     w = f.vertex_map[germ.vertex]
     slots = [None, None]
     for h in (germ.a, germ.b):
-        if h not in f.domain.half_edges_at(germ.vertex):
+        if h not in half_edges_at(f.domain, germ.vertex):
             raise ValueError(f"half-edge {h!r} is not at vertex {germ.vertex!r}")
         image = path_half_edge_image(f, h)
         bit = 0 if image in f.codomain.sides[w][0] else 1

@@ -7,6 +7,9 @@ the acceptance suite.  A name counts as a bare name, as an attribute
 ``.name`` or as a string holding exactly the name (``bench/tracing.py``
 patches functions by their names); imports alone do not count.  No
 library module imports a name that it never reads (``__future__`` aside).
+Every public top-level function and class of ``tests/helpers.py``, where
+the label references of rewritten library code live, is named by some
+``tests/test_*.py`` module.
 """
 
 import ast
@@ -16,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "laminate").glob("*.py"))
 CALLERS = [*LIBRARY, *sorted((ROOT / "demos").glob("*.py")),
            *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+HELPERS = ROOT / "tests" / "helpers.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def _public(tree: ast.Module):
@@ -61,3 +66,11 @@ def test_no_library_module_imports_a_name_it_never_reads():
                 unread += [f"{path.stem}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in read]
     assert unread == []
+
+
+def test_every_public_helper_is_named_by_a_test_module():
+    named = set().union(*(_named(ast.parse(path.read_text())) for path in TESTS))
+    tree = ast.parse(HELPERS.read_text())
+    unnamed = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in named]
+    assert unnamed == []

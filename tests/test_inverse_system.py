@@ -1,4 +1,5 @@
 import functools
+import re
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -8,6 +9,7 @@ import pytest
 
 import helpers
 from laminate import branched_graph, fixtures, inverse_system
+from laminate.approximants import approximant_system
 from laminate.branched_graph import (
     CellularMap,
     compose_germs,
@@ -32,13 +34,18 @@ from laminate.inverse_system import (
     not_lamination_certificate,
     telescope,
 )
+from laminate.subshift import LanguageOracle, fibonacci, thue_morse
 
 from helpers import (
     cycle_branched,
     cycle_cover_map,
     random_rose_words,
     random_small_system,
+    random_stationary_maps,
     random_walk_map,
+    reference_apply_cell,
+    reference_local_box,
+    reference_threads,
     reference_tower_search,
     rose_graph,
     rose_map,
@@ -476,6 +483,89 @@ def test_local_box_star_disk_on_cycle_tower():
     thread = enumerate_threads(system, 2, VertexCell("u0"))[0]
     box = local_box(system, thread, 0)
     assert box.counts() == {1: 2, 2: 4}
+
+
+# -- threads and local boxes against the label references --------------------------
+
+
+def _outcome(box_fn, system, thread, k0):
+    """The disk and components of a local box, in order, or the failure."""
+    try:
+        box = box_fn(system, thread, k0)
+    except NotLocallyTrivial as err:
+        return str(err), err.level
+    return box.disk, list(box.components.items())
+
+
+def _sweep_systems() -> list:
+    rng = Random(2323)
+    shifts = [LanguageOracle.from_substitution(fibonacci()), LanguageOracle.from_substitution(thue_morse()),
+              LanguageOracle.full_shift(["b", "a"]),
+              LanguageOracle.from_forbidden(["z", "y", "x"], ["xz", "zzy"])]
+    circle = fixtures.circle()  # its loop doubles back once: the path folds at step 2
+    backtrack = CellularMap(circle, circle, {"v": "v"}, {"e": (("e", 1), ("e", 1), ("e", -1), ("e", 1))})
+    return [*(random_small_system(rng, depth=4) for _ in range(60)),
+            *map(InverseSystem.stationary, [*random_stationary_maps(rng, 40), backtrack]),
+            solenoid(), figure_eight_system(), *map(approximant_system, shifts)]
+
+
+def test_threads_and_local_boxes_equal_the_label_references():
+    # rank-indexed levels over an alphabet out of code-point order (full_shift(["b", "a"]), the
+    # SFT) name the first failure in repr order, as the references do
+    failures = Counter()
+    for system in _sweep_systems():
+        level0 = system.level(0)
+        bases = [*map(VertexCell, level0.vertex_ids[:3]),
+                 *(EdgePoint(e, t) for e in level0.edge_ids[:2] for t in (F(1, 2), F(1, 3)))]
+        for base in bases:
+            for depth in range(4):
+                threads = enumerate_threads(system, depth, base)
+                assert threads == reference_threads(system, depth, base)
+                for thread in {threads[0], threads[-1]} if threads else ():
+                    for k, (lower, upper) in enumerate(zip(thread.cells, thread.cells[1:])):
+                        bond = system.bond(k)
+                        assert apply_cell(bond, upper) == reference_apply_cell(bond, upper) == lower
+                    for k0 in range(depth + 1):
+                        outcome = _outcome(local_box, system, thread, k0)
+                        assert outcome == _outcome(reference_local_box, system, thread, k0)
+                        if isinstance(outcome[0], str):
+                            failures[re.search(r"(star|edge) (?:of )?\S+ (\w+)", outcome[0]).groups()] += 1
+    # stars that fold or miss directions, and edges that fold or cross a branched star through an arc
+    kinds = {("star", "folds"), ("star", "misses"), ("edge", "folds"), ("edge", "crosses")}
+    assert set(failures) == kinds and min(failures.values()) >= 5, failures
+
+
+def test_full_shift_out_of_code_point_order_names_its_first_fold_in_repr_order():
+    system = approximant_system(LanguageOracle.full_shift(["b", "a"]))
+    assert system.level(1).vertex_ids[0] == "bb"
+    thread = enumerate_threads(system, 1, VertexCell(""))[0]
+    assert thread.cells == (VertexCell(""), VertexCell("aa"))
+    with pytest.raises(NotLocallyTrivial) as err:
+        local_box(system, thread, 0)
+    assert str(err.value) == "not locally trivial at level 1: star of 'aa' folds over ''"
+
+
+STOCK_SHIFTS = {
+    "full": lambda: LanguageOracle.full_shift(["1", "0"]),
+    "golden": lambda: LanguageOracle.from_forbidden(["q", "p"], ["pp"]),
+    "fibonacci": lambda: LanguageOracle.from_substitution(fibonacci()),
+    "thue-morse": lambda: LanguageOracle.from_substitution(thue_morse()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_SHIFTS))
+def test_approximant_thread_counts_equal_the_legal_words(name):
+    # a vertex thread to depth k is a legal 2k-word; an edge-point thread over
+    # letter a at the middle of its edges is a legal (2k+1)-word centred on a
+    oracle = STOCK_SHIFTS[name]()
+    system = approximant_system(oracle)
+    for k in range(5):
+        assert len(enumerate_threads(system, k, VertexCell(""))) == len(oracle.rows(2 * k))
+        for a in oracle.alphabet:
+            words = oracle.sorted_words(2 * k + 1)
+            threads = enumerate_threads(system, k, EdgePoint(a, F(1, 2)))
+            assert len(threads) == sum(w[k] == a for w in words)
+            assert {t.cells[-1] for t in threads} == {EdgePoint(w, F(1, 2)) for w in words if w[k] == a}
 
 
 # -- validation ----------------------------------------------------------------------
