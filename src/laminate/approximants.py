@@ -1,17 +1,18 @@
 """Collared approximant complexes of subshift suspensions.
 
-Level k of the tower is the de-Bruijn-style branched graph whose vertices
-are the legal words of length 2k and whose edges are the legal words of
-length 2k+1 (an edge runs from its prefix to its suffix; tiles are unit
-intervals, one prototile per letter).  Levels hold the oracle's sorted word
-rows and edge endpoints as ranks, and their branched graphs and bonds are
-index arrays over those ranks; words are decoded only where a label is
-read.  The bonding map drops one letter from each end, which is
-independent of how the window extends -- that is exactly why every
-bonding map is flattening, and one prefix search reads it off.  Quotient
-maps send a marked word to the edge labelled by the radius-k window around
-the mark; languages are factor closed, so windows inside legal ones are
-legal and separate by string compare.
+Level k of the tower is the de-Bruijn-style graph whose vertices are the
+legal words of length 2k and whose edges are the legal words of length
+2k+1 (an edge runs from its prefix to its suffix; tiles are unit
+intervals, one prototile per letter).  It is a plain graph, in-edges on
+side A and out-edges on side B, as a covering tower's levels are.  Levels
+hold the oracle's sorted word rows and edge endpoints as ranks, and their
+graphs and bonds are index arrays over those ranks; words are decoded
+only where a label is read.  The bonding map drops one letter from each
+end, which is independent of how the window extends -- that is exactly
+why every bonding map is flattening, and one prefix search reads it off.
+Quotient maps send a marked word to the edge labelled by the radius-k
+window around the mark; languages are factor closed, so windows inside
+legal ones are legal and separate by string compare.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .branched_graph import BranchedGraph, CellularMap
+from .branched_graph import CellularMap, Graph
 from .inverse_system import InverseSystem
 from .subshift import LanguageOracle, word_ranks
 from .transversal import ClopenSet, Cylinder
@@ -41,13 +42,11 @@ class CollaredComplex:
     dst: np.ndarray
 
     @cached_property
-    def graph(self) -> BranchedGraph:
-        """The level indexed by word rank; side A holds the incoming
-        half-edges, B the outgoing, and words are decoded on first read."""
-        ne = len(self.edges)
-        return BranchedGraph.from_arrays(
-            _Words(self.oracle, 2 * self.k, len(self.vertices)), _Words(self.oracle, 2 * self.k + 1, ne),
-            self.src, self.dst, np.ones(ne, np.int8), np.zeros(ne, np.int8))
+    def graph(self) -> Graph:
+        """The level indexed by word rank, a plain graph (side A holds the
+        incoming half-edges, B the outgoing); words are decoded on first read."""
+        vertices = _Words(self.oracle, 2 * self.k, len(self.vertices))
+        return Graph(vertices, _Words(self.oracle, 2 * self.k + 1, len(self.edges)), self.src, self.dst)
 
 
 class _Words(Sequence):

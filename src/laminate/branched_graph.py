@@ -1,26 +1,29 @@
 """Train tracks: graphs with a two-sided smooth structure at every vertex.
 
-A branched graph is a finite directed multigraph together with, at each
-vertex, a partition of the incident half-edges into two sides A and B
-(either possibly empty).  A vertex is a branch point when some side holds
-more than one half-edge.  Cellular maps send vertices to vertices and edges
-to nonempty edge paths coherently with the sides; the flattening test asks
-that at every vertex each side's half-edges share one image direction.
+A graph is a finite directed multigraph together with, at each vertex, a
+partition of the incident half-edges into two sides A and B (either
+possibly empty).  A plain directed graph, such as a level of a covering
+or an approximant tower, has its in-edges on side A and out-edges on side
+B.  A vertex is a branch point when some side holds more than one
+half-edge.  Cellular maps send vertices to vertices and edges to nonempty
+edge paths coherently with the sides; the flattening test asks that at
+every vertex each side's half-edges share one image direction.
 
-The core is indexed.  A :class:`BranchedGraph` is a :class:`coverings.Graph`
-with one side bit per half-edge: half-edge ``2e`` is edge e at its source
-and ``2e + 1`` edge e at its target.  A path step is stored as its outward
-half-edge h; it ends at the vertex of ``h ^ 1``, its inward half-edge.  A
-:class:`CellularMap` is a vertex array plus a CSR table of edge paths and a
-:class:`GermMap` one half-edge array, so validation, composition, the chain
-rule and the flattening test run on arrays.
+The core is indexed.  A :class:`Graph` holds its vertex and edge ids,
+endpoint arrays and one side bit per half-edge: half-edge ``2e`` is edge e
+at its source and ``2e + 1`` edge e at its target.  A path step is stored
+as its outward half-edge h; it ends at the vertex of ``h ^ 1``, its inward
+half-edge.  A :class:`CellularMap` is a vertex array plus a CSR table of
+edge paths and a :class:`GermMap` one half-edge array, so validation,
+composition, the chain rule and the flattening test run on arrays.
 
-Labels live at the boundary: the labelled constructors take half-edges
-``(edge_id, "+" | "-")`` (at the source / target) and path steps
-``(edge_id, +1 | -1)`` and validate once; ``vertices``, ``edges``,
-``sides``, ``vertex_map`` and ``edge_map`` are read-only views for output,
-built on first read.  A first cell (of a witness, of germs) is first in
-``repr`` order of the labels.
+Labels live at the boundary: the labelled constructor takes half-edges
+``(edge_id, "+" | "-")`` (at the source / target) and the cellular map
+constructor path steps ``(edge_id, +1 | -1)``, and both validate once;
+``vertices``, ``edges``, ``sides``, ``vertex_map`` and ``edge_map`` are
+read-only views for output, built on first read.  A first cell (of a
+witness, of germs) is first in ``repr`` order of the labels.  The module
+is the graph core: it imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-from .coverings import Graph
 
 HalfEdge = tuple  # (edge_id, "+" | "-")
 SRC, DST = "+", "-"
@@ -52,48 +53,96 @@ def _one_per_key(keys: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return table[keys]
 
 
-class BranchedGraph(Graph):
-    """Directed multigraph with two-sided smooth structure.
+class Graph:
+    """Directed multigraph with indexed cells and two sides at every vertex.
 
-    Built from labels: ``vertices``, ``edges`` mapping edge id -> (source,
-    target) and ``sides`` mapping vertex -> (side_A, side_B), two
-    collections of half-edges; cells are indexed in ``repr`` order of their
-    ids.  A ValueError names the first half-edge that is on no side, on
-    both sides or at the wrong vertex.
+    ``vertex_ids`` and ``edge_ids`` are indexable sequences (tuples for
+    hand-built graphs, ranges for generated ones, word sequences for
+    approximant levels); ``esrc``/``edst`` give the endpoint vertex indices
+    per edge index.  ``side`` holds the side bit (0 = A, 1 = B) of every
+    half-edge; unless :meth:`from_edges` is given sides, a graph is plain,
+    its in-edges on side A and its out-edges on side B.
     """
 
-    def __init__(self, vertices, edges: Mapping, sides: Mapping):
-        self._set_labelled_cells(vertices, edges)
-        if set(sides) != set(self.vertex_ids):
+    def __init__(self, vertex_ids: Sequence, edge_ids: Sequence,
+                 esrc: np.ndarray, edst: np.ndarray):
+        self.vertex_ids, self.edge_ids = vertex_ids, edge_ids
+        self.esrc, self.edst = np.asarray(esrc, dtype=np.int64), np.asarray(edst, dtype=np.int64)
+        if len(self.esrc) != len(edge_ids) or len(self.edst) != len(edge_ids):
+            raise ValueError("endpoint arrays must match the edge count")
+        if len(edge_ids) and (self.esrc.max(initial=-1) >= len(vertex_ids)
+                              or self.edst.max(initial=-1) >= len(vertex_ids)):
+            raise ValueError("endpoint index out of range")
+
+    @classmethod
+    def from_edges(cls, vertices, edges: Mapping, sides: Optional[Mapping] = None) -> "Graph":
+        """A graph from labels, its cells indexed in ``repr`` order of their
+        ids: ``edges`` maps edge id -> (source, target) and ``sides``, if
+        given, vertex -> (side_A, side_B), two sets of half-edges.  A ValueError
+        names an edge with an unknown endpoint, or the first half-edge that
+        is on no side, on both sides or at the wrong vertex."""
+        vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
+        vindex = {v: i for i, v in enumerate(vertex_ids)}
+        ends = list(map(vindex.get, itertools.chain(*map(edges.__getitem__, edge_ids)), itertools.repeat(-1)))
+        if -1 in ends:
+            e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
+            raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
+        g = cls.__new__(cls)  # the endpoints come from the vertex index, so they need no range check
+        g.vertex_ids, g.edge_ids, g.vindex = vertex_ids, edge_ids, vindex
+        g.esrc, g.edst = np.array(ends[0::2], dtype=np.int64), np.array(ends[1::2], dtype=np.int64)
+        if sides is None:
+            return g
+        if set(sides) != set(vertex_ids):
             raise ValueError("sides must be given for exactly the vertex set")
-        index = dict(zip(itertools.product(self.edge_ids, (SRC, DST)), itertools.count()))
-        ends, side = (self.esrc.tolist(), self.edst.tolist()), [-1] * len(index)
+        index = dict(zip(itertools.product(edge_ids, (SRC, DST)), itertools.count()))
+        side = [-1] * len(index)
         for v, halves in sides.items():
-            at = self.vindex[v]
             for bit, half_edges in enumerate(halves):
                 for h in half_edges:
                     i = index.get(h, -1)
-                    if i < 0 or side[i] >= 0 or ends[i & 1][i >> 1] != at:
+                    if i < 0 or side[i] >= 0 or ends[i] != vindex[v]:
                         problem = ("of unknown edge" if i < 0 else "on both sides" if side[i] >= 0
-                                   else f"belongs at vertex {self.vertex_ids[ends[i & 1][i >> 1]]!r}")
+                                   else f"belongs at vertex {vertex_ids[ends[i]]!r}")
                         raise ValueError(f"vertex {v!r}: half-edge {h!r} {problem}")
                     side[i] = bit
         if -1 in side:
-            raise ValueError(f"half-edge {self.half_edge_label(side.index(-1))!r} missing from the sides")
-        self.side = np.array(side, dtype=np.int8)
-
-    @classmethod
-    def from_arrays(cls, vertex_ids: Sequence, edge_ids: Sequence, esrc, edst,
-                    src_side, dst_side) -> "BranchedGraph":
-        """A graph from its index arrays; ``src_side[e]`` and ``dst_side[e]``
-        are the side bits (0 = A, 1 = B) of edge e at its two ends.  Every
-        half-edge then sits on exactly one side of its own vertex."""
-        g = cls.__new__(cls)
-        Graph.__init__(g, vertex_ids, edge_ids, esrc, edst)
-        g.side = np.stack([src_side, dst_side], axis=1).astype(np.int8).reshape(-1)
+            raise ValueError(f"half-edge {g.half_edge_label(side.index(-1))!r} missing from the sides")
+        g.side = np.array(side, dtype=np.int8)
         return g
 
+    @classmethod
+    def cycle(cls, n: int) -> "Graph":
+        """Cycle graph C_n: vertex i, edge i running i -> i+1 (mod n)."""
+        idx = np.arange(n, dtype=np.int64)
+        return cls(range(n), range(n), idx, (idx + 1) % n)
+
     # -- indices ---------------------------------------------------------
+
+    @property
+    def nv(self) -> int:
+        return len(self.vertex_ids)
+
+    @property
+    def ne(self) -> int:
+        return len(self.edge_ids)
+
+    @cached_property
+    def vindex(self) -> dict:
+        """Vertex id -> vertex index."""
+        return {v: i for i, v in enumerate(self.vertex_ids)}
+
+    @cached_property
+    def eindex(self) -> dict:
+        """Edge id -> edge index."""
+        return {e: i for i, e in enumerate(self.edge_ids)}
+
+    @cached_property
+    def side(self) -> np.ndarray:
+        """Side bit of every half-edge; by default each edge is on side B at
+        its source and on side A at its target."""
+        side = np.zeros(2 * self.ne, dtype=np.int8)
+        side[0::2] = 1
+        return side
 
     @cached_property
     def half_vertex(self) -> np.ndarray:
@@ -114,6 +163,36 @@ class BranchedGraph(Graph):
 
     def half_edge_label(self, i: int) -> HalfEdge:
         return (self.edge_ids[i >> 1], DST if i & 1 else SRC)
+
+    def spanning_tree(self, root: int) -> list[tuple[int, int, int, int]]:
+        """Steps (u, edge, sign, w) of a spanning tree of root's component.
+
+        One depth-first pass per call over the edges read as undirected: each
+        step reaches the new vertex w from u, which an earlier step reached;
+        sign is +1 when the edge runs u -> w and -1 when it runs w -> u.
+        """
+        ends = np.concatenate([self.esrc, self.edst])
+        order = np.argsort(ends, kind="stable")
+        starts = np.searchsorted(ends[order], np.arange(self.nv + 1)).tolist()
+        half = order.tolist()  # h < ne: edge h at its source; else edge h - ne at its target
+        far = np.concatenate([self.edst, self.esrc]).tolist()
+        seen = bytearray(self.nv)
+        seen[root] = 1
+        stack, steps = [root], []
+        while stack:
+            u = stack.pop()
+            for h in half[starts[u]:starts[u + 1]]:
+                w = far[h]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+                    steps.append((u, h, 1, w) if h < self.ne else (u, h - self.ne, -1, w))
+        return steps
+
+    @cached_property
+    def is_connected(self) -> bool:
+        """Whether the spanning tree from vertex 0 has nv - 1 steps, decided once."""
+        return self.nv <= 1 or len(self.spanning_tree(0)) == self.nv - 1
 
     # -- labelled views ----------------------------------------------------
 
@@ -146,18 +225,26 @@ class BranchedGraph(Graph):
         return (np.bincount(self._slot, minlength=2 * self.nv) > 1).reshape(-1, 2).any(axis=1)
 
     def indexed_alike(self, other) -> bool:
-        """Whether ``other`` holds the same cells at the same indices.  Maps
-        are index arrays, so they join only graphs indexed alike; ``==``
-        compares labels, and a rank-indexed level equals its copy in
-        ``repr`` order."""
-        return self is other or (Graph.__eq__(self, other) and isinstance(other, BranchedGraph)
-                                 and _same(self.side, other.side))
+        """Whether ``other`` holds the same cells at the same indices, with
+        the same sides.  Maps and coverings are index arrays, so they join
+        only graphs indexed alike; ``==`` compares labels, and a rank-indexed
+        level equals its copy in ``repr`` order."""
+        return self is other or (
+            isinstance(other, Graph)
+            and tuple(self.vertex_ids) == tuple(other.vertex_ids)
+            and tuple(self.edge_ids) == tuple(other.edge_ids)
+            and _same(self.esrc, other.esrc) and _same(self.edst, other.edst)
+            and _same(self.side, other.side)
+        )
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, BranchedGraph)
+            isinstance(other, Graph)
             and (self.vertices, self.edges, self.sides) == (other.vertices, other.edges, other.sides)
         )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.nv} vertices, {self.ne} edges)"
 
 
 @dataclass(frozen=True)
@@ -180,7 +267,7 @@ class CellularMap:
     built on arrays and are valid by construction.
     """
 
-    def __init__(self, domain: BranchedGraph, codomain: BranchedGraph,
+    def __init__(self, domain: Graph, codomain: Graph,
                  vertex_map: Mapping, edge_map: Mapping):
         if set(vertex_map) != set(domain.vertex_ids):
             raise ValueError("vertex_map must cover exactly the domain vertices")
@@ -221,15 +308,11 @@ class CellularMap:
         return self
 
     @classmethod
-    def _from_arrays(cls, domain, codomain, vmap, offsets, steps) -> "CellularMap":
-        return cls.__new__(cls)._set(domain, codomain, vmap, offsets, steps)
-
-    @classmethod
-    def edgewise(cls, domain: BranchedGraph, codomain: BranchedGraph,
+    def edgewise(cls, domain: Graph, codomain: Graph,
                  vmap: np.ndarray, emap: np.ndarray) -> "CellularMap":
         """Each edge e onto edge ``emap[e]``, forward.  The caller has checked
         that the edge images join the vertex images and keep the sides."""
-        return cls._from_arrays(domain, codomain, vmap, np.arange(domain.ne + 1), 2 * emap)
+        return cls.__new__(cls)._set(domain, codomain, vmap, np.arange(domain.ne + 1), 2 * emap)
 
     @cached_property
     def vertex_map(self) -> Mapping:
@@ -276,7 +359,7 @@ def validate_map(f: CellularMap) -> list[str]:
             for v in np.unique(g.half_vertex[one_turn != turn]).tolist()]
 
 
-def identity_map(g: BranchedGraph) -> CellularMap:
+def identity_map(g: Graph) -> CellularMap:
     return CellularMap.edgewise(g, g, np.arange(g.nv), np.arange(g.ne))
 
 
@@ -292,8 +375,8 @@ def compose(g: CellularMap, f: CellularMap) -> CellularMap:
     # a backward step reads g's path from its end, each step reversed
     at = np.where(backward[step], g.offsets[edge + 1][step] - 1 - within,
                   g.offsets[edge][step] + within)
-    return CellularMap._from_arrays(f.domain, g.codomain, g.vmap[f.vmap], piece[f.offsets],
-                                    g.steps[at] ^ backward[step])
+    return CellularMap.__new__(CellularMap)._set(f.domain, g.codomain, g.vmap[f.vmap], piece[f.offsets],
+                                                 g.steps[at] ^ backward[step])
 
 
 @dataclass(eq=False)
@@ -306,8 +389,8 @@ class GermMap:
     by the chain rule D(g after f) = Dg after Df without expanding paths.
     """
 
-    domain: BranchedGraph
-    codomain: BranchedGraph
+    domain: Graph
+    codomain: Graph
     image: np.ndarray
 
 

@@ -1,8 +1,11 @@
 """Graph coverings, deck transformation groups, and covering towers.
 
 Graphs here are plain directed multigraphs standing in for 1-manifolds and
-roses; a covering is a graph map, onto on vertices, that is a bijection on
-every vertex star, and it is checked once, when it is made.
+roses: :class:`branched_graph.Graph` with its default sides, in-edges on
+side A and out-edges on side B, so a tower's levels and bonds also read as
+a system of branched graphs.  A covering is a graph map, onto on vertices,
+that is a bijection on every vertex star, and it is checked once, when it
+is made.
 A deck transformation is held as its vertex permutation, which fixes it
 because lifts are unique, and a deck group as the rows of one array.  They
 are computed by path lifting, for every candidate at once: the candidate
@@ -24,125 +27,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, repeat
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from .branched_graph import Graph
 
 Step = tuple  # (edge_id, +1 | -1)
 
 # bounds the entries of every working array of a deck enumeration (_BLOCK // nv candidates a block)
 _BLOCK = 1 << 17
-
-
-class Graph:
-    """Directed multigraph with indexed cells.
-
-    ``vertex_ids`` and ``edge_ids`` are indexable sequences (tuples for
-    hand-built graphs, ranges for generated ones); ``esrc``/``edst`` give
-    the endpoint vertex indices per edge index.
-    """
-
-    def __init__(self, vertex_ids: Sequence, edge_ids: Sequence,
-                 esrc: np.ndarray, edst: np.ndarray):
-        self._set_cells(vertex_ids, edge_ids, esrc, edst)
-        if len(self.esrc) != len(edge_ids) or len(self.edst) != len(edge_ids):
-            raise ValueError("endpoint arrays must match the edge count")
-        if len(edge_ids) and (self.esrc.max(initial=-1) >= len(vertex_ids)
-                              or self.edst.max(initial=-1) >= len(vertex_ids)):
-            raise ValueError("endpoint index out of range")
-
-    def _set_cells(self, vertex_ids: Sequence, edge_ids: Sequence, esrc, edst):
-        self.vertex_ids = vertex_ids
-        self.edge_ids = edge_ids
-        self.esrc = np.asarray(esrc, dtype=np.int64)
-        self.edst = np.asarray(edst, dtype=np.int64)
-
-    def _set_labelled_cells(self, vertices, edges: Mapping):
-        """Index labelled cells in ``repr`` order of their ids; a ValueError
-        names an edge with an unknown endpoint.  The endpoint indices come
-        from the vertex index, so they need no range check."""
-        vertex_ids, edge_ids = tuple(sorted(vertices, key=repr)), tuple(sorted(edges, key=repr))
-        vidx = {v: i for i, v in enumerate(vertex_ids)}
-        ends = list(map(vidx.get, chain(*map(edges.__getitem__, edge_ids)), repeat(-1)))
-        if -1 in ends:
-            e, end = edge_ids[ends.index(-1) >> 1], ends.index(-1) & 1
-            raise ValueError(f"edge {e!r}: unknown {('source', 'target')[end]} {edges[e][end]!r}")
-        self._set_cells(vertex_ids, edge_ids, ends[0::2], ends[1::2])
-        self.vindex = vidx
-
-    @classmethod
-    def from_edges(cls, vertices: Sequence, edges: Mapping) -> "Graph":
-        g = cls.__new__(cls)
-        g._set_labelled_cells(vertices, edges)
-        return g
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        """Cycle graph C_n: vertex i, edge i running i -> i+1 (mod n)."""
-        idx = np.arange(n, dtype=np.int64)
-        return cls(range(n), range(n), idx, (idx + 1) % n)
-
-    @property
-    def nv(self) -> int:
-        return len(self.vertex_ids)
-
-    @property
-    def ne(self) -> int:
-        return len(self.edge_ids)
-
-    @cached_property
-    def vindex(self) -> dict:
-        """Vertex id -> vertex index."""
-        return {v: i for i, v in enumerate(self.vertex_ids)}
-
-    @cached_property
-    def eindex(self) -> dict:
-        """Edge id -> edge index."""
-        return {e: i for i, e in enumerate(self.edge_ids)}
-
-    def spanning_tree(self, root: int) -> list[tuple[int, int, int, int]]:
-        """Steps (u, edge, sign, w) of a spanning tree of root's component.
-
-        One depth-first pass per call over the edges read as undirected: each
-        step reaches the new vertex w from u, which an earlier step reached;
-        sign is +1 when the edge runs u -> w and -1 when it runs w -> u.
-        """
-        ends = np.concatenate([self.esrc, self.edst])
-        order = np.argsort(ends, kind="stable")
-        starts = np.searchsorted(ends[order], np.arange(self.nv + 1)).tolist()
-        half = order.tolist()  # h < ne: edge h at its source; else edge h - ne at its target
-        far = np.concatenate([self.edst, self.esrc]).tolist()
-        seen = bytearray(self.nv)
-        seen[root] = 1
-        stack, steps = [root], []
-        while stack:
-            u = stack.pop()
-            for h in half[starts[u]:starts[u + 1]]:
-                w = far[h]
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-                    steps.append((u, h, 1, w) if h < self.ne else (u, h - self.ne, -1, w))
-        return steps
-
-    @cached_property
-    def is_connected(self) -> bool:
-        """Whether the spanning tree from vertex 0 has nv - 1 steps, decided once."""
-        return self.nv <= 1 or len(self.spanning_tree(0)) == self.nv - 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and tuple(self.vertex_ids) == tuple(other.vertex_ids)
-            and tuple(self.edge_ids) == tuple(other.edge_ids)
-            and np.array_equal(self.esrc, other.esrc)
-            and np.array_equal(self.edst, other.edst)
-        )
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.nv} vertices, {self.ne} edges)"
 
 
 class GraphCovering:
@@ -378,7 +272,7 @@ class CoveringTower:
         if not coverings:
             raise ValueError("a tower needs at least one covering")
         for lower, upper in zip(coverings, coverings[1:]):
-            if upper.base is not lower.total and upper.base != lower.total:
+            if not upper.base.indexed_alike(lower.total):
                 raise ValueError("consecutive coverings do not stack")
         self._open(len(coverings) + 1, [coverings[0].base, *coverings], base_vertex)
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from .branched_graph import BranchedGraph, CellularMap
+from .branched_graph import CellularMap, Graph
 
 
-def circle() -> BranchedGraph:
+def circle() -> Graph:
     """One vertex, one loop e; sides {e+} / {e-}."""
-    return BranchedGraph(
+    return Graph.from_edges(
         vertices={"v"},
         edges={"e": ("v", "v")},
         sides={"v": ({("e", "+")}, {("e", "-")})},
@@ -20,9 +20,9 @@ def circle_double() -> CellularMap:
     return CellularMap(g, g, {"v": "v"}, {"e": (("e", 1), ("e", 1))})
 
 
-def figure_eight() -> BranchedGraph:
+def figure_eight() -> Graph:
     """Wedge of two circles at w; sides {a+, b+} / {a-, b-}."""
-    return BranchedGraph(
+    return Graph.from_edges(
         vertices={"w"},
         edges={"a": ("w", "w"), "b": ("w", "w")},
         sides={

@@ -16,8 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .branched_graph import BranchedGraph, CellularMap
-from .coverings import CoveringTower, Graph, GraphCovering, cyclic_tower
+from .branched_graph import CellularMap, Graph
+from .coverings import CoveringTower, GraphCovering, cyclic_tower
 from .inverse_system import InverseSystem
 from .local_model import BranchTree, HalfSpace, Sector
 from .subshift import LanguageOracle, Substitution
@@ -103,9 +103,12 @@ def branch_tree_from_json(data: dict) -> BranchTree:
     if any(len(pair) != 2 or not all(_of(type(v), _ID) for v in pair) for pair in edges):
         raise ValueError("every entry of 'edges' must be a [source, target] pair")
     sector_data = _field(data, "sectors", dict, list) if "sectors" in data else {}
+    stray = sector_data.keys() - set(map(str, vertices))  # keys are strings: vertex 0 is keyed "0"
+    if stray:
+        raise ValueError(f"'sectors' names unknown vertex {min(stray)!r}")
     sectors = {}
     for v in vertices:
-        normals = _field(sector_data, v, list, list) if v in sector_data else []
+        normals = _field(sector_data, str(v), list, list) if str(v) in sector_data else []
         sectors[v] = Sector(
             n, tuple(HalfSpace(tuple(parse_fraction(c) for c in normal))
                      for normal in normals)
@@ -136,7 +139,7 @@ def _edges_from_json(data: dict) -> dict:
     return edges
 
 
-def branched_graph_from_json(data: dict) -> BranchedGraph:
+def branched_graph_from_json(data: dict) -> Graph:
     edges = _edges_from_json(data)
     sides = {}
     for v, ab in _field(data, "sides", dict, dict).items():
@@ -144,10 +147,14 @@ def branched_graph_from_json(data: dict) -> BranchedGraph:
             {parse_half_edge(h) for h in (_field(ab, label, list, str) if label in ab else [])}
             for label in ("A", "B")
         )
-    return BranchedGraph(_unique(_field(data, "vertices", list, _ID), "vertex"), edges, sides)
+    vertices = _unique(_field(data, "vertices", list, _ID), "vertex")
+    stray = next((x for x in itertools.chain(vertices, edges) if isinstance(x, int)), None)
+    if stray is not None:
+        raise ValueError(f"integer id {stray!r}: graph and system files name cells by strings")
+    return Graph.from_edges(vertices, edges, sides)
 
 
-def branched_graph_to_json(g: BranchedGraph) -> dict:
+def branched_graph_to_json(g: Graph) -> dict:
     return {
         "vertices": sorted(g.vertices, key=repr),
         "edges": [
@@ -164,8 +171,8 @@ def branched_graph_to_json(g: BranchedGraph) -> dict:
     }
 
 
-def cellular_map_from_json(data: dict, domain: BranchedGraph,
-                           codomain: BranchedGraph) -> CellularMap:
+def cellular_map_from_json(data: dict, domain: Graph,
+                           codomain: Graph) -> CellularMap:
     edge_map = _field(data, "edge_map", dict, list)
     return CellularMap(
         domain,
@@ -368,7 +375,7 @@ def parse_loop(text: str, base: Graph) -> tuple:
 
 # -- DOT export --------------------------------------------------------------------
 
-def export_dot(g: BranchedGraph, name: str = "laminate") -> str:
+def export_dot(g: Graph, name: str = "laminate") -> str:
     """Graphviz digraph; branch points render double-circled."""
     lines = [f"digraph {json.dumps(name)} {{"]
     lines.append("  node [shape=circle];")

@@ -24,9 +24,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .branched_graph import (
-    BranchedGraph,
     CellularMap,
     GermMap,
+    Graph,
     SmoothGerm,
     compose,
     compose_germs,
@@ -94,7 +94,7 @@ class InverseSystem:
 
     def __init__(
         self,
-        level_fn: Callable[[int], BranchedGraph],
+        level_fn: Callable[[int], Graph],
         bond_fn: Callable[[int], CellularMap],
         *,
         stationary: bool = False,
@@ -113,7 +113,7 @@ class InverseSystem:
 
     @classmethod
     def from_lists(
-        cls, levels: Sequence[BranchedGraph], bonds: Sequence[CellularMap]
+        cls, levels: Sequence[Graph], bonds: Sequence[CellularMap]
     ) -> "InverseSystem":
         if len(bonds) != len(levels) - 1:
             raise ValueError("need one bond per consecutive pair of levels")
@@ -126,7 +126,7 @@ class InverseSystem:
         if self.max_depth is not None and k > self.max_depth:
             raise ValueError(f"level {k} beyond materializable depth {self.max_depth}")
 
-    def level(self, k: int) -> BranchedGraph:
+    def level(self, k: int) -> Graph:
         self._check_depth(k)
         return self._level_fn(k)
 

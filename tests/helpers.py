@@ -19,14 +19,14 @@ import numpy as np
 
 from laminate.approximants import quotient_cell
 from laminate.branched_graph import (
-    BranchedGraph,
     CellularMap,
     GermMap,
+    Graph,
     SmoothGerm,
     compose_germs,
     germ_flattens,
 )
-from laminate.coverings import Graph, GraphCovering
+from laminate.coverings import GraphCovering
 from laminate.inverse_system import (
     CrossingComponent,
     DoubleSectionWitness,
@@ -255,7 +255,7 @@ class StringClopens:
         return domain
 
 
-def reference_approximant(oracle, k: int) -> BranchedGraph:
+def reference_approximant(oracle, k: int) -> Graph:
     """Approximant level k built word by word from strings."""
     vertices = oracle.words(2 * k)
     edges = {w: (w[:-1], w[1:]) for w in oracle.words(2 * k + 1)}
@@ -265,10 +265,10 @@ def reference_approximant(oracle, k: int) -> BranchedGraph:
         outgoing[src].add((w, "+"))
         incoming[dst].add((w, "-"))
     sides = {v: (incoming[v], outgoing[v]) for v in vertices}
-    return BranchedGraph(vertices, edges, sides)
+    return Graph.from_edges(vertices, edges, sides)
 
 
-def reference_drop_one_letter(upper: BranchedGraph, lower: BranchedGraph) -> CellularMap:
+def reference_drop_one_letter(upper: Graph, lower: Graph) -> CellularMap:
     """The drop-one-letter bond from strings, through the validating constructor."""
     vmap = {w: w[1:-1] for w in upper.vertices}
     emap = {w: ((w[1:-1], 1),) for w in upper.edges}
@@ -341,8 +341,8 @@ def random_rose_words(rng: Random, petals: tuple[str, ...]) -> dict:
             return words
 
 
-def rose_graph(petals: tuple[str, ...]) -> BranchedGraph:
-    return BranchedGraph(
+def rose_graph(petals: tuple[str, ...]) -> Graph:
+    return Graph.from_edges(
         vertices={"w"},
         edges={e: ("w", "w") for e in petals},
         sides={"w": ({(e, "+") for e in petals}, {(e, "-") for e in petals})},
@@ -356,7 +356,7 @@ def rose_map(petals: tuple[str, ...], words: dict) -> CellularMap:
     )
 
 
-def cycle_branched(n: int) -> BranchedGraph:
+def cycle_branched(n: int) -> Graph:
     """Cycle as a branched graph: incoming side A, outgoing side B."""
     vertices = {f"u{i}" for i in range(n)}
     edges = {f"c{i}": (f"u{i}", f"u{(i + 1) % n}") for i in range(n)}
@@ -367,7 +367,7 @@ def cycle_branched(n: int) -> BranchedGraph:
         )
         for i in range(n)
     }
-    return BranchedGraph(vertices, edges, sides)
+    return Graph.from_edges(vertices, edges, sides)
 
 
 def cycle_cover_map(m: int, n: int) -> CellularMap:
@@ -406,9 +406,9 @@ def random_small_system(rng: Random, depth: int = 5) -> InverseSystem:
     )
 
 
-def theta_graph() -> BranchedGraph:
+def theta_graph() -> Graph:
     """Branched circle: x and y run u -> v and merge at v; z runs back."""
-    return BranchedGraph(
+    return Graph.from_edges(
         vertices={"u", "v"},
         edges={"x": ("u", "v"), "y": ("u", "v"), "z": ("v", "u")},
         sides={"u": ({("z", "-")}, {("x", "+"), ("y", "+")}),
@@ -416,7 +416,7 @@ def theta_graph() -> BranchedGraph:
     )
 
 
-def random_walk_map(rng: Random, g: BranchedGraph, vertex_map: dict) -> CellularMap:
+def random_walk_map(rng: Random, g: Graph, vertex_map: dict) -> CellularMap:
     """An onto cellular self-map of g with this vertex map, drawn until one
     is side-coherent and onto: each edge's image is a random walk of 1-4
     steps, forward or backward, between the images of the edge's ends."""
@@ -519,7 +519,7 @@ def reference_tower_search(system: InverseSystem, window: int):
 
 # -- threads and local boxes by labels -------------------------------------------
 
-def half_edges_at(g: BranchedGraph, v) -> frozenset:
+def half_edges_at(g: Graph, v) -> frozenset:
     """The star of v: every half-edge at v, read off the labelled sides."""
     return frozenset().union(*g.sides[v])
 
@@ -635,7 +635,7 @@ def reference_local_box(system: InverseSystem, thread: Thread, k0: int) -> Local
 
 # -- the non-lamination certificate by labels -----------------------------------
 
-def reference_germs_at(g: BranchedGraph, v) -> list[SmoothGerm]:
+def reference_germs_at(g: Graph, v) -> list[SmoothGerm]:
     """All two-sided germs at v, a half-edge of side A and one of side B,
     each side in ``repr`` order of (edge, end), side A first."""
     a_side, b_side = (sorted(side, key=lambda h: (repr(h[0]), h[1])) for side in g.sides[v])
@@ -1015,3 +1015,13 @@ def reference_tower_levels(data: dict, base_dir: Optional[Path] = None) -> list:
         levels.append((total, vmap, emap))
         below = total
     return levels
+
+
+def covering_system(tower) -> InverseSystem:
+    """A covering tower read as a system of plain graphs (in-edges on side
+    A, out-edges on side B): level k is the tower's level k + 1, and bond k
+    sends each edge of level k + 2 onto its image edge."""
+    def bond(k: int) -> CellularMap:
+        c = tower.covering(k + 2)
+        return CellularMap.edgewise(c.total, c.base, c.vmap, c.emap)
+    return InverseSystem(lambda k: tower.graph(k + 1), bond, max_depth=tower.depth - 1)

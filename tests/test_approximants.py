@@ -12,7 +12,7 @@ from laminate.approximants import (
     quotient_cell,
     separation_depth,
 )
-from laminate.branched_graph import BranchedGraph, is_flattening, validate_map
+from laminate.branched_graph import Graph, is_flattening, validate_map
 from laminate.inverse_system import Flattening, is_flattening_system
 from laminate.subshift import LanguageOracle, fibonacci, thue_morse
 from laminate.transversal import is_subset
@@ -42,7 +42,7 @@ def test_fibonacci_k1_cells(fib):
     assert fib.words(2 * c.k) == frozenset({"aa", "ab", "ba"})
     assert fib.words(2 * c.k + 1) == frozenset({"aab", "aba", "baa", "bab"})
     g = c.graph  # its labels pass the validating constructor
-    assert BranchedGraph(g.vertices, g.edges, g.sides) == g
+    assert Graph.from_edges(g.vertices, g.edges, g.sides) == g
 
 
 def test_full_shift_de_bruijn_counts(full2):

@@ -4,8 +4,8 @@ import pytest
 
 from laminate import fixtures
 from laminate.branched_graph import (
-    BranchedGraph,
     CellularMap,
+    Graph,
     SmoothGerm,
     compose,
     flattening_witness,
@@ -40,7 +40,7 @@ def test_figure_eight_is_valid_and_branched():
 
 def test_duplicated_half_edge_is_a_violation():
     with pytest.raises(ValueError, match="both sides"):
-        BranchedGraph(
+        Graph.from_edges(
             vertices={"v"},
             edges={"e": ("v", "v")},
             sides={"v": ({("e", "+"), ("e", "-")}, {("e", "-")})},
@@ -49,7 +49,7 @@ def test_duplicated_half_edge_is_a_violation():
 
 def test_missing_half_edge_is_a_violation():
     with pytest.raises(ValueError, match="missing"):
-        BranchedGraph(
+        Graph.from_edges(
             vertices={"v"},
             edges={"e": ("v", "v")},
             sides={"v": ({("e", "+")}, set())},
@@ -58,7 +58,7 @@ def test_missing_half_edge_is_a_violation():
 
 def test_half_edge_at_the_wrong_vertex_is_a_violation():
     with pytest.raises(ValueError, match="belongs at vertex 'v'"):
-        BranchedGraph(
+        Graph.from_edges(
             vertices={"u", "v"},
             edges={"e": ("u", "v")},
             sides={"u": ({("e", "-")}, set()), "v": (set(), {("e", "+")})},
@@ -219,7 +219,7 @@ def test_star_of_figure_eight_has_four_half_edges():
 
 
 def test_star_of_path_graph_middle_vertex():
-    g = BranchedGraph(
+    g = Graph.from_edges(
         vertices={"u", "v", "w"},
         edges={"e1": ("u", "v"), "e2": ("v", "w")},
         sides={

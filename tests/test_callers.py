@@ -9,7 +9,9 @@ patches functions by their names); imports alone do not count.  No
 library module imports a name that it never reads (``__future__`` aside).
 Every public top-level function and class of ``tests/helpers.py``, where
 the label references of rewritten library code live, is named by some
-``tests/test_*.py`` module.
+``tests/test_*.py`` module.  The library is layered: ``branched_graph``, the
+graph core, imports no other library module, and no chain of library
+imports leads from a module back to itself.
 """
 
 import ast
@@ -74,3 +76,37 @@ def test_every_public_helper_is_named_by_a_test_module():
     unnamed = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_") and node.name not in named]
     assert unnamed == []
+
+
+def _library_imports(path: Path) -> set:
+    """The library modules that a library module imports, read with ``ast``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            out |= {name.split(".")[1] for name in names if name.startswith("laminate.")}
+    return out
+
+
+def test_the_graph_core_imports_no_other_library_module():
+    assert _library_imports(ROOT / "src" / "laminate" / "branched_graph.py") == set()
+
+
+def test_the_library_import_graph_has_no_cycle():
+    imports = {path.stem: _library_imports(path) for path in LIBRARY}
+    assert set().union(*imports.values()) <= imports.keys()
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join([*path, module])
+        if module not in done:
+            path.append(module)
+            for target in sorted(imports[module]):
+                visit(target)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(imports):
+        visit(module)

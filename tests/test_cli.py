@@ -240,9 +240,9 @@ def test_inconclusive_exit_code(files, tmp_path):
     # two wedges swapped by the bond: the square of its germ map is the
     # identity, so no power flattens, and with no fixed vertex there is no
     # invariant germ pair to certify a non-lamination
-    from laminate.branched_graph import BranchedGraph, CellularMap
+    from laminate.branched_graph import Graph, CellularMap
 
-    g = BranchedGraph(
+    g = Graph.from_edges(
         vertices={"u", "v"},
         edges={"a": ("u", "u"), "b": ("u", "u"), "c": ("v", "v"), "d": ("v", "v")},
         sides={
@@ -426,7 +426,7 @@ def test_check_flatten_on_a_tower_file_names_the_keys(tmp_path, capsys):
 
 
 def test_cyclic_tower_commands_never_compare_graphs(files, monkeypatch, capsys):
-    from laminate.coverings import Graph
+    from laminate.branched_graph import Graph
 
     def refuse(self, other):
         raise AssertionError("graphs compared by value")
@@ -476,7 +476,7 @@ def test_rep_and_metric_at_depth_60(d, tmp_path):
 
 
 def test_rep_and_metric_build_no_level_graph(tmp_path, monkeypatch, capsys):
-    from laminate.coverings import Graph
+    from laminate.branched_graph import Graph
 
     original = Graph.cycle.__func__
 

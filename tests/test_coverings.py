@@ -18,9 +18,9 @@ from helpers import (
     reference_deck_group,
     reference_deck_transformation,
 )
+from laminate.branched_graph import Graph
 from laminate.coverings import (
     CoveringTower,
-    Graph,
     GraphCovering,
     cyclic_tower,
 )
@@ -413,7 +413,7 @@ def test_tower_deck_group_at_degree_1024_is_fast():
 
 
 def test_composite_covering_degree_multiplies():
-    # levels built separately: the tower stacks them by value
+    # levels built separately: the tower stacks them, being indexed alike
     tower = CoveringTower([cyclic_cover(2, 1), cyclic_cover(6, 2)])
     composite = tower.composite_map(3)
     assert composite.degree() == 6
@@ -503,6 +503,16 @@ def test_tower_refuses_an_unknown_base_vertex():
 def test_tower_stacking_validated():
     with pytest.raises(ValueError):
         CoveringTower([cyclic_cover(2, 1), cyclic_cover(4, 3)])
+
+
+def test_tower_stacking_is_checked_on_indices_not_labels():
+    # equal by labels, indexed differently: repr order puts 10 and 11 before 2
+    below = cyclic_cover(12, 1)
+    relabelled = Graph.from_edges(range(12), {i: (i, (i + 1) % 12) for i in range(12)})
+    assert relabelled == below.total and not relabelled.indexed_alike(below.total)
+    with pytest.raises(ValueError, match="consecutive coverings do not stack"):
+        CoveringTower([below, GraphCovering.identity(relabelled)])
+    assert CoveringTower([below, GraphCovering.identity(Graph.cycle(12))]).depth == 3
 
 
 def test_generator_monodromies_rotate():

@@ -8,7 +8,8 @@ import pytest
 from helpers import cayley_tower_json, random_tower_json, reference_tower_levels
 
 from laminate import fixtures, formats
-from laminate.coverings import Graph, cyclic_tower
+from laminate.branched_graph import Graph
+from laminate.coverings import cyclic_tower
 from laminate.profinite import QuotientHom
 from laminate.local_model import glue_classes
 from laminate.subshift import LanguageOracle, fibonacci
@@ -73,6 +74,32 @@ def test_branch_tree_round_trip():
     assert {v: [h.normal for h in s.halfspaces] for v, s in tree.sector_of.items()} == {
         "v0": [], "v1": [(1, 0), (0, -1)]}
     assert len(glue_classes(tree, (F(1, 2), F(-1, 2)))) == 2
+
+
+def test_branch_tree_sectors_are_read_by_id():
+    # JSON object keys are strings: integer vertex 0 is keyed "0", as string vertex "0" is
+    for ids in ([0, 1], ["0", "1"]):
+        tree = formats.branch_tree_from_json({"dimension": 1, "vertices": ids, "edges": [ids],
+                                              "sectors": {"0": [["1"]]}})
+        assert [len(tree.sector_of[v].halfspaces) for v in ids] == [1, 0]
+        assert glue_classes(tree, (F(-1, 2),)) == [frozenset(ids)]
+    with pytest.raises(ValueError, match="'sectors' names unknown vertex '2'"):
+        formats.branch_tree_from_json({"dimension": 1, "vertices": [0, 1], "edges": [[0, 1]],
+                                       "sectors": {"2": []}})
+
+
+@pytest.mark.parametrize("graph", [
+    {"vertices": [0], "edges": [{"id": "a", "src": 0, "dst": 0}],
+     "sides": {"0": {"A": ["a-"], "B": ["a+"]}}},
+    {"vertices": ["w"], "edges": [{"id": 0, "src": "w", "dst": "w"}],
+     "sides": {"w": {"A": ["0-"], "B": ["0+"]}}},
+])
+def test_graph_and_system_files_refuse_integer_ids_by_name(graph):
+    refusal = "integer id 0: graph and system files name cells by strings"
+    with pytest.raises(ValueError, match=refusal):
+        formats.branched_graph_from_json(graph)
+    with pytest.raises(ValueError, match=refusal):
+        formats.system_from_json({"stationary": {"graph": graph, "map": {"vertex_map": {}, "edge_map": {}}}})
 
 
 def test_system_files_with_references(tmp_path):
@@ -232,7 +259,7 @@ def test_loaders_name_the_bad_key(loader, data, key):
 
 
 def test_loaded_tower_never_compares_graphs(monkeypatch):
-    from laminate.coverings import Graph
+    from laminate.branched_graph import Graph
     from laminate.profinite import QuotientHom
 
     rose = {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"},

@@ -16,7 +16,10 @@ from laminate.branched_graph import (
     germ_flattening_witness,
     germ_flattens,
     is_flattening,
+    validate_map,
 )
+from laminate.coverings import cyclic_tower
+from laminate.formats import tower_from_json
 from laminate.inverse_system import (
     EdgePoint,
     Flattening,
@@ -37,11 +40,14 @@ from laminate.inverse_system import (
 from laminate.subshift import LanguageOracle, fibonacci, thue_morse
 
 from helpers import (
+    cayley_tower_json,
+    covering_system,
     cycle_branched,
     cycle_cover_map,
     random_rose_words,
     random_small_system,
     random_stationary_maps,
+    random_tower_json,
     random_walk_map,
     reference_apply_cell,
     reference_local_box,
@@ -398,9 +404,9 @@ def test_certificate_absent_for_circle():
 
 
 def test_certificate_absent_for_two_disjoint_circles():
-    from laminate.branched_graph import BranchedGraph, CellularMap
+    from laminate.branched_graph import Graph, CellularMap
 
-    g = BranchedGraph(
+    g = Graph.from_edges(
         vertices={"v1", "v2"},
         edges={"e1": ("v1", "v1"), "e2": ("v2", "v2")},
         sides={
@@ -566,6 +572,20 @@ def test_approximant_thread_counts_equal_the_legal_words(name):
             threads = enumerate_threads(system, k, EdgePoint(a, F(1, 2)))
             assert len(threads) == sum(w[k] == a for w in words)
             assert {t.cells[-1] for t in threads} == {EdgePoint(w, F(1, 2)) for w in words if w[k] == a}
+
+
+def test_covering_thread_counts_equal_the_fibers():
+    # a covering tower read with in and out sides is a system of branched
+    # graphs whose bonds are side-coherent, and its vertex threads over x_1
+    # to depth k are the level-(k + 1) vertices over x_1
+    files = [cayley_tower_json([(2, 1), (2, 2), (4, 2), (4, 4)]),
+             *(random_tower_json(Random(seed), 4, integers=seed % 2 == 1) for seed in range(40))]
+    towers = [cyclic_tower([2, 3, 2, 2]), *map(tower_from_json, files)]
+    for tower in towers:
+        system, x1 = covering_system(tower), VertexCell(tower.base.vertex_ids[tower.base_point(1)])
+        for k in range(tower.depth):
+            assert k == 0 or validate_map(system.bond(k - 1)) == []
+            assert len(enumerate_threads(system, k, x1)) == len(tower.fiber(k + 1))
 
 
 # -- validation ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import permutation_cover, random_graph_cover, reference_quotient_verify
-from laminate.coverings import CoveringTower, Graph, GraphCovering, cyclic_tower
+from laminate.branched_graph import Graph
+from laminate.coverings import CoveringTower, GraphCovering, cyclic_tower
 from laminate.profinite import (
     ProfiniteElement,
     QuotientHom,
