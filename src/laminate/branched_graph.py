@@ -14,7 +14,8 @@ endpoint arrays and one side bit per half-edge: half-edge ``2e`` is edge e
 at its source and ``2e + 1`` edge e at its target.  A path step is stored
 as its outward half-edge h; it ends at the vertex of ``h ^ 1``, its inward
 half-edge.  A :class:`CellularMap` is a vertex array plus a CSR table of
-edge paths and a :class:`GermMap` one half-edge array, so validation,
+edge paths (one forward step per edge for a graph covering) and, built on
+first read, a :class:`GermMap`, one half-edge array; validation,
 composition, the chain rule and the flattening test run on arrays.
 
 Labels live at the boundary: the labelled constructor takes half-edges
@@ -301,11 +302,14 @@ class CellularMap:
         self.vmap = np.asarray(vmap, dtype=np.int64)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.steps = np.asarray(steps, dtype=np.int64)
-        image = np.empty(2 * domain.ne, dtype=np.int64)
+        return self
+
+    @cached_property
+    def germs(self) -> "GermMap":
+        image = np.empty(2 * self.domain.ne, dtype=np.int64)
         image[0::2] = self.steps[self.offsets[:-1]]
         image[1::2] = self.steps[self.offsets[1:] - 1] ^ 1
-        self.germs = GermMap(domain, codomain, image)
-        return self
+        return GermMap(self.domain, self.codomain, image)
 
     @classmethod
     def edgewise(cls, domain: Graph, codomain: Graph,

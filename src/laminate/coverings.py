@@ -2,10 +2,10 @@
 
 Graphs here are plain directed multigraphs standing in for 1-manifolds and
 roses: :class:`branched_graph.Graph` with its default sides, in-edges on
-side A and out-edges on side B, so a tower's levels and bonds also read as
-a system of branched graphs.  A covering is a graph map, onto on vertices,
-that is a bijection on every vertex star, and it is checked once, when it
-is made.
+side A and out-edges on side B.  A covering is a cellular map that sends
+each edge forward onto one edge, is onto on vertices and is a bijection on
+every vertex star, so a tower's levels and bonds are, as they stand, a
+system of branched graphs.  It is checked once, when it is made.
 A deck transformation is held as its vertex permutation, which fixes it
 because lifts are unique, and a deck group as the rows of one array.  They
 are computed by path lifting, for every candidate at once: the candidate
@@ -13,8 +13,8 @@ images of a fiber base point fill one column each of an image matrix, which
 propagates down a spanning tree of the total graph by one lift gather per
 tree step.  Tree edges then hold by construction, and every other edge is
 checked against the lift table of its base edge.  Towers stack coverings
-over a fixed base, carry a coherent thread of base points, and expose the
-composite coverings whose deck groups feed the profinite layer.
+over a fixed base with a coherent thread of base points; their composites
+f_{k,1} run down to the base, and their deck groups feed the profinite layer.
 
 The cell data lives in numpy index arrays.  A tower builds a level only
 when a question reads it, through one hook, so a level read from a file is
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .branched_graph import Graph
+from .branched_graph import CellularMap, Graph
 
 Step = tuple  # (edge_id, +1 | -1)
 
@@ -39,39 +40,41 @@ Step = tuple  # (edge_id, +1 | -1)
 _BLOCK = 1 << 17
 
 
-class GraphCovering:
-    """A covering map of graphs: single-edge, orientation-preserving images.
+class GraphCovering(CellularMap):
+    """A covering map of graphs: a cellular map sending each edge forward
+    onto one edge, ``emap[e]``.
 
     The constructor checks every local covering axiom, naming the first that
     fails: edge images join vertex images, every vertex star maps bijectively
     onto its image's star, and every base vertex is hit.  Over a connected
     base these force constant fibers and onto edges.  Connectivity of the
-    total graph, the one global axiom, is checked by the questions that need
-    it.  Compositions and identities are coverings by construction and are
-    not checked again.
+    domain, the one global axiom, is checked by the questions that need it.
+    Compositions and identities are coverings by construction, made by
+    :meth:`edgewise` unchecked.
     """
 
-    def __init__(self, total: Graph, base: Graph, vmap: np.ndarray, emap: np.ndarray):
-        self._set(total, base, vmap, emap)
-        if len(self.vmap) != total.nv or len(self.emap) != total.ne:
+    def __init__(self, domain: Graph, codomain: Graph, vmap: np.ndarray, emap: np.ndarray):
+        self._set(domain, codomain, vmap, np.arange(domain.ne + 1), 2 * np.asarray(emap, dtype=np.int64))
+        if len(self.vmap) != domain.nv or len(self.steps) != domain.ne:
             raise ValueError("map arrays must cover the domain cells")
         problem = self._local_problem()
         if problem:
             raise ValueError(f"not a covering: {problem}")
 
-    def _set(self, total: Graph, base: Graph, vmap, emap) -> "GraphCovering":
-        self.total, self.base = total, base
-        self.vmap = np.asarray(vmap, dtype=np.int64)
-        self.emap = np.asarray(emap, dtype=np.int64)
-        self._transport: dict[tuple[int, int], np.ndarray] = {}
-        return self
+    @cached_property
+    def emap(self) -> np.ndarray:
+        return self.steps >> 1
+
+    @cached_property
+    def _transport(self) -> dict[tuple[int, int], np.ndarray]:
+        return {}
 
     def _local_problem(self) -> Optional[str]:
         """The first local axiom broken, or None.  Stars: the out-edges
-        (in-edges) at a total vertex u meet each base edge leaving (entering)
+        (in-edges) at a domain vertex u meet each base edge leaving (entering)
         vmap[u] once, so sorted (u, base edge) keys repeat none, and u has as
         many of them as vmap[u]."""
-        total, base, vmap, emap = self.total, self.base, self.vmap, self.emap
+        total, base, vmap, emap = self.domain, self.codomain, self.vmap, self.emap
         if not (np.array_equal(base.esrc[emap], vmap[total.esrc])
                 and np.array_equal(base.edst[emap], vmap[total.edst])):
             return "edge images do not respect endpoints"
@@ -89,13 +92,13 @@ class GraphCovering:
         return None
 
     @classmethod
-    def from_dicts(cls, total: Graph, base: Graph,
+    def from_dicts(cls, domain: Graph, codomain: Graph,
                    vertex_map: Mapping, edge_map: Mapping) -> "GraphCovering":
         """The covering read off label maps, one lookup per id; a ValueError
         names a missing entry or an unknown image."""
         arrays = []
-        for what, ids, mapping, index in (("vertex", total.vertex_ids, vertex_map, base.vindex),
-                                          ("edge", total.edge_ids, edge_map, base.eindex)):
+        for what, ids, mapping, index in (("vertex", domain.vertex_ids, vertex_map, codomain.vindex),
+                                          ("edge", domain.edge_ids, edge_map, codomain.eindex)):
             try:
                 arrays.append([index[mapping[x]] for x in ids])
             except KeyError:
@@ -106,24 +109,19 @@ class GraphCovering:
                         raise ValueError(f"{what}_map has no entry for {what} {x!r}") from None
                     if image not in index:
                         raise ValueError(f"{what} {x!r} maps to unknown {what} {image!r}") from None
-        return cls(total, base, *arrays)
-
-    @classmethod
-    def identity(cls, g: Graph) -> "GraphCovering":
-        return cls.__new__(cls)._set(g, g, np.arange(g.nv), np.arange(g.ne))
+        return cls(domain, codomain, *arrays)
 
     def compose(self, inner: "GraphCovering") -> "GraphCovering":
-        """self after inner, which covers self's total graph."""
-        return GraphCovering.__new__(GraphCovering)._set(
-            inner.total, self.base, self.vmap[inner.vmap], self.emap[inner.emap])
+        """self after inner, which covers self's domain, by one gather per cell array."""
+        return self.edgewise(inner.domain, self.codomain, self.vmap[inner.vmap], self.emap[inner.emap])
 
     def fiber(self, base_vi: int) -> np.ndarray:
         """Sorted total-vertex indices over the base vertex index."""
         return np.flatnonzero(self.vmap == base_vi)
 
     def degree(self) -> int:
-        sizes = np.bincount(self.vmap, minlength=self.base.nv)
-        return int(sizes[0]) if self.base.nv else 0
+        sizes = np.bincount(self.vmap, minlength=self.codomain.nv)
+        return int(sizes[0]) if self.codomain.nv else 0
 
     # -- lifting ----------------------------------------------------------
 
@@ -132,19 +130,19 @@ class GraphCovering:
         cache = self._transport
         if (base_ei, sign) not in cache:
             sel = np.flatnonzero(self.emap == base_ei)
-            nxt = -np.ones(self.total.nv, dtype=np.int64)
+            nxt = -np.ones(self.domain.nv, dtype=np.int64)
             if sign == 1:
-                nxt[self.total.esrc[sel]] = self.total.edst[sel]
+                nxt[self.domain.esrc[sel]] = self.domain.edst[sel]
             else:
-                nxt[self.total.edst[sel]] = self.total.esrc[sel]
+                nxt[self.domain.edst[sel]] = self.domain.esrc[sel]
             cache[(base_ei, sign)] = nxt
         return cache[(base_ei, sign)]
 
     def check_loop(self, loop: Sequence[Step], base_vi: int = 0):
         cur = base_vi
         for edge_id, sign in loop:
-            ei = self.base.eindex[edge_id]
-            s, t = int(self.base.esrc[ei]), int(self.base.edst[ei])
+            ei = self.codomain.eindex[edge_id]
+            s, t = int(self.codomain.esrc[ei]), int(self.codomain.edst[ei])
             start, end = (s, t) if sign == 1 else (t, s)
             if start != cur:
                 raise ValueError("loop is not a path at the base point")
@@ -156,7 +154,7 @@ class GraphCovering:
         """End vertex indices of the lifts of a base edge path, one per start."""
         cur = np.asarray(starts, dtype=np.int64)
         for edge_id, sign in path:
-            cur = self._step_transport(self.base.eindex[edge_id], sign)[cur]
+            cur = self._step_transport(self.codomain.eindex[edge_id], sign)[cur]
             if (cur < 0).any():
                 raise ValueError("the path does not lift from every start")
         return cur
@@ -170,7 +168,7 @@ class GraphCovering:
         """
         self.check_loop(loop, base_vi)
         fiber = self.fiber(base_vi)
-        pos = -np.ones(self.total.nv, dtype=np.int64)
+        pos = -np.ones(self.domain.nv, dtype=np.int64)
         pos[fiber] = np.arange(len(fiber))
         return pos[self.lift(fiber, loop)]
 
@@ -187,7 +185,7 @@ class GraphCovering:
         bijections; every other edge is checked against the lift table of its
         base edge.  Raises ``ValueError`` when the total graph is not connected.
         """
-        total, emap = self.total, self.emap
+        total, emap = self.domain, self.emap
         tree = total.spanning_tree(t0)
         if len(tree) < total.nv - 1:
             raise ValueError("not a covering: total graph is not connected")
@@ -272,9 +270,9 @@ class CoveringTower:
         if not coverings:
             raise ValueError("a tower needs at least one covering")
         for lower, upper in zip(coverings, coverings[1:]):
-            if not upper.base.indexed_alike(lower.total):
+            if not upper.codomain.indexed_alike(lower.domain):
                 raise ValueError("consecutive coverings do not stack")
-        self._open(len(coverings) + 1, [coverings[0].base, *coverings], base_vertex)
+        self._open(len(coverings) + 1, [coverings[0].codomain, *coverings], base_vertex)
 
     def _open(self, depth: int, built: list, base_vertex=None):
         self.depth = depth  # largest level index (levels are 1-based)
@@ -282,7 +280,7 @@ class CoveringTower:
         if base_vertex is not None and base_vertex not in self.base.vindex:
             raise ValueError(f"unknown base vertex {base_vertex!r}")
         self._thread = [0 if base_vertex is None else self.base.vindex[base_vertex]]
-        self._composites: dict[tuple[int, int], GraphCovering] = {}
+        self._composites: list[GraphCovering] = []  # [k - 1]: f_{k,1}
 
     def _build(self, k: int):
         """The hook that builds level k once the levels below it are built."""
@@ -307,34 +305,26 @@ class CoveringTower:
 
     def graph(self, k: int) -> Graph:
         self._check_level(k)
-        return self.base if k == 1 else self._level(k).total
+        return self.base if k == 1 else self._level(k).domain
 
     def covering(self, k: int) -> GraphCovering:
         """The bonding covering f_k : S_k -> S_{k-1}, for k >= 2."""
         self._check_bond(k)
         return self._level(k)
 
-    def composite_map(self, k: int, k0: int = 1) -> GraphCovering:
-        """The composite covering f_{k,k0} from level k down to level k0 <= k.
-
-        Each composite is one bond composed onto the memoised composite from
-        the level below, so every pair (k, k0) is built once.
-        """
-        if (k, k0) not in self._composites:
-            self._check_level(k)
-            self._check_level(k0)
-            if k < k0:
-                raise ValueError(f"composite needs k >= k0, got {k} < {k0}")
-            if k == k0:
-                m = GraphCovering.identity(self.graph(k))
-            else:
-                m = self.covering(k0 + 1)
-                for j in range(k0 + 2, k + 1):
-                    if (j, k0) not in self._composites:
-                        self._composites[(j, k0)] = m.compose(self.covering(j))
-                    m = self._composites[(j, k0)]
-            self._composites[(k, k0)] = m
-        return self._composites[(k, k0)]
+    def composite_map(self, k: int) -> GraphCovering:
+        """The composite covering f_{k,1} from level k down to the base, built
+        once, in ascending order: f_{1,1} is the identity, f_{2,1} the bond
+        f_2, and f_{j,1} the bond f_j composed onto f_{j-1,1}."""
+        self._check_level(k)
+        composites = self._composites
+        if not composites:
+            base = self.base
+            composites.append(GraphCovering.edgewise(base, base, np.arange(base.nv), np.arange(base.ne)))
+        while len(composites) < k:
+            j = len(composites) + 1
+            composites.append(self.covering(2) if j == 2 else composites[-1].compose(self.covering(j)))
+        return composites[k - 1]
 
     def base_point(self, k: int) -> int:
         """Vertex index of the thread point x_k, lifting x_{k-1}."""
@@ -373,7 +363,7 @@ class CoveringTower:
         """Where the lift of a base loop from x_k ends, lifted once through
         f_{k,1}; raises ``ValueError`` when level k is not connected."""
         cov = self.composite_map(k)
-        if not cov.total.is_connected:
+        if not cov.domain.is_connected:
             raise ValueError("not a covering: total graph is not connected")
         cov.check_loop(loop, self.base_point(1))
         return int(cov.lift([self.base_point(k)], loop)[0])

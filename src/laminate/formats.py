@@ -119,9 +119,15 @@ def branch_tree_from_json(data: dict) -> BranchTree:
 # -- branched graphs and cellular maps ---------------------------------------
 
 def _unique(ids: list, what: str) -> list:
-    """``ids``, checked to repeat no id; a ValueError names a repeated one."""
+    """``ids``, checked to repeat no id and no id's string, since an object
+    keyed by cell names integer id 0 by "0"; a ValueError names the ids."""
     if len(set(ids)) < len(ids):
         raise ValueError(f"repeated {what} id {next(i for i in ids if ids.count(i) > 1)!r}")
+    keys = list(map(str, ids)) if int in set(map(type, ids)) else None
+    if keys and len(set(keys)) < len(ids):
+        a = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+        b = keys.index(keys[a], a + 1)
+        raise ValueError(f"{what} ids {ids[a]!r} and {ids[b]!r} are both keyed {keys[a]!r}")
     return ids
 
 
@@ -129,12 +135,13 @@ def _edges_from_json(data: dict) -> dict:
     entries = _field(data, "edges", list, dict)
     try:
         edges = {e["id"]: (e["src"], e["dst"]) for e in entries}
-        typed = all(_of(t, _ID) for t in set(map(type, itertools.chain(edges, *edges.values()))))
+        types = set(map(type, itertools.chain(edges, *edges.values())))
+        typed = all(_of(t, _ID) for t in types)
     except (KeyError, TypeError):
         typed = False
     if not typed:
         raise ValueError("every entry of 'edges' needs an 'id', a 'src' and a 'dst' id")
-    if len(edges) < len(entries):
+    if len(edges) < len(entries) or int in types:  # a repeated id, or maybe two with one string
         _unique([e["id"] for e in entries], "edge")
     return edges
 
@@ -256,6 +263,8 @@ def load_system(path: Union[str, Path]) -> InverseSystem:
 
 def oracle_from_json(data: dict) -> LanguageOracle:
     alphabet = _field(data, "alphabet", list, str)
+    if {"rules", "forbidden"} <= data.keys():
+        raise ValueError("a subshift gives 'rules' or 'forbidden', not both")
     if "rules" in data:
         substitution = Substitution(alphabet, _field(data, "rules", dict, str))
         return LanguageOracle.from_substitution(substitution)
@@ -349,7 +358,8 @@ def tower_from_json(data: dict, base_dir: Optional[Path] = None) -> CoveringTowe
             return cyclic_tower(_field(data, "circle_degrees", list, int))
         raise ValueError(f"unknown base vertex {data['base_vertex']!r}")
     base = plain_graph_from_json(_resolve(_field(data, "base"), base_dir))
-    levels = [_in_level(i, _level_from_json, node, base_dir) for i, node in enumerate(_field(data, "levels", list))]
+    levels = [_in_level(i, _level_from_json, node, base_dir)
+              for i, node in enumerate(_field(data, "levels", list))]
     return _FileTower(base, levels, _field(data, "base_vertex", _ID) if "base_vertex" in data else None)
 
 

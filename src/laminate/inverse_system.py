@@ -274,8 +274,8 @@ def not_lamination_certificate(system: InverseSystem) -> Optional[DoubleSectionW
     g, image = f.domain, f.germs.image
     for v in sorted(np.flatnonzero(f.vmap == np.arange(g.nv)).tolist(), key=lambda v: repr(g.vertex_ids[v])):
         at = np.flatnonzero(g.half_vertex == v)
-        a_side, b_side = (sorted(at[g.side[at] == bit].tolist(), key=lambda h: (repr(g.edge_ids[h >> 1]), h & 1))
-                          for bit in (0, 1))
+        a_side, b_side = (sorted(at[g.side[at] == bit].tolist(),
+                                 key=lambda h: (repr(g.edge_ids[h >> 1]), h & 1)) for bit in (0, 1))
         rank = {h: r for side in (a_side, b_side) for r, h in enumerate(side)}
         da, db = image[a_side].tolist(), image[b_side].tolist()
         # germ (i, j) holds a_side[i] and b_side[j]; it is the only germ with its image when both
@@ -286,8 +286,9 @@ def not_lamination_certificate(system: InverseSystem) -> Optional[DoubleSectionW
                  *((p, im[p]) for p in im if p < im[p] and im.get(im[p]) == p)]
         if pairs:
             pair = min(pairs, key=lambda pq: (pq[0][0] == pq[1][0] or pq[0][1] == pq[1][1], pq))
-            return DoubleSectionWitness(g.vertex_ids[v], tuple(SmoothGerm(
-                g.vertex_ids[v], g.half_edge_label(a_side[i]), g.half_edge_label(b_side[j])) for i, j in pair))
+            return DoubleSectionWitness(g.vertex_ids[v], tuple(
+                SmoothGerm(g.vertex_ids[v], g.half_edge_label(a_side[i]), g.half_edge_label(b_side[j]))
+                for i, j in pair))
     return None
 
 

@@ -694,7 +694,7 @@ def reference_certificate(system: InverseSystem) -> Optional[DoubleSectionWitnes
 def reference_deck_transformation(cov: GraphCovering, t0: int, image: int):
     """Propagate t0 -> image by a dict-based search: the (vertex, edge)
     permutation pair, or None when inconsistent."""
-    total, emap = cov.total, cov.emap
+    total, emap = cov.domain, cov.emap
     out, inc = {}, {}
     adjacency = [[] for _ in range(total.nv)]
     for e in range(total.ne):
@@ -827,7 +827,7 @@ def random_permutation_cover(rng: Random, max_degree: int = 6) -> GraphCovering:
         n = rng.randint(1, max_degree)
         perms = {a: rng.sample(range(n), n) for a in "ab"}
         cov = permutation_cover(perms)
-        if cov.total.is_connected:
+        if cov.domain.is_connected:
             return cov
 
 
@@ -1020,8 +1020,6 @@ def reference_tower_levels(data: dict, base_dir: Optional[Path] = None) -> list:
 def covering_system(tower) -> InverseSystem:
     """A covering tower read as a system of plain graphs (in-edges on side
     A, out-edges on side B): level k is the tower's level k + 1, and bond k
-    sends each edge of level k + 2 onto its image edge."""
-    def bond(k: int) -> CellularMap:
-        c = tower.covering(k + 2)
-        return CellularMap.edgewise(c.total, c.base, c.vmap, c.emap)
-    return InverseSystem(lambda k: tower.graph(k + 1), bond, max_depth=tower.depth - 1)
+    is the covering of level k + 2 itself, a cellular map."""
+    return InverseSystem(lambda k: tower.graph(k + 1), lambda k: tower.covering(k + 2),
+                         max_depth=tower.depth - 1)

@@ -11,7 +11,9 @@ Every public top-level function and class of ``tests/helpers.py``, where
 the label references of rewritten library code live, is named by some
 ``tests/test_*.py`` module.  The library is layered: ``branched_graph``, the
 graph core, imports no other library module, and no chain of library
-imports leads from a module back to itself.
+imports leads from a module back to itself.  No library line is longer
+than 110 characters, so that ``wc -l src``, the measure of the library's
+size, is not won by packing lines.
 """
 
 import ast
@@ -23,6 +25,7 @@ CALLERS = [*LIBRARY, *sorted((ROOT / "demos").glob("*.py")),
            *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 HELPERS = ROOT / "tests" / "helpers.py"
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
+MAX_LINE = 110
 
 
 def _public(tree: ast.Module):
@@ -110,3 +113,9 @@ def test_the_library_import_graph_has_no_cycle():
 
     for module in sorted(imports):
         visit(module)
+
+
+def test_no_library_line_is_longer_than_the_cap():
+    long = [f"{path.name}:{number}: {len(line)}" for path in LIBRARY
+            for number, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
+    assert long == []

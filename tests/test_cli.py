@@ -501,7 +501,7 @@ def test_zeroth_power_metric_answers_on_a_non_regular_tower(tmp_path, capsys):
     from test_coverings import non_normal_degree3_cover
 
     cov = non_normal_degree3_cover()
-    total = cov.total
+    total = cov.domain
     ids = [f"{letter}{i}" for letter, i in total.edge_ids]
     level = {"total": {"vertices": [str(v) for v in total.vertex_ids],
                        "edges": [{"id": e, "src": str(total.vertex_ids[int(s)]),
@@ -611,6 +611,52 @@ def test_repeated_ids_fail_at_load(command, tmp_path, capsys):
     _fails_cleanly(argv, tmp_path, capsys)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _one_string_tower(vertices, edges):
+    """One level over the one-loop rose: edges alternate 0 -> 1 and back."""
+    ends = [(vertices[0], vertices[1]), (vertices[1], vertices[0])]
+    return {"base": {"vertices": ["w"], "edges": [{"id": "a", "src": "w", "dst": "w"}]},
+            "levels": [{"total": {"vertices": list(vertices),
+                                  "edges": [{"id": e, "src": s, "dst": t} for e, (s, t) in zip(edges, ends)]},
+                        "vertex_map": {str(v): "w" for v in vertices}, "edge_map": {str(e): "a" for e in edges}}]}
+
+
+ONE_STRING = {
+    # object keys are strings, so each pair shares one sector or one image
+    "branch tree": ({"dimension": 1, "vertices": [0, "0"], "edges": [[0, "0"]], "sectors": {"0": [["1"]]}},
+                    ["local-model", "classes", "--tree"], ["--point=1/2"], "vertex ids 0 and '0' are both keyed '0'"),
+    "tower vertices": (_one_string_tower([0, "0"], [1, "1"]), ["deck-group", "--tower"], ["--level", "2"],
+                       "levels[0]: vertex ids 0 and '0' are both keyed '0'"),
+    "tower edges": (_one_string_tower(["x", "y"], [1, "1"]), ["deck-group", "--tower"], ["--level", "2"],
+                    "levels[0]: edge ids 1 and '1' are both keyed '1'"),
+    "tower base": (dict(_one_string_tower(["x", "y"], ["b", "c"]), base={
+        "vertices": ["w"], "edges": [{"id": 2, "src": "w", "dst": "w"}, {"id": "2", "src": "w", "dst": "w"}]}),
+        ["rep", "--tower"], ["--loop", "2"], "edge ids 2 and '2' are both keyed '2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_STRING))
+def test_ids_with_one_string_fail_at_load(case, tmp_path, capsys):
+    data, command, rest, message = ONE_STRING[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [*command, str(path), *rest]
+    _fails_cleanly(argv, tmp_path, capsys)
+    assert json.loads((tmp_path / "report.json").read_text())["data"]["error"] == message
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_subshift_with_rules_and_forbidden_fails_at_load(tmp_path, capsys):
+    # keeping the rules alone would print the Fibonacci counts
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}, "forbidden": ["aa"]}))
+    for argv in (["approximants", "--input", str(path), "--k", "2"],
+                 ["separation", "--input", str(path), "--x", "ab@0", "--y", "ba@0", "--max-k", "2"]):
+        _fails_cleanly(argv, tmp_path, capsys)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: a subshift gives 'rules' or 'forbidden', not both\n"
 
 
 ROSE_AB = json.dumps(_rose_graph(["a", "b"]))

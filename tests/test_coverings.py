@@ -13,17 +13,20 @@ from helpers import (
     dihedral,
     random_graph_map,
     random_permutation_cover,
+    random_tower_json,
     reference_components,
     reference_covering_problem,
     reference_deck_group,
     reference_deck_transformation,
 )
-from laminate.branched_graph import Graph
+from laminate.branched_graph import CellularMap, Graph, compose, validate_map
 from laminate.coverings import (
     CoveringTower,
+    CyclicTower,
     GraphCovering,
     cyclic_tower,
 )
+from laminate.formats import tower_from_json
 
 
 def rose2() -> Graph:
@@ -71,21 +74,21 @@ def non_normal_degree3_cover() -> GraphCovering:
 
 def test_cycle_halving_cover_is_valid_regular_degree_two():
     cov = cyclic_cover(4, 2)
-    assert cov.total.is_connected
+    assert cov.domain.is_connected
     group = cov.deck_group()
     assert group.regular and len(group.fiber) == 2 and group.order() == 2
 
 
 def test_parity_cover_has_a_regular_deck_group():
     cov = parity_cover_of_rose2()
-    assert cov.total.is_connected
+    assert cov.domain.is_connected
     group = cov.deck_group()
     assert group.regular and group.order() == 2
 
 
 def test_non_normal_cover_detected():
     cov = non_normal_degree3_cover()
-    assert cov.total.is_connected
+    assert cov.domain.is_connected
     group = cov.deck_group()
     assert not group.regular
     assert group.order() < len(group.fiber) == 3
@@ -102,7 +105,7 @@ def test_broken_star_reported():
 def test_degree_one_covering_is_valid():
     g = Graph.cycle(3)
     ident = GraphCovering(g, g, np.arange(3), np.arange(3))
-    assert ident.degree() == 1 and ident.total.is_connected
+    assert ident.degree() == 1 and ident.domain.is_connected
 
 
 def test_a_covering_is_made_exactly_when_the_local_axioms_hold():
@@ -226,7 +229,7 @@ def test_klein_four_deck_group():
 
 def test_deck_elements_commute_with_projection():
     cov = klein_four_cover()
-    total, emap = cov.total, cov.emap
+    total, emap = cov.domain, cov.emap
     out = {(int(total.esrc[e]), int(emap[e])): e for e in range(total.ne)}
     for vperm in cov.deck_group().vperms:
         assert np.array_equal(cov.vmap[vperm], cov.vmap)
@@ -258,8 +261,8 @@ def _dihedral_cosets(n, j):
 DECK_CASES = {
     "cyclic": lambda: cyclic_cover(12, 1),
     "cyclic-over-a-cycle": lambda: cyclic_cover(12, 4),
-    "cyclic-composite": lambda: cyclic_tower([2, 3, 2]).composite_map(4, 1),
-    "identity": lambda: GraphCovering.identity(Graph.cycle(3)),
+    "cyclic-composite": lambda: cyclic_tower([2, 3, 2]).composite_map(4),
+    "identity": lambda: CoveringTower([cyclic_cover(6, 3)]).composite_map(1),
     "parity": parity_cover_of_rose2,
     "klein-four": klein_four_cover,
     "cayley-abelian": _abelian,
@@ -283,7 +286,7 @@ def _assert_matches_reference(cov, base_vi=0):
 @pytest.mark.parametrize("name", DECK_CASES)
 def test_batched_deck_group_equals_reference(name):
     cov = DECK_CASES[name]()
-    for base_vi in range(cov.base.nv):
+    for base_vi in range(cov.codomain.nv):
         _assert_matches_reference(cov, base_vi)
 
 
@@ -309,8 +312,8 @@ def test_candidate_blocks_give_the_same_group(monkeypatch):
 
     cov = _dihedral_cayley(6)
     whole = cov.deck_group()
-    monkeypatch.setattr(coverings, "_BLOCK", 5 * cov.total.nv)  # blocks of 5 candidates
-    fresh = GraphCovering(cov.total, cov.base, cov.vmap, cov.emap)
+    monkeypatch.setattr(coverings, "_BLOCK", 5 * cov.domain.nv)  # blocks of 5 candidates
+    fresh = GraphCovering(cov.domain, cov.codomain, cov.vmap, cov.emap)
     assert np.array_equal(fresh.deck_group().vperms, whole.vperms)
 
 
@@ -329,8 +332,8 @@ def test_deck_kernel_equals_the_reference_on_random_multi_vertex_bases(monkeypat
     kinds = set()
     for cov in covers:
         for candidates in (1, 2, 5):
-            monkeypatch.setattr(coverings, "_BLOCK", candidates * cov.total.nv)
-            for base_vi in range(cov.base.nv):
+            monkeypatch.setattr(coverings, "_BLOCK", candidates * cov.domain.nv)
+            for base_vi in range(cov.codomain.nv):
                 group = _assert_matches_reference(cov, base_vi)
                 kinds.add((group.order(), group.regular))
                 t0 = int(cov.fiber(base_vi)[0])
@@ -423,9 +426,10 @@ def test_composite_covering_degree_multiplies():
 
 def test_composite_covering_identity_range():
     tower = CoveringTower([cyclic_cover(2, 1), cyclic_cover(6, 2)])
-    same = tower.composite_map(2, 2)
+    same = tower.composite_map(1)
     assert same.degree() == 1
-    assert same.total == Graph.cycle(2)
+    assert same.domain is same.codomain is tower.base
+    assert np.array_equal(same.vmap, [0]) and np.array_equal(same.emap, [0])
 
 
 def test_dyadic_tower_composite_degrees():
@@ -482,9 +486,6 @@ def test_tower_rotation_witness_and_enumeration_agree():
 
 def test_tower_levels_outside_the_tower_rejected():
     tower = cyclic_tower([2, 2, 2])
-    for k, k0 in ((0, 1), (-1, 1), (5, 1), (2, 0), (2, 3)):
-        with pytest.raises(ValueError):
-            tower.composite_map(k, k0)
     for k in (0, -1, 5):
         with pytest.raises(ValueError):
             tower.composite_map(k)
@@ -509,10 +510,10 @@ def test_tower_stacking_is_checked_on_indices_not_labels():
     # equal by labels, indexed differently: repr order puts 10 and 11 before 2
     below = cyclic_cover(12, 1)
     relabelled = Graph.from_edges(range(12), {i: (i, (i + 1) % 12) for i in range(12)})
-    assert relabelled == below.total and not relabelled.indexed_alike(below.total)
+    assert relabelled == below.domain and not relabelled.indexed_alike(below.domain)
     with pytest.raises(ValueError, match="consecutive coverings do not stack"):
-        CoveringTower([below, GraphCovering.identity(relabelled)])
-    assert CoveringTower([below, GraphCovering.identity(Graph.cycle(12))]).depth == 3
+        CoveringTower([below, GraphCovering(relabelled, relabelled, np.arange(12), np.arange(12))])
+    assert CoveringTower([below, cyclic_cover(12, 12)]).depth == 3
 
 
 def test_generator_monodromies_rotate():
@@ -536,9 +537,9 @@ def test_cyclic_tower_builds_one_graph_per_level(monkeypatch):
     tower = cyclic_tower([2] * 6)
     assert built == []  # construction builds no level
     for k in range(3, tower.depth + 1):
-        assert tower.covering(k).base is tower.covering(k - 1).total
-        assert tower.graph(k) is tower.covering(k).total
-    assert tower.graph(1) is tower.base is tower.covering(2).base
+        assert tower.covering(k).codomain is tower.covering(k - 1).domain
+        assert tower.graph(k) is tower.covering(k).domain
+    assert tower.graph(1) is tower.base is tower.covering(2).codomain
     assert sorted(built) == [2 ** i for i in range(7)]  # each level built once
 
 
@@ -546,7 +547,7 @@ def test_a_deep_level_read_first_builds_the_levels_below_in_a_loop():
     # 400 levels of degree 1: building them by recursion would pass Python's frame limit
     tower = cyclic_tower([1] * 399)
     assert tower.graph(400).nv == 1
-    assert tower.covering(400).base is tower.graph(399)
+    assert tower.covering(400).codomain is tower.graph(399)
     assert cyclic_tower([1] * 399).verify_rotation_witness(400)
 
 
@@ -572,18 +573,62 @@ def test_composites_chain_one_bond_onto_the_level_below(monkeypatch):
 
     monkeypatch.setattr(GraphCovering, "compose", counting)
     tower = cyclic_tower([2, 3, 2, 2, 3])
-    top = tower.composite_map(6, 1)
+    top = tower.composite_map(6)
     assert len(composed) == 4  # levels 3..6, each onto the composite below
-    assert tower.composite_map(2, 1) is tower.covering(2)
+    assert tower.composite_map(2) is tower.covering(2)
     for k in range(3, 7):
         assert composed[k - 3] is tower.covering(k)
-        below = tower.composite_map(k - 1, 1)
+        below = tower.composite_map(k - 1)
         expected = below.vmap[tower.covering(k).vmap]
-        assert np.array_equal(tower.composite_map(k, 1).vmap, expected)
+        assert np.array_equal(tower.composite_map(k).vmap, expected)
     assert len(composed) == 4
     assert np.array_equal(top.vmap, np.zeros(72, dtype=np.int64))
-    tower.composite_map(5, 2)
-    assert len(composed) == 6
+    assert tower.composite_map(1).degree() == 1 and len(composed) == 4
+
+
+def test_coverings_and_composites_are_cellular_maps_composed_edgewise():
+    # the edgewise gather of GraphCovering.compose is the general path
+    # composition on maps whose every edge goes forward onto one edge
+    files = [cayley_tower_json([(2, 1), (2, 2), (4, 2), (4, 4)]),
+             *(random_tower_json(Random(seed), 4, integers=seed % 2 == 1) for seed in range(40))]
+    pairs = 0
+    for tower in [cyclic_tower([2, 3, 2, 2]), *map(tower_from_json, files)]:
+        assert validate_map(tower.composite_map(1)) == []
+        for k in range(2, tower.depth + 1):
+            bond = tower.covering(k)
+            for outer in [tower.composite_map(k - 1), *([tower.covering(k - 1)] if k > 2 else [])]:
+                edgewise, general = outer.compose(bond), compose(outer, bond)
+                assert isinstance(edgewise, GraphCovering) and validate_map(edgewise) == []
+                for name in ("vmap", "offsets", "steps"):
+                    assert np.array_equal(getattr(edgewise, name), getattr(general, name)), name
+                pairs += 1
+            assert isinstance(bond, CellularMap) and validate_map(bond) == []
+            assert validate_map(tower.composite_map(k)) == []
+    assert pairs > 200
+
+
+CLOSED_FORMS = ("base_point", "fiber", "fiber_position", "thread", "loop_endpoint", "deck_power")
+
+
+@pytest.mark.parametrize("degrees", [[2, 3, 2], [3, 1, 2, 2], [5, 2], [1], []], ids=str)
+def test_cyclic_tower_closed_forms_equal_the_generic_path(degrees):
+    tower = cyclic_tower(degrees)
+    assert all(name in CyclicTower.__dict__ for name in CLOSED_FORMS)
+    loops = [(), ((0, 1),), ((0, -1),), ((0, 1),) * 3, ((0, 1), (0, -1), (0, -1)), ((0, -1),) * 7]
+    for k in range(1, tower.depth + 1):
+        fiber = tower.fiber(k)
+        assert np.array_equal(fiber, CoveringTower.fiber(tower, k))
+        assert tower.base_point(k) == CoveringTower.base_point(tower, k)
+        assert list(tower.fiber_position(k)) == CoveringTower.fiber_position(tower, k).tolist()
+        for top in fiber.tolist():
+            assert tower.thread(k, top) == CoveringTower.thread(tower, k, top)
+        for loop in loops:
+            assert tower.loop_endpoint(loop, k) == CoveringTower.loop_endpoint(tower, loop, k)
+        for target in fiber.tolist():
+            for n in (-3, -1, 0, 1, 2, 5):
+                for point in fiber.tolist():
+                    assert (tower.deck_power(k, target, n, point)
+                            == CoveringTower.deck_power(tower, k, target, n, point))
 
 
 def test_cyclic_tower_fiber_positions_are_the_identity():

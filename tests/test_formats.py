@@ -307,7 +307,7 @@ def test_tower_builds_only_the_levels_read(monkeypatch):
 
     def counting(level, base):
         cov = original(level, base)
-        built.append(cov.total.nv)
+        built.append(cov.domain.nv)
         return cov
 
     monkeypatch.setattr(formats, "_covering_from_level", counting)
@@ -361,7 +361,7 @@ def test_lazy_tower_equals_the_eager_reference(tmp_path):
             _same_level(tower.graph(k), total)
             assert np.array_equal(tower.covering(k).vmap, vmap)
             assert np.array_equal(tower.covering(k).emap, emap)
-            assert tower.covering(k).base is tower.graph(k - 1)
+            assert tower.covering(k).codomain is tower.graph(k - 1)
 
 
 def _cell(level: dict, field: str):
@@ -518,7 +518,7 @@ def test_star_check_counts_lifts_like_brute_force():
         outcomes.add(expected)
         tower = formats.tower_from_json({**THREE_EDGES, "levels": [data]})
         if expected is None:
-            assert tower.covering(2).total.ne == n
+            assert tower.covering(2).domain.ne == n
         else:
             with pytest.raises(ValueError, match=rf"^levels\[0\]: not a covering: {expected}$"):
                 tower.covering(2)

@@ -577,15 +577,25 @@ def test_approximant_thread_counts_equal_the_legal_words(name):
 def test_covering_thread_counts_equal_the_fibers():
     # a covering tower read with in and out sides is a system of branched
     # graphs whose bonds are side-coherent, and its vertex threads over x_1
-    # to depth k are the level-(k + 1) vertices over x_1
+    # to depth k are the tower's threads through the level-(k + 1) vertices
+    # over x_1, each cell the bond's image of the one above
     files = [cayley_tower_json([(2, 1), (2, 2), (4, 2), (4, 4)]),
              *(random_tower_json(Random(seed), 4, integers=seed % 2 == 1) for seed in range(40))]
     towers = [cyclic_tower([2, 3, 2, 2]), *map(tower_from_json, files)]
+    cases = 0
     for tower in towers:
         system, x1 = covering_system(tower), VertexCell(tower.base.vertex_ids[tower.base_point(1)])
-        for k in range(tower.depth):
-            assert k == 0 or validate_map(system.bond(k - 1)) == []
-            assert len(enumerate_threads(system, k, x1)) == len(tower.fiber(k + 1))
+        for k in range(1, tower.depth + 1):
+            assert k == 1 or validate_map(system.bond(k - 2)) == []
+            threads = enumerate_threads(system, k - 1, x1)
+            assert len(threads) == len(tower.fiber(k))
+            assert {tuple(cell.vertex for cell in t.cells) for t in threads} == {
+                tuple(tower.graph(j).vertex_ids[v] for j, v in enumerate(tower.thread(k, top), 1))
+                for top in tower.fiber(k).tolist()}
+            for t in threads:
+                assert all(apply_cell(system.bond(j), t.cells[j + 1]) == t.cells[j] for j in range(k - 1))
+            cases += 1
+    assert cases == 170
 
 
 # -- validation ----------------------------------------------------------------------

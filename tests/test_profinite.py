@@ -157,7 +157,7 @@ def _parity_tower(beta0, beta1):
             edges[("b", j, s)] = ((j, s), ((beta0, beta1)[s][j], s))
     top = Graph.from_edges([(j, s) for j in range(3) for s in (0, 1)], edges)
     up = GraphCovering.from_dicts(
-        top, low.total, {v: v[1] for v in top.vertex_ids}, {e: (e[0], e[2]) for e in edges})
+        top, low.domain, {v: v[1] for v in top.vertex_ids}, {e: (e[0], e[2]) for e in edges})
     return CoveringTower([low, up])
 
 
@@ -184,8 +184,8 @@ def test_quotient_verify_equals_reference_on_random_stacks():
     outcomes = set()
     for _ in range(150):
         low = random_graph_cover(rng, rose, rng.randint(1, 4))
-        up = random_graph_cover(rng, low.total, rng.randint(1, 3))
-        if not (low.total.is_connected and up.total.is_connected):
+        up = random_graph_cover(rng, low.domain, rng.randint(1, 3))
+        if not (low.domain.is_connected and up.domain.is_connected):
             continue
         tower = CoveringTower([low, up])
         for k in (2, 3):
@@ -336,7 +336,7 @@ def test_rep_and_metric_answer_on_a_non_regular_tower():
     cov = non_normal_degree3_cover()
     tower = CoveringTower([cov])
     assert not tower.deck_group(2).regular
-    total = cov.total
+    total = cov.domain
 
     def brute_lift(word):
         v = tower.base_point(2)
